@@ -3,37 +3,32 @@
 Measures raw kernel throughput (events per second, derived from the
 environment's ``events_processed`` counter and the wall time of the
 run phase alone — building thousands of generators is setup, not
-kernel hot path) over four canned, fully deterministic scenarios, each
-runnable on every event-queue backend (see :mod:`repro.sim.eventqueue`):
+kernel hot path) over four canned, fully deterministic scenarios:
 
 * ``timer_storm``      — thousands of interleaved timeouts; pure
   event-queue churn with no resource or condition machinery.
 * ``timer_storm_xl``   — the same mix at cluster scale: ~100k timers
-  pending at all times over a minute-wide spread.  This is the
-  calendar queue's home turf: at this queue depth the O(1) bucket
-  operations beat the O(log n) heap; at ``timer_storm`` depth they
-  don't, which is why the heap stays the default.
+  pending at all times over a minute-wide spread, the deep-pending-set
+  regime where the heap's ``O(log n)`` operations cost the most.
 * ``resource_contention`` — processes fighting over a small
   :class:`~repro.sim.resources.Resource` with ``AnyOf`` timeout races;
   exercises ``Request``/``succeed``/condition scheduling.
 * ``spiffi_small``     — one complete small SPIFFI system run
   (build + warmup + measure), the end-to-end number every figure pays.
 
-Backends are measured **interleaved** (heap run, calendar run, heap
-run, ...) so slow host drift hits both sides equally, and each side
-reports its best-of-N; the published per-scenario ``calendar_speedup``
-is the ratio of those bests.
+Each scenario reports its best-of-N run, timed with the garbage
+collector disabled.
 
 Stdlib-only by design: no pytest-benchmark, no numpy in the hot loop.
 Usage (from the repo root)::
 
     PYTHONPATH=src python benchmarks/micro/kernel_bench.py                 # print a table
-    PYTHONPATH=src python benchmarks/micro/kernel_bench.py --backend heap  # one backend only
+    PYTHONPATH=src python benchmarks/micro/kernel_bench.py --scenario timer_storm
     PYTHONPATH=src python benchmarks/micro/kernel_bench.py --publish BENCH_kernel.json
     PYTHONPATH=src python benchmarks/micro/kernel_bench.py --check BENCH_kernel.json
 
-``--check`` is the CI perf-smoke mode: it re-measures every (scenario,
-backend) pair and fails (exit 1) if any drops below its
+``--check`` is the CI perf-smoke mode: it re-measures every scenario
+and fails (exit 1) if any drops below its
 ``floor_events_per_s`` recorded in the published baseline.  Floors are
 deliberately generous (a fraction of the tuned throughput on the
 recording host) so only a genuine hot-path regression — not runner
@@ -49,37 +44,34 @@ import platform
 import sys
 import time
 
-from repro.sim import Environment, Resource, SimSpec
+from repro.sim import Environment, Resource
 from repro.sim.rng import RandomSource
 
-#: Bump when scenario definitions change (results are not comparable
-#: across schema versions).  ``/2`` added the per-backend axis and the
-#: ``timer_storm_xl`` scenario.
-SCHEMA = "repro.bench.kernel/2"
+#: Bump when scenario definitions or the document layout change
+#: (results are not comparable across schema versions).  ``/2`` added
+#: the ``timer_storm_xl`` scenario; ``/3`` dropped the per-backend axis
+#: (one row per scenario).
+SCHEMA = "repro.bench.kernel/3"
 
 #: Fraction of freshly measured events/sec recorded as the CI floor.
 FLOOR_FRACTION = 0.25
 
-#: Backends every scenario is measured on (A/B interleaved).
-BACKENDS = ("heap", "calendar")
-
 
 # ----------------------------------------------------------------------
-# Scenarios.  Each takes the event-queue spec plus a deterministic seed,
-# builds the simulation (untimed — process/generator construction is
-# not kernel hot path), and returns ``(env, go)`` where ``go()`` runs
-# the simulation; the driver times ``go`` alone and reads
-# ``events_processed`` off the environment.
+# Scenarios.  Each takes a deterministic seed, builds the simulation
+# (untimed — process/generator construction is not kernel hot path),
+# and returns ``(env, go)`` where ``go()`` runs the simulation; the
+# driver times ``go`` alone and reads ``events_processed`` off the
+# environment.
 # ----------------------------------------------------------------------
 def timer_storm(
-    spec: SimSpec,
     seed: int = 1,
     processes: int = 200,
     spread: float = 1.0,
     horizon: float = 500.0,
 ):
     """Interleaved sleep loops: the pure timeout/queue fast path."""
-    env = Environment(queue=spec.build_queue())
+    env = Environment()
     rng = RandomSource(seed)
 
     def sleeper(env, stream):
@@ -91,27 +83,23 @@ def timer_storm(
     return env, lambda: env.run(until=horizon)
 
 
-def timer_storm_xl(spec: SimSpec, seed: int = 4):
+def timer_storm_xl(seed: int = 4):
     """The timer storm at cluster scale: ~100k pending timers.
 
-    The wide delay spread keeps the pending set deep for the whole run
-    — the regime the calendar queue is built for (and where the heap's
-    ``O(log n)`` with cold caches hurts the most).
+    The wide delay spread keeps the pending set deep for the whole run,
+    where the heap's ``O(log n)`` with cold caches hurts the most.
     """
-    return timer_storm(
-        spec, seed=seed, processes=100_000, spread=60.0, horizon=30.0
-    )
+    return timer_storm(seed=seed, processes=100_000, spread=60.0, horizon=30.0)
 
 
 def resource_contention(
-    spec: SimSpec,
     seed: int = 2,
     processes: int = 120,
     capacity: int = 8,
     horizon: float = 400.0,
 ):
     """Request/release churn with AnyOf timeout races on a shared resource."""
-    env = Environment(queue=spec.build_queue())
+    env = Environment()
     rng = RandomSource(seed)
     pool = Resource(env, capacity=capacity)
 
@@ -132,7 +120,7 @@ def resource_contention(
     return env, lambda: env.run(until=horizon)
 
 
-def spiffi_small(spec: SimSpec, seed: int = 3):
+def spiffi_small(seed: int = 3):
     """One complete small SpiffiSystem run (warmup + measure)."""
     from repro import MB, SpiffiConfig
     from repro.core.system import SpiffiSystem
@@ -148,7 +136,6 @@ def spiffi_small(spec: SimSpec, seed: int = 3):
         warmup_grace_s=6.0,
         measure_s=150.0,
         seed=seed,
-        sim=spec,
     )
     system = SpiffiSystem(config)
     return system.env, system.run
@@ -165,104 +152,63 @@ SCENARIOS = {
 # ----------------------------------------------------------------------
 # Driver
 # ----------------------------------------------------------------------
-def measure(
-    name: str, repeat: int = 3, backends: tuple[str, ...] = BACKENDS
-) -> dict[str, dict]:
-    """Interleaved best-of-*repeat* measurement of one scenario.
+def measure(name: str, repeat: int = 3) -> dict:
+    """Best-of-*repeat* measurement of one scenario.
 
-    Runs round-robin over *backends* (heap, calendar, heap, calendar,
-    ...) so host drift lands on both sides equally, and keeps the best
-    wall time per backend.  Best (not mean) is the standard
-    microbenchmark estimator: noise on a busy host only ever slows a
-    run down.
+    Best (not mean) is the standard microbenchmark estimator: noise on
+    a busy host only ever slows a run down.
     """
     scenario = SCENARIOS[name]
-    specs = {backend: SimSpec(event_queue=backend) for backend in backends}
-    best: dict[str, dict] = {
-        backend: {"events": 0, "wall_s": float("inf")} for backend in backends
-    }
+    events, best = 0, float("inf")
     for _ in range(repeat):
-        for backend, spec in specs.items():
-            env, go = scenario(spec)
-            # Identical GC state for every timed run: collect the setup
-            # garbage, then keep the collector out of the hot loop.
-            gc.collect()
-            gc.disable()
-            try:
-                started = time.perf_counter()
-                go()
-                wall = time.perf_counter() - started
-            finally:
-                gc.enable()
-            if wall < best[backend]["wall_s"]:
-                best[backend] = {"events": env.events_processed, "wall_s": wall}
-    results = {}
-    for backend, row in best.items():
-        wall = row["wall_s"]
-        results[backend] = {
-            "events": row["events"],
-            "wall_s": round(wall, 6),
-            "events_per_s": round(row["events"] / wall, 1) if wall > 0 else 0.0,
-        }
-    return results
-
-
-def run_all(
-    repeat: int = 3, backends: tuple[str, ...] = BACKENDS
-) -> dict[str, dict[str, dict]]:
+        env, go = scenario()
+        # Identical GC state for every timed run: collect the setup
+        # garbage, then keep the collector out of the hot loop.
+        gc.collect()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            go()
+            wall = time.perf_counter() - started
+        finally:
+            gc.enable()
+        if wall < best:
+            events, best = env.events_processed, wall
     return {
-        name: measure(name, repeat=repeat, backends=backends) for name in SCENARIOS
+        "events": events,
+        "wall_s": round(best, 6),
+        "events_per_s": round(events / best, 1) if best > 0 else 0.0,
     }
 
 
-def geometric_mean(ratios: list[float]) -> float:
-    product = 1.0
-    for ratio in ratios:
-        product *= ratio
-    return product ** (1.0 / len(ratios)) if ratios else 0.0
+def run_all(repeat: int = 3) -> dict[str, dict]:
+    return {name: measure(name, repeat=repeat) for name in SCENARIOS}
 
 
-def publish(results: dict[str, dict[str, dict]]) -> dict:
+def publish(results: dict[str, dict]) -> dict:
     """The BENCH_kernel.json document for freshly measured *results*.
 
-    Per scenario: each backend's interleaved best-of numbers plus its
-    CI floor (a generous :data:`FLOOR_FRACTION` of the measured
-    throughput), and the calendar-vs-heap speedup when both backends
-    were measured.  The aggregate is the geometric mean of the
-    per-scenario speedups.
+    Per scenario: the best-of numbers plus its CI floor, a generous
+    :data:`FLOOR_FRACTION` of the measured throughput.
     """
-    scenarios = {}
-    ratios = []
-    for name, by_backend in results.items():
-        entry: dict = {"backends": {}}
-        for backend, row in by_backend.items():
-            entry["backends"][backend] = dict(
-                row,
-                floor_events_per_s=round(row["events_per_s"] * FLOOR_FRACTION, 1),
-            )
-        if "heap" in by_backend and "calendar" in by_backend:
-            ratio = (
-                by_backend["calendar"]["events_per_s"]
-                / by_backend["heap"]["events_per_s"]
-            )
-            entry["calendar_speedup"] = round(ratio, 3)
-            ratios.append(ratio)
-        scenarios[name] = entry
-    document = {
+    return {
         "schema": SCHEMA,
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
         },
-        "scenarios": scenarios,
+        "scenarios": {
+            name: dict(
+                row,
+                floor_events_per_s=round(row["events_per_s"] * FLOOR_FRACTION, 1),
+            )
+            for name, row in results.items()
+        },
     }
-    if ratios:
-        document["aggregate_calendar_speedup"] = round(geometric_mean(ratios), 3)
-    return document
 
 
 def check(baseline_path: str, repeat: int = 3) -> int:
-    """CI perf smoke: fail if any (scenario, backend) drops below floor."""
+    """CI perf smoke: fail if any scenario drops below its floor."""
     with open(baseline_path, encoding="utf-8") as handle:
         baseline = json.load(handle)
     if baseline.get("schema") != SCHEMA:
@@ -273,20 +219,15 @@ def check(baseline_path: str, repeat: int = 3) -> int:
         if name not in SCENARIOS:
             print(f"SKIP {name}: unknown scenario in baseline")
             continue
-        backends = tuple(
-            backend for backend in entry["backends"] if backend in BACKENDS
+        got = measure(name, repeat=repeat)
+        floor = entry["floor_events_per_s"]
+        ok = got["events_per_s"] >= floor
+        print(
+            f"{'ok  ' if ok else 'FAIL'} {name}: "
+            f"{got['events_per_s']:>12,.0f} events/s (floor {floor:,.0f})"
         )
-        got = measure(name, repeat=repeat, backends=backends)
-        for backend in backends:
-            floor = entry["backends"][backend]["floor_events_per_s"]
-            ok = got[backend]["events_per_s"] >= floor
-            print(
-                f"{'ok  ' if ok else 'FAIL'} {name} [{backend}]: "
-                f"{got[backend]['events_per_s']:>12,.0f} events/s "
-                f"(floor {floor:,.0f})"
-            )
-            if not ok:
-                failures += 1
+        if not ok:
+            failures += 1
     return 1 if failures else 0
 
 
@@ -303,50 +244,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--scenario", choices=sorted(SCENARIOS), help="measure a single scenario"
     )
-    parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        help="measure a single event-queue backend (default: interleaved A/B)",
-    )
     args = parser.parse_args(argv)
 
     if args.check:
         return check(args.check, repeat=args.repeat)
 
-    backends = (args.backend,) if args.backend else BACKENDS
     if args.scenario:
-        results = {
-            args.scenario: measure(args.scenario, repeat=args.repeat, backends=backends)
-        }
+        results = {args.scenario: measure(args.scenario, repeat=args.repeat)}
     else:
-        results = run_all(repeat=args.repeat, backends=backends)
-    for name, by_backend in results.items():
-        for backend, row in by_backend.items():
-            print(
-                f"{name:>20} [{backend:>8}]: {row['events']:>10,} events "
-                f"in {row['wall_s']:.3f}s = {row['events_per_s']:>12,.0f} events/s"
-            )
-        if "heap" in by_backend and "calendar" in by_backend:
-            ratio = (
-                by_backend["calendar"]["events_per_s"]
-                / by_backend["heap"]["events_per_s"]
-            )
-            print(f"{name:>20} calendar speedup: {ratio:.3f}x")
+        results = run_all(repeat=args.repeat)
+    for name, row in results.items():
+        print(
+            f"{name:>20}: {row['events']:>10,} events "
+            f"in {row['wall_s']:.3f}s = {row['events_per_s']:>12,.0f} events/s"
+        )
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)
             handle.write("\n")
     if args.publish:
-        document = publish(results)
         with open(args.publish, "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
+            json.dump(publish(results), handle, indent=2, sort_keys=True)
             handle.write("\n")
-        if "aggregate_calendar_speedup" in document:
-            print(
-                f"aggregate calendar speedup: "
-                f"{document['aggregate_calendar_speedup']}x"
-            )
     return 0
 
 

@@ -91,7 +91,7 @@ class SpiffiCluster:
 
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
-        self.env = Environment(queue=config.node.sim.build_queue())
+        self.env = Environment()
         base = config.node
         self.placement = config.placement.build(config.nodes, base.video_count)
         # Scripted outages + rebuild: plan the re-replication at build

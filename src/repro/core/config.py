@@ -26,7 +26,6 @@ from repro.replication.spec import ReplicationSpec
 from repro.runnable import register_runnable
 from repro.sched.registry import SchedulerSpec
 from repro.server.admission import AdmissionSpec
-from repro.sim.eventqueue import SimSpec
 from repro.sharing.spec import SharingSpec, sharing_cache_dict
 from repro.storage.drive import DriveParameters
 from repro.terminal.pauses import PauseModel
@@ -130,14 +129,6 @@ class SpiffiConfig:
     # --- messaging --------------------------------------------------------
     control_message_bytes: int = 128
 
-    # --- kernel mechanism ---------------------------------------------------
-    #: Which event-queue backend runs the simulation kernel (see
-    #: :mod:`repro.sim.eventqueue`).  Pure mechanism: every backend
-    #: executes the identical event order (pinned by the differential
-    #: harness), so this spec never enters cache digests and the
-    #: default heap backend is bit-identical to the pre-seam kernel.
-    sim: SimSpec = dataclasses.field(default_factory=SimSpec)
-
     # --- simulation run ----------------------------------------------------
     seed: int = 1
     start_spread_s: float = 30.0  # terminals start at random instants in here
@@ -186,8 +177,6 @@ class SpiffiConfig:
             raise TypeError(
                 f"sharing must be a SharingSpec, got {self.sharing!r}"
             )
-        if not isinstance(self.sim, SimSpec):
-            raise TypeError(f"sim must be a SimSpec, got {self.sim!r}")
         if self.sharing.batching and self.piggyback_window_s > 0:
             raise ValueError(
                 f"sharing policy {self.sharing.policy!r} batches launches "
@@ -335,11 +324,6 @@ def config_cache_dict(config: SpiffiConfig) -> dict:
     data = dataclasses.asdict(config)
     data["layout"] = config.layout.name
     data["replacement_policy"] = config.replacement_policy.name
-    # The kernel spec is pure mechanism: every event-queue backend
-    # executes the identical event order (enforced by the differential
-    # harness), so it never enters the cache identity — a run cached
-    # under one backend is bit-for-bit the result of every other.
-    del data["sim"]
     if config.faults == FaultSpec():
         del data["faults"]
     elif config.faults.fail_node_stagger_s == 0.0:

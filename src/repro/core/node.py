@@ -90,9 +90,7 @@ class SpiffiNode:
         closed_terminals: bool = True,
     ) -> None:
         self.config = config
-        self.env = (
-            env if env is not None else Environment(queue=config.sim.build_queue())
-        )
+        self.env = env if env is not None else Environment()
         rng = RandomSource(config.seed)
         self._rng = rng
         video_count = (

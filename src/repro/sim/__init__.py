@@ -7,13 +7,6 @@ generators that yield :class:`Event` objects to an :class:`Environment`.
 
 from repro.sim.environment import Environment, NORMAL, URGENT
 from repro.sim.errors import EventLifecycleError, Interrupt, SimError, StopSimulation
-from repro.sim.eventqueue import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    SimSpec,
-    event_queue_names,
-    register_event_queue,
-)
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Gate, PriorityStore, Resource, Store
@@ -24,13 +17,11 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "BusyTracker",
-    "CalendarEventQueue",
     "DiscreteSampler",
     "Environment",
     "Event",
     "EventLifecycleError",
     "Gate",
-    "HeapEventQueue",
     "Interrupt",
     "NORMAL",
     "PriorityStore",
@@ -39,7 +30,6 @@ __all__ = [
     "RandomSource",
     "Resource",
     "SimError",
-    "SimSpec",
     "StopSimulation",
     "Store",
     "Tally",
@@ -47,7 +37,5 @@ __all__ = [
     "Timeout",
     "URGENT",
     "WindowedRate",
-    "event_queue_names",
-    "register_event_queue",
     "zipf_weights",
 ]

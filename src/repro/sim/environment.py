@@ -1,4 +1,9 @@
-"""The simulation environment: clock, event queue, and run loop."""
+"""The simulation environment: clock, event queue, and run loop.
+
+Pending events live in one plain ``list`` kept in heap order by the C
+:mod:`heapq` functions.  Entries are ``(time, priority, seq, event)``
+tuples, so the heap pops them in exactly the kernel's execution order.
+"""
 
 from __future__ import annotations
 
@@ -7,15 +12,10 @@ from functools import partial
 from heapq import heappop, heappush
 
 from repro.sim.errors import SimError, StopSimulation
-from repro.sim.eventqueue import CalendarEventQueue, HeapEventQueue
 from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Environment", "NORMAL", "URGENT"]
-
-#: Internal drain-loop result: the queue ran out of events before the
-#: deadline / until-event was reached.
-_EXHAUSTED = object()
 
 
 class Environment:
@@ -23,17 +23,9 @@ class Environment:
 
     Determinism: given the same seedable inputs, event execution order is
     fully deterministic — ties on (time, priority) break on insertion
-    order via a monotonically increasing sequence number.  The order is
-    a property of the ``(time, priority, seq)`` tuples alone, so it is
-    identical under every event-queue backend (see
-    :mod:`repro.sim.eventqueue`); the differential harness in
-    ``tests/sim`` enforces exactly that.
-
-    *queue* selects the backend: ``None`` builds the default binary
-    heap; pass any :class:`~repro.sim.eventqueue.EventQueue` (usually
-    via ``SimSpec.build_queue()``) for an alternative.  The built-in
-    backends get specialized inlined drain loops; third-party queues
-    run through the generic interface loop.
+    order via a monotonically increasing sequence number.  The seeded
+    differential harness in ``tests/sim`` replays random programs
+    against a naive reference interpreter to enforce exactly that.
     """
 
     __slots__ = (
@@ -45,19 +37,14 @@ class Environment:
         "events_processed",
     )
 
-    def __init__(self, initial_time: float = 0.0, queue=None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
-        self._queue = HeapEventQueue() if queue is None else queue
+        self._queue: list = []
         # The hot constructors (``Timeout``, ``succeed``/``fail``, the
-        # condition triggers) schedule through this bound callable.  For
-        # the heap backend it is the C ``heappush`` partially applied to
-        # the exact backing list — the same zero-indirection push the
-        # kernel inlined before the queue seam existed (a ``partial``
-        # over C ``heappush`` measures within noise of the inline call).
-        if type(self._queue) is HeapEventQueue:
-            self._push = partial(heappush, self._queue._heap)
-        else:
-            self._push = self._queue.push
+        # condition triggers) schedule through this bound callable: the
+        # C ``heappush`` partially applied to the queue list, which
+        # measures within noise of an inline ``heappush`` call.
+        self._push = partial(heappush, self._queue)
         self._seq = 0
         self._active_process: Process | None = None
         #: Lifetime count of events executed — the simulator's work
@@ -115,12 +102,12 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or +inf if none."""
-        return self._queue.peek_time()
+        return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
         """Process the single next event."""
         try:
-            when, _priority, _seq, event = self._queue.pop()
+            when, _priority, _seq, event = heappop(self._queue)
         except IndexError:
             raise SimError("step() on an empty event queue") from None
         self._now = when
@@ -144,9 +131,10 @@ class Environment:
           value (or raising its exception).
         """
         stop_value: list = []
+        watching = isinstance(until, Event)
         if until is None:
             deadline = float("inf")
-        elif isinstance(until, Event):
+        elif watching:
             deadline = float("inf")
             if until.processed:
                 if until.ok:
@@ -159,42 +147,17 @@ class Environment:
             until.callbacks.append(_stop)
         else:
             deadline = float(until)
-            if deadline < self._now:
+            if not deadline >= self._now:
                 raise ValueError(
-                    f"run(until={deadline}) is in the past (now={self._now})"
+                    f"run(until={deadline!r}) must not be before now={self._now}"
                 )
 
-        # Drain through the backend-specialized hot loop.  Each drain
-        # shares the same contract: process events in (time, priority,
-        # seq) order; return _EXHAUSTED when the queue empties, None
-        # when the deadline is reached (clock already advanced to it),
-        # a value when the until-event or StopSimulation ends the run;
-        # flush ``events_processed`` however it exits.
+        # The hot loop: step() inlined, with the queue, heappop, and the
+        # event counter bound to locals.  Behaviour is identical to
+        # repeated step() calls; only attribute traffic is saved.  The
+        # until-event check is hoisted behind the ``watching`` flag so it
+        # costs nothing per event when unused.
         queue = self._queue
-        watching = isinstance(until, Event)
-        if type(queue) is HeapEventQueue:
-            result = self._drain_heap(queue._heap, deadline, watching, stop_value)
-        elif type(queue) is CalendarEventQueue:
-            result = self._drain_calendar(queue, deadline, watching, stop_value)
-        else:
-            result = self._drain_generic(queue, deadline, watching, stop_value)
-        if result is not _EXHAUSTED:
-            return result
-
-        if deadline != float("inf"):
-            self._now = deadline
-        if isinstance(until, Event) and not until.processed:
-            raise SimError("run() ran out of events before `until` fired")
-        return None
-
-    def _drain_heap(self, queue, deadline, watching, stop_value):
-        """The kernel hot loop for the heap backend: step() inlined,
-        with the backend's exact backing list, heappop, and the event
-        counter bound to locals.  Behaviour is identical to repeated
-        step() calls; only attribute traffic is saved.  The until-event
-        check is hoisted behind the ``watching`` flag so it costs
-        nothing per event when unused.
-        """
         pop = heappop
         processed = 0
         try:
@@ -221,98 +184,12 @@ class Environment:
             return stop.value
         finally:
             self.events_processed += processed
-        return _EXHAUSTED
 
-    def _drain_calendar(self, queue, deadline, watching, stop_value):
-        """Inlined drain for the calendar backend.
-
-        Binds the queue's four structures to locals and pops straight
-        off them: the active run drains via ``list.pop()`` with a
-        single ``_extra`` comparison preserving the global order
-        (zero-delay and URGENT pushes at ``now`` land in ``_extra`` and
-        overtake the run's tail exactly when their tuples sort first).
-        Same-timestamp batches skip the deadline re-check: the clock
-        only re-validates when time actually advances.
-        """
-        pop_heap = heappop
-        cur = queue._cur
-        extra = queue._extra
-        slots = queue._slots
-        far = queue._far
-        now = self._now
-        processed = 0
-        try:
-            while True:
-                if cur:
-                    if extra and extra[0] < cur[-1]:
-                        item = pop_heap(extra)
-                    else:
-                        item = cur.pop()
-                elif extra:
-                    item = pop_heap(extra)
-                elif slots:
-                    queue._advance()
-                    cur = queue._cur
-                    continue
-                elif far:
-                    item = pop_heap(far)
-                else:
-                    return _EXHAUSTED
-                when = item[0]
-                if when != now:
-                    if when > deadline:
-                        queue.push(item)
-                        self._now = deadline
-                        return None
-                    self._now = now = when
-                event = item[3]
-                processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event that nobody handled: surface it.
-                    raise event._value
-                if watching and stop_value:
-                    event = stop_value[0]
-                    if event._ok:
-                        return event.value
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            self.events_processed += processed
-
-    def _drain_generic(self, queue, deadline, watching, stop_value):
-        """Interface-only drain for third-party backends."""
-        processed = 0
-        try:
-            while queue:
-                when = queue.peek_time()
-                if when > deadline:
-                    self._now = deadline
-                    return None
-                when, _priority, _seq, event = queue.pop()
-                self._now = when
-                processed += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    # A failed event that nobody handled: surface it.
-                    raise event._value
-                if watching and stop_value:
-                    event = stop_value[0]
-                    if event._ok:
-                        return event.value
-                    raise event._value
-        except StopSimulation as stop:
-            return stop.value
-        finally:
-            self.events_processed += processed
-        return _EXHAUSTED
+        if deadline != float("inf"):
+            self._now = deadline
+        if watching and not until.processed:
+            raise SimError("run() ran out of events before `until` fired")
+        return None
 
     def stop(self, value: object = None) -> None:
         """End the current :meth:`run` immediately."""

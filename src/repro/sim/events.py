@@ -10,12 +10,11 @@ consumed bottoms out in a handful of ``Timeout``/``Event`` schedules, so
 this module trades a little indirection for speed — ``__slots__``
 everywhere, queue pushes inlined into the trigger methods as a single
 call through the environment's pre-bound ``_push`` (the C ``heappush``
-itself for the default heap backend; see
-:mod:`repro.sim.eventqueue`) instead of routed through
-``Environment._schedule``, and condition values built lazily.  All of
-it is pinned bit-identical by the golden-digest tests in
-``tests/sim/test_golden_digest.py`` and by the cross-backend
-differential harness in ``tests/sim/harness.py``.
+partially applied to the environment's queue list) instead of routed
+through ``Environment._schedule``, and condition values built lazily.
+All of it is pinned bit-identical by the golden-digest tests in
+``tests/sim/test_golden_digest.py`` and by the differential harness in
+``tests/sim/harness.py``.
 """
 
 from __future__ import annotations
@@ -131,8 +130,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which compares false
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         # The single hottest constructor in the simulator: every frame
         # consumed, disk transfer, and think pause makes one.  The
         # ``Event.__init__`` + ``succeed``-style indirection is inlined

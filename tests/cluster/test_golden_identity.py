@@ -18,8 +18,8 @@ from repro.experiments.runner import (
     RunRequest,
     SerialExecutor,
 )
-from repro.sim import SimSpec, event_queue_names
 from repro.workload.spec import ArrivalSpec
+from tests.sim.calendar_kernel import SYSTEM_BACKENDS, system_kernels
 from tests.sim.test_golden_digest import (
     GOLDEN_CONFIG_DIGEST,
     GOLDEN_EVENTS_PROCESSED,
@@ -68,13 +68,12 @@ def test_cluster_config_digest_is_not_the_member_digest():
 
 
 # ----------------------------------------------------------------------
-# Timer-storm-heavy cluster: the event-queue seam at cluster scale.
-# An open 3-node cluster where most kernel events are timers — arrival
-# draws, short patience clocks, view-duration churn — i.e. exactly the
-# event mix the calendar backend exists for.  Both backends must
-# reproduce the digests below bit-for-bit (recorded under the heap
-# default; re-record with ``print_storm_current()`` after intentional
-# behaviour changes).
+# Timer-storm-heavy cluster: the kernel at cluster scale.  An open
+# 3-node cluster where most kernel events are timers — arrival draws,
+# short patience clocks, view-duration churn.  Both the heap kernel and
+# the calendar-queue oracle (``tests/sim/calendar_kernel.py``) must
+# reproduce the digests below bit-for-bit (re-record with
+# ``print_storm_current()`` after intentional behaviour changes).
 # ----------------------------------------------------------------------
 GOLDEN_STORM_CONFIG_DIGEST = (
     "f493c8b73aceee6ccdd63473a92ae9708cf34ad588d5413c5352013db176d28b"
@@ -85,11 +84,10 @@ GOLDEN_STORM_METRICS_DIGEST = (
 GOLDEN_STORM_EVENTS_PROCESSED = 46104
 
 
-def storm_cluster(backend: str = "heap") -> ClusterConfig:
+def storm_cluster() -> ClusterConfig:
     node = midsize_config().replace(
         terminals=1,  # ignored: the open cluster workload owns sessions
         measure_s=45.0,
-        sim=SimSpec(event_queue=backend),
     )
     return ClusterConfig(
         node=node,
@@ -106,19 +104,22 @@ def storm_cluster(backend: str = "heap") -> ClusterConfig:
     )
 
 
-@pytest.mark.parametrize("backend", event_queue_names())
-def test_storm_cluster_identity_across_backends(backend):
-    assert config_digest(storm_cluster(backend)) == GOLDEN_STORM_CONFIG_DIGEST
-    metrics = run_cluster(storm_cluster(backend))
+@pytest.mark.parametrize("backend", SYSTEM_BACKENDS)
+def test_storm_cluster_identity_across_backends(backend, monkeypatch):
+    assert config_digest(storm_cluster()) == GOLDEN_STORM_CONFIG_DIGEST
+    with system_kernels(backend, monkeypatch) as built:
+        metrics = run_cluster(storm_cluster())
+    assert len(built) == (backend == "calendar")
     assert metrics.events_processed == GOLDEN_STORM_EVENTS_PROCESSED
     assert metrics_digest(metrics) == GOLDEN_STORM_METRICS_DIGEST
 
 
-@pytest.mark.parametrize("backend", event_queue_names())
-def test_storm_cluster_identity_jobs_4(backend):
+@pytest.mark.parametrize("backend", SYSTEM_BACKENDS)
+def test_storm_cluster_identity_jobs_4(backend, monkeypatch):
     runner = Runner(executor=ProcessExecutor(jobs=4), cache=None)
     try:
-        outcome = runner.run_batch([RunRequest(storm_cluster(backend))])[0]
+        with system_kernels(backend, monkeypatch):
+            outcome = runner.run_batch([RunRequest(storm_cluster())])[0]
     finally:
         runner.executor.close()
     assert not outcome.failed, outcome.error

@@ -1,31 +1,18 @@
-"""Pluggable event-queue backends for the simulation kernel.
+"""A calendar-queue scheduler kept as a second, independent oracle.
 
-The :class:`~repro.sim.environment.Environment` stores pending events as
-``(time, priority, seq, Event)`` tuples in an *event queue*.  The queue
-is a seam: any object satisfying the small :class:`EventQueue` contract
-can back the kernel, selected at config time through a registry-backed
-:class:`SimSpec` (the same idiom as ``LayoutSpec`` et al.).
+``repro.sim.Environment`` keeps its pending events in one ``heapq``
+list.  This module holds what the kernel does not ship: Brown's
+calendar queue (time-bucketed rings, an ``_extra`` heap for pushes at
+or behind the active bucket, ``_far`` parking for infinite times,
+adaptive bucket-width resizing) and :class:`QueueEnvironment`, the real
+kernel with its list swapped for any object with the small queue
+contract below.  The differential, property and golden suites replay
+the same programs on both schedulers; because the execution order is a
+property of the ``(time, priority, seq)`` tuples alone, a structurally
+different queue that agrees bit-for-bit is strong evidence that the
+kernel's ordering is the tuple order and nothing else.
 
-Two backends are built in:
-
-* ``heap`` (:class:`HeapEventQueue`, the default) — a binary heap via
-  the C-implemented :mod:`heapq`.  Unbeatable at small queue depths;
-  ``O(log n)`` per operation with growing cache pressure as the pending
-  set grows.
-* ``calendar`` (:class:`CalendarEventQueue`) — a calendar queue / time-
-  bucketed event list: ``O(1)`` amortized insert and extract through
-  time-sliced buckets with adaptive bucket-width resizing.  Its best
-  case is exactly the timer-storm-like mix of cluster-scale runs:
-  tens of thousands of pending timeouts spread over a bounded horizon.
-
-Whichever backend is selected, the execution order is identical — the
-total order is the ``(time, priority, seq)`` tuple order, and ``seq``
-is unique — and the differential/property/golden harness in
-``tests/sim`` pins the backends bit-identical to each other and to the
-naive reference interpreter.
-
-Contract (duck-typed; see also the specialized drain loops in
-``Environment.run`` which inline the built-in backends' internals):
+Queue contract (duck-typed):
 
 ``push(item)``
     Insert one ``(time, priority, seq, Event)`` tuple.  ``time`` is
@@ -35,80 +22,27 @@ Contract (duck-typed; see also the specialized drain loops in
     ``IndexError`` when empty.
 ``peek_time()``
     The minimum item's time without removing it, ``float("inf")`` when
-    empty.  May cost more than ``pop`` for bucketed backends.
+    empty.
 ``__len__`` / ``__bool__``
-    Pending item count / emptiness.  ``__len__`` may be ``O(buckets)``;
-    ``__bool__`` must be cheap.
+    Pending item count / emptiness.
+
+:func:`system_kernels` patches the two places the simulator builds its
+``Environment`` so whole ``SpiffiSystem``/``SpiffiCluster`` runs execute
+on the calendar queue.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import typing
+import contextlib
 from heapq import heappop, heappush
 
-__all__ = [
-    "CalendarEventQueue",
-    "EventQueue",
-    "HeapEventQueue",
-    "SimSpec",
-    "event_queue_names",
-    "register_event_queue",
-]
+from repro.sim import Environment, SimError, StopSimulation
+from repro.sim.events import Event
 
 _INFINITY = float("inf")
 
 #: Sentinel slot index ordering before every representable slot.
 _BEFORE_ALL_SLOTS = -(2**63)
-
-
-class EventQueue(typing.Protocol):  # pragma: no cover - typing helper
-    """Structural type of a kernel event queue (see module docstring)."""
-
-    def push(self, item: tuple) -> None: ...
-
-    def pop(self) -> tuple: ...
-
-    def peek_time(self) -> float: ...
-
-    def __len__(self) -> int: ...
-
-
-class HeapEventQueue:
-    """The default backend: a binary heap over a plain list.
-
-    The storage is an *exact* ``list`` exposed as ``_heap`` rather than
-    a list subclass: the C ``heapq`` functions run measurably (~10%)
-    faster on exact lists, and ``Environment`` binds ``heappush``
-    straight onto the backing list for the hot constructors and drains
-    it inline with zero per-event method calls, exactly as the pre-seam
-    kernel did.  The wrapper methods exist for the interface surface
-    (``peek``/``step``/``__repr__`` and any non-inlined caller).
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list = []
-
-    def push(self, item: tuple) -> None:
-        heappush(self._heap, item)
-
-    def pop(self) -> tuple:  # noqa: A003 - the EventQueue contract name
-        return heappop(self._heap)
-
-    def peek_time(self) -> float:
-        heap = self._heap
-        return heap[0][0] if heap else _INFINITY
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<HeapEventQueue len={len(self._heap)}>"
 
 
 class CalendarEventQueue:
@@ -142,8 +76,9 @@ class CalendarEventQueue:
     ``resize_interval`` bucket activations — or every
     ``32 * target_occupancy`` drained items, whichever comes first, so
     a grossly oversized width self-corrects within a couple of giant
-    buckets — targeting ``target_occupancy`` items per bucket; when the ideal width drifts beyond 2x in either
-    direction the pending set is redistributed (O(n), amortized).  Both
+    buckets — targeting ``target_occupancy`` items per bucket; when the
+    ideal width drifts beyond 2x in either direction the pending set is
+    redistributed (O(n), amortized).  Both
     the trigger and the new width are pure functions of the event
     sequence, so runs stay bit-deterministic — and extraction order is
     width-independent anyway, which the isolation property tests pin
@@ -280,7 +215,7 @@ class CalendarEventQueue:
         )
 
     # ------------------------------------------------------------------
-    # Internals (also driven directly by Environment's inlined loop)
+    # Internals
     # ------------------------------------------------------------------
     def _advance(self) -> None:
         """Activate the earliest occupied bucket as the sorted run.
@@ -339,75 +274,102 @@ class CalendarEventQueue:
                 heappush(slots, slot)
 
 
-# ---------------------------------------------------------------------------
-# Registry + the config-time spec
-# ---------------------------------------------------------------------------
+class QueueEnvironment(Environment):
+    """The kernel running on *queue* instead of its ``heapq`` list.
 
-_REGISTRY: dict[str, typing.Callable[["SimSpec"], object]] = {}
-
-
-def register_event_queue(
-    name: str, factory: typing.Callable[["SimSpec"], object]
-) -> None:
-    """Make *name* selectable via ``SimSpec(event_queue=name)``.
-
-    *factory* builds a fresh queue from the full spec, so parameterised
-    backends read their knobs off it (see the ``calendar``
-    registration).  The backend must satisfy the :class:`EventQueue`
-    contract and produce the exact ``(time, priority, seq)`` order —
-    run it through ``tests/sim/harness.py`` to prove it.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"event queue name must be a non-empty string, got {name!r}")
-    _REGISTRY[name] = factory
-
-
-def event_queue_names() -> tuple[str, ...]:
-    """Every currently registered backend name (registration order)."""
-    return tuple(_REGISTRY)
-
-
-@dataclasses.dataclass(frozen=True)
-class SimSpec:
-    """Kernel options: which event-queue backend runs the simulation.
-
-    Pure mechanism, zero policy: every backend executes the identical
-    event order, so the default spec is omitted from config cache
-    digests and switching backends never invalidates cached runs —
-    it only changes how fast the kernel gets there.
-
-    ``bucket_width_s`` parameterises the ``calendar`` backend: 0 (the
-    default) starts at 1 s and adapts to the observed event density; a
-    positive value fixes the width (mainly for tests and experiments).
+    Event creation, process resumption and the ``(time, priority,
+    seq)`` tuples are the real kernel's; only the scheduling structure
+    differs.  ``run`` drives :meth:`step` through the queue interface,
+    with the same ``until`` semantics as :meth:`Environment.run`.
     """
 
-    event_queue: str = "heap"
-    bucket_width_s: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.event_queue not in _REGISTRY:
-            raise ValueError(
-                f"unknown event queue {self.event_queue!r}; "
-                f"choose from {event_queue_names()}"
-            )
-        if not self.bucket_width_s >= 0.0 or self.bucket_width_s == _INFINITY:
-            raise ValueError(
-                f"bucket_width_s must be finite and >= 0, got "
-                f"{self.bucket_width_s!r}"
-            )
+    def __init__(self, queue, initial_time: float = 0.0) -> None:
+        super().__init__(initial_time)
+        self._queue = queue
+        self._push = queue.push
 
-    def build_queue(self):
-        """A fresh event queue instance (one per Environment)."""
-        return _REGISTRY[self.event_queue](self)
+    def peek(self) -> float:
+        return self._queue.peek_time()
 
-    def label(self) -> str:
-        """Human-readable label used in benchmark tables."""
-        if self.event_queue == "calendar" and self.bucket_width_s > 0.0:
-            return f"calendar ({self.bucket_width_s:g}s buckets)"
-        return self.event_queue
+    def step(self) -> None:
+        try:
+            when, _priority, _seq, event = self._queue.pop()
+        except IndexError:
+            raise SimError("step() on an empty event queue") from None
+        self._now = when
+        self.events_processed += 1
+        callbacks = event.callbacks
+        event.callbacks = None
+        for callback in callbacks:
+            callback(event)
+        if not event._ok and not event._defused:
+            raise event._value
+
+    def run(self, until: float | Event | None = None) -> object:
+        stopped: list = []
+        watching = isinstance(until, Event)
+        if watching:
+            if until.processed:
+                if until.ok:
+                    return until.value
+                raise until.value
+            until.callbacks.append(stopped.append)
+            deadline = _INFINITY
+        else:
+            deadline = _INFINITY if until is None else float(until)
+            if not deadline >= self._now:
+                raise ValueError(
+                    f"run(until={deadline!r}) must not be before now={self._now}"
+                )
+        queue = self._queue
+        try:
+            while queue and queue.peek_time() <= deadline:
+                self.step()
+                if stopped:
+                    event = stopped[0]
+                    if event._ok:
+                        return event.value
+                    raise event._value
+        except StopSimulation as stop:
+            return stop.value
+        if deadline != _INFINITY:
+            self._now = deadline
+        if watching and not until.processed:
+            raise SimError("run() ran out of events before `until` fired")
+        return None
 
 
-register_event_queue("heap", lambda spec: HeapEventQueue())
-register_event_queue(
-    "calendar", lambda spec: CalendarEventQueue(spec.bucket_width_s)
-)
+def calendar_environment(bucket_width_s: float = 0.0) -> QueueEnvironment:
+    """A fresh kernel on a calendar queue (0 = adaptive width)."""
+    return QueueEnvironment(CalendarEventQueue(bucket_width_s))
+
+
+#: Schedulers a whole ``SpiffiSystem``/``SpiffiCluster`` run can use.
+SYSTEM_BACKENDS = ("heap", "calendar")
+
+
+@contextlib.contextmanager
+def system_kernels(backend: str, monkeypatch):
+    """Build every ``SpiffiNode``/``SpiffiCluster`` kernel on *backend*
+    while the block is active (``heap`` leaves the simulator as is).
+
+    Worker processes of a ``ProcessExecutor`` forked inside the block
+    inherit the patch.  Yields the list of calendar environments built
+    in this process, so a test can check the patch took effect.
+    """
+    if backend not in SYSTEM_BACKENDS:
+        raise ValueError(f"unknown scheduler {backend!r}; choose from {SYSTEM_BACKENDS}")
+    built: list = []
+
+    def factory() -> QueueEnvironment:
+        env = calendar_environment()
+        built.append(env)
+        return env
+
+    with monkeypatch.context() as patch:
+        if backend == "calendar":
+            patch.setattr("repro.core.node.Environment", factory)
+            patch.setattr("repro.cluster.system.Environment", factory)
+        yield built

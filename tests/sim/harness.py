@@ -1,10 +1,10 @@
 """Shared differential-replay harness for the simulation kernel.
 
 One place holds the seeded workload generators and the replay driver
-that ``test_kernel_differential`` and ``test_kernel_properties`` (and
-the backend-matrix tests) all share, so every suite replays *the same*
-programs on every event-queue backend and on the naive reference
-interpreter:
+that ``test_kernel_differential`` and ``test_kernel_properties`` share,
+so every suite replays *the same* programs on the real kernel, on the
+calendar-queue oracle in ``calendar_kernel.py``, and on the naive
+reference interpreter:
 
 * :func:`build_scenario` — a random tangle of sleeping, signalling,
   spawning, and waiting processes built only from the API surface the
@@ -15,43 +15,46 @@ interpreter:
   reference).
 * :func:`build_random_graph` — the extended kernel surface (interrupts
   i.e. cancellation, URGENT delivery, child joins); the reference
-  interpreter doesn't speak interrupts, so this replays two ways
-  across the real backends only.
+  interpreter doesn't speak interrupts, so these replays compare the
+  calendar schedulers against the kernel and are pinned by recorded
+  golden digests (see ``test_kernel_differential``).
 
-:data:`BACKENDS` is the matrix every backend-parameterized test runs
-over: the heap default, the adaptive calendar queue, and fixed calendar
-widths down to the degenerate everything-in-one-bucket case.  Whatever
-the backend, :func:`run_on` must observe byte-identical results —
-that's the whole contract of the event-queue seam.
+:data:`BACKENDS` is the scheduler matrix every parameterized test runs
+over: ``heap`` is the kernel itself, the rest run it on the calendar
+queue — adaptive, and fixed widths down to the degenerate
+everything-in-one-bucket case.  Whatever the scheduler, :func:`run_on`
+must observe byte-identical results.
 """
 
 import hashlib
 import random
 
-from repro.sim import Environment, Interrupt, SimSpec
+from repro.sim import Environment, Interrupt
 
-#: Backend matrix for parameterized differential/property tests.  The
+from tests.sim.calendar_kernel import calendar_environment
+
+#: Scheduler matrix for parameterized differential/property tests.  The
 #: fixed calendar widths force every structural regime: sub-tie-spacing
 #: buckets (many empty slots), coarse buckets (deep sorted runs), and
 #: one giant bucket (degenerates to sort-once-and-drain).
 BACKENDS = {
-    "heap": SimSpec(event_queue="heap"),
-    "calendar": SimSpec(event_queue="calendar"),
-    "calendar-1ms": SimSpec(event_queue="calendar", bucket_width_s=0.001),
-    "calendar-500ms": SimSpec(event_queue="calendar", bucket_width_s=0.5),
-    "calendar-one-bucket": SimSpec(event_queue="calendar", bucket_width_s=1e9),
+    "heap": Environment,
+    "calendar": calendar_environment,
+    "calendar-1ms": lambda: calendar_environment(0.001),
+    "calendar-500ms": lambda: calendar_environment(0.5),
+    "calendar-one-bucket": lambda: calendar_environment(1e9),
 }
 BACKEND_NAMES = tuple(BACKENDS)
 
 #: run() deadline for :func:`build_event_program` replays — far enough
 #: that all finite activity completes, so the far-future events are
-#: exactly the pending set every backend must agree on.
+#: exactly the pending set every scheduler must agree on.
 EVENT_PROGRAM_HORIZON = 200.0
 
 
 def make_env(backend: str) -> Environment:
-    """A fresh kernel environment running the named backend."""
-    return Environment(queue=BACKENDS[backend].build_queue())
+    """A fresh kernel environment on the named scheduler."""
+    return BACKENDS[backend]()
 
 
 def pending_count(env) -> int:
@@ -162,13 +165,12 @@ def build_scenario(env, seed: int, log: list) -> list:
 
 
 def build_event_program(env, seed: int, log: list) -> list:
-    """Queue-stress program: the event patterns that break calendars.
+    """Queue-stress program: the event patterns that break schedulers.
 
-    Same-timestamp bursts (FIFO across bucket boundaries), zero-delay
-    cascades (pushes landing at/behind the active bucket), far-future
-    parking (events beyond the run deadline — and far outside any sane
-    bucket width), and signal/wait races.  Common surface only, so it
-    replays on the reference interpreter as the third voter.  Replay
+    Same-timestamp bursts (FIFO ties), zero-delay cascades (pushes
+    landing at the current instant), far-future parking (events beyond
+    the run deadline), and signal/wait races.  Common surface only, so
+    it replays on the reference interpreter too.  Replay
     with ``until=EVENT_PROGRAM_HORIZON`` so the far-future events stay
     pending and the pending count is part of the observation.
     """
@@ -245,8 +247,8 @@ def build_random_graph(env: Environment, rng: random.Random, clock_log: list):
 
     The extended kernel surface — interrupts (cancellation of a pending
     wait), URGENT delivery, child joins — which the reference
-    interpreter doesn't implement; use for real-backend-vs-real-backend
-    replays and invariant checks.
+    interpreter doesn't implement; use for golden-digest replays and
+    invariant checks.
     """
     probed: list = []
     shared = []

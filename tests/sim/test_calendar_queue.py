@@ -1,7 +1,7 @@
-"""Isolation property tests for ``CalendarEventQueue``.
+"""Isolation property tests for the ``CalendarEventQueue`` oracle.
 
-The differential suites pin the calendar backend bit-identical to the
-heap through the whole kernel; these tests hit the queue *directly*
+The differential suites pin the calendar scheduler bit-identical to the
+heap kernel; these tests hit the queue *directly*
 with adversarial push/pop interleavings — no Environment, no processes
 — so a violation points straight at the data structure.  Each
 randomized case runs against the trivially correct model (a sorted
@@ -14,7 +14,9 @@ import random
 
 import pytest
 
-from repro.sim import CalendarEventQueue, Environment, Interrupt, SimSpec
+from repro.sim import Interrupt
+
+from tests.sim.calendar_kernel import CalendarEventQueue, calendar_environment
 
 #: Width grid for the randomized model tests: adaptive, much finer than
 #: typical gaps, comparable, much coarser, and one-bucket-degenerate.
@@ -187,7 +189,7 @@ def test_cancel_while_bucketed():
     the kernel must resume the victim immediately and the stale timeout
     must still pop (as a no-op) in order.
     """
-    env = Environment(queue=SimSpec(event_queue="calendar").build_queue())
+    env = calendar_environment()
     log = []
 
     def victim(env):
@@ -214,8 +216,3 @@ def test_constructor_rejects_bad_widths():
     for bad in (-1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             CalendarEventQueue(bad)
-    for bad in (-0.5, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
-            SimSpec(event_queue="calendar", bucket_width_s=bad)
-    with pytest.raises(ValueError):
-        SimSpec(event_queue="no-such-backend")

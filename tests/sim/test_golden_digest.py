@@ -6,8 +6,9 @@ pushes, lazy condition values).  A mid-size ``SpiffiSystem`` run must
 reproduce them bit-for-bit — including ``events_processed``, so the
 optimized kernel is not even allowed to schedule a different number of
 events — under both the serial executor (``--jobs 1``) and the process
-pool (``--jobs 4``), and under **every** registered event-queue backend:
-the queue seam swaps the scheduling data structure, never the schedule.
+pool (``--jobs 4``), on the heap kernel and on the calendar-queue oracle
+in ``calendar_kernel.py``: swapping the scheduling data structure must
+never change the schedule.
 
 If an intentional simulation-behaviour change lands later, re-record
 with::
@@ -28,7 +29,8 @@ from repro.experiments.runner import (
     RunRequest,
     SerialExecutor,
 )
-from repro.sim import SimSpec, event_queue_names
+
+from tests.sim.calendar_kernel import SYSTEM_BACKENDS, system_kernels
 
 #: sha256 of the sorted-JSON ``RunMetrics.deterministic_dict()`` of
 #: ``midsize_config()``, recorded pre-optimization.
@@ -83,26 +85,19 @@ def test_config_digest_pinned():
     assert config_digest(midsize_config()) == GOLDEN_CONFIG_DIGEST
 
 
-@pytest.mark.parametrize("backend", event_queue_names())
-def test_backend_choice_never_changes_the_config_digest(backend):
-    """The event queue is pure mechanism: a cached run under one
-    backend is valid for all, so the digest must not see the spec."""
-    config = midsize_config().replace(sim=SimSpec(event_queue=backend))
-    assert config_digest(config) == GOLDEN_CONFIG_DIGEST
-
-
-@pytest.mark.parametrize("backend", event_queue_names())
-def test_identity_jobs_1(backend):
-    config = midsize_config().replace(sim=SimSpec(event_queue=backend))
-    metrics = run_with(SerialExecutor(), config)
+@pytest.mark.parametrize("backend", SYSTEM_BACKENDS)
+def test_identity_jobs_1(backend, monkeypatch):
+    with system_kernels(backend, monkeypatch) as built:
+        metrics = run_with(SerialExecutor())
+    assert len(built) == (backend == "calendar")
     assert metrics.events_processed == GOLDEN_EVENTS_PROCESSED
     assert metrics_digest(metrics) == GOLDEN_METRICS_DIGEST
 
 
-@pytest.mark.parametrize("backend", event_queue_names())
-def test_identity_jobs_4(backend):
-    config = midsize_config().replace(sim=SimSpec(event_queue=backend))
-    metrics = run_with(ProcessExecutor(jobs=4), config)
+@pytest.mark.parametrize("backend", SYSTEM_BACKENDS)
+def test_identity_jobs_4(backend, monkeypatch):
+    with system_kernels(backend, monkeypatch):
+        metrics = run_with(ProcessExecutor(jobs=4))
     assert metrics.events_processed == GOLDEN_EVENTS_PROCESSED
     assert metrics_digest(metrics) == GOLDEN_METRICS_DIGEST
 

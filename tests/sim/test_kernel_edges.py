@@ -72,6 +72,26 @@ class TestRunFailureSurfacing:
             env.run()
 
 
+class TestNanTimes:
+    """NaN compares false against everything, so a ``delay < 0`` style
+    guard lets it through: a NaN timeout then corrupts the heap order
+    (sleepers of 5, NaN, 1, 3, 2 resumed as 3, 2, 1, NaN, 5) and a NaN
+    deadline drains every event and leaves ``now`` at NaN."""
+
+    def test_timeout_rejects_nan_delay(self):
+        env = Environment()
+        with pytest.raises(ValueError, match="nan"):
+            env.timeout(float("nan"))
+        assert env.peek() == float("inf")  # nothing was scheduled
+
+    def test_run_rejects_nan_deadline(self):
+        env = Environment()
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match="nan"):
+            env.run(until=float("nan"))
+        assert env.now == 0.0 and env.events_processed == 0
+
+
 class TestProcessEdges:
     def test_process_rejects_non_generator(self):
         env = Environment()

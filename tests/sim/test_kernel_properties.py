@@ -3,8 +3,9 @@
 Seeded ``random.Random`` (stdlib only — no hypothesis dependency)
 drives the shared generators in ``tests/sim/harness.py`` — random
 process graphs of timeouts, shared events, process waits, and
-interrupts — and asserts the kernel's structural invariants under
-every event-queue backend:
+interrupts — and asserts the kernel's structural invariants on every
+scheduler of the harness matrix (the heap kernel and the calendar-queue
+oracle at every bucket width):
 
 * the clock never goes backwards;
 * ties on (time, priority) fire in insertion-sequence (FIFO) order;
