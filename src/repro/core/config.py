@@ -9,6 +9,7 @@ defaults are the paper's base configuration: 4 processors × 4 disks,
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.bufferpool.registry import ReplacementSpec
 from repro.cpu.costs import CpuParameters
@@ -255,8 +256,10 @@ class SpiffiConfig:
             )
         if self.videos_per_disk < 1:
             raise ValueError(f"need >= 1 video per disk, got {self.videos_per_disk}")
-        if self.measure_s <= 0:
-            raise ValueError(f"measure_s must be positive, got {self.measure_s}")
+        for name in ("video_length_s", "measure_s"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
     # --- derived quantities --------------------------------------------
     @property

@@ -15,11 +15,12 @@ The paper simulates the display of individual MPEG frames:
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 
 import numpy as np
 
-#: Frame-type codes used in the ``types`` array.
+#: Frame-type codes used in a GOP pattern.
 FRAME_I = 0
 FRAME_P = 1
 FRAME_B = 2
@@ -71,15 +72,18 @@ class MpegProfile:
 class FrameSequence:
     """The immutable frame schedule of one video.
 
-    Exposes numpy arrays so playback arithmetic (which frame needs which
-    byte, and when) is vectorised rather than per-frame simulation
-    events — the key to making this simulator laptop-fast while staying
-    frame-accurate.
+    The only per-frame data kept is :attr:`cumulative`, one int64 numpy
+    array of byte offsets (8 bytes per frame).  Playback never reads it
+    per frame: :class:`~repro.media.video.BlockSchedule` reduces it,
+    vectorised, to per-block lookup tables once per block size, so a
+    one-hour title keeps about 0.9 MB of frame data.
     """
 
     def __init__(self, profile: MpegProfile, duration_s: float, seed: int) -> None:
-        if duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {duration_s}")
+        if not (duration_s > 0 and math.isfinite(duration_s)):
+            raise ValueError(
+                f"duration_s must be positive and finite, got {duration_s!r}"
+            )
         self.profile = profile
         self.duration_s = float(duration_s)
         self.seed = seed
@@ -87,46 +91,44 @@ class FrameSequence:
 
         pattern = np.asarray(profile.gop_pattern, dtype=np.int8)
         repeats = -(-self.frame_count // len(pattern))
-        self.types = np.tile(pattern, repeats)[: self.frame_count]
+        types = np.tile(pattern, repeats)[: self.frame_count]
 
         rng = np.random.default_rng(seed)
         means = profile.mean_type_bytes()
         sizes = np.empty(self.frame_count, dtype=np.float64)
         for frame_type, mean in zip((FRAME_I, FRAME_P, FRAME_B), means):
-            mask = self.types == frame_type
+            mask = types == frame_type
             if profile.deterministic_sizes:
                 sizes[mask] = mean
             else:
                 sizes[mask] = rng.exponential(mean, size=int(mask.sum()))
-        #: Per-frame sizes in whole bytes (at least 1).
-        self.sizes = np.maximum(1, np.rint(sizes)).astype(np.int64)
+        # Whole bytes, at least 1 per frame, rounded in place.
+        np.rint(sizes, out=sizes)
+        np.maximum(sizes, 1.0, out=sizes)
 
         #: ``cumulative[i]`` = bytes of all frames before frame ``i``;
         #: ``cumulative[frame_count]`` = total bytes of the video.
         self.cumulative = np.zeros(self.frame_count + 1, dtype=np.int64)
-        np.cumsum(self.sizes, out=self.cumulative[1:])
-        #: Plain-int mirror of :attr:`cumulative` for scalar lookups —
-        #: ``bisect`` on a list beats ``np.searchsorted`` per call, and
-        #: playback asks one frame at a time, tens of thousands of times
-        #: per simulated minute.  Values are identical.
-        self.cumulative_list: list[int] = self.cumulative.tolist()
-        self.total_bytes: int = self.cumulative_list[-1]
+        np.cumsum(sizes, dtype=np.int64, out=self.cumulative[1:])
+        self.total_bytes: int = int(self.cumulative[-1])
         self.fps: float = profile.frames_per_second
 
     def frame_of_byte(self, offset: int) -> int:
         """Index of the frame containing byte *offset* (0-based)."""
         if offset < 0 or offset >= self.total_bytes:
             raise ValueError(f"byte offset {offset} outside video of {self.total_bytes}")
-        return bisect_right(self.cumulative_list, offset) - 1
+        return bisect_right(memoryview(self.cumulative), offset) - 1
 
     def frames_displayable(self, delivered_bytes: int) -> int:
         """How many leading frames are fully displayable.
 
         A frame can only be decompressed and shown once *all* its bytes
         have arrived; returns the count of complete leading frames given
-        a contiguous delivered prefix of *delivered_bytes*.
+        a contiguous delivered prefix of *delivered_bytes*.  Playback
+        reads the per-block :attr:`BlockSchedule.displayable` table
+        instead; this is the general form for any byte count.
         """
-        return bisect_right(self.cumulative_list, delivered_bytes) - 1
+        return bisect_right(memoryview(self.cumulative), delivered_bytes) - 1
 
     def first_frames_of_blocks(self, block_size: int) -> np.ndarray:
         """For each block, the first frame whose display needs the block.

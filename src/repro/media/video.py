@@ -2,30 +2,43 @@
 
 from __future__ import annotations
 
-
 from repro.media.mpeg import FrameSequence
 
 
 class BlockSchedule:
     """Precomputed display timing of one video at one block size.
 
-    All terminal-side playback arithmetic reduces to lookups here:
+    All terminal-side playback arithmetic reduces to list lookups here,
+    built vectorised from the frame sequence once per block size:
 
     * ``first_frame[k]`` — first frame that needs block ``k`` (the block
       request's deadline is this frame's display time);
     * ``last_frame[k]`` — last frame that needs block ``k`` (the buffer
-      slot holding block ``k`` can be freed once it has displayed).
+      slot holding block ``k`` can be freed once it has displayed);
+    * ``displayable[k]`` — frames fully displayable once the first ``k``
+      blocks have arrived, for ``k`` in ``0..block_count``;
+    * ``edge_span[k]`` — blocks spanned by frame ``displayable[k]``, the
+      frame at that delivery edge (1 once the whole video has arrived).
+
+    Plain lists, not numpy arrays: playback reads them one scalar at a
+    time in the per-block hot path, where list indexing is several
+    times cheaper than numpy scalar indexing.
     """
 
     def __init__(self, sequence: FrameSequence, block_size: int) -> None:
         self.sequence = sequence
         self.block_size = int(block_size)
         self.block_count = sequence.block_count(block_size)
-        # Plain lists, not the numpy arrays: playback reads these one
-        # scalar at a time in the per-block hot path, where list
-        # indexing is several times cheaper than numpy scalar indexing.
-        self.first_frame: list[int] = sequence.first_frames_of_blocks(block_size).tolist()
+        first = sequence.first_frames_of_blocks(block_size)
+        self.first_frame: list[int] = first.tolist()
         self.last_frame: list[int] = sequence.last_frames_of_blocks(block_size).tolist()
+        # The prefix of k < block_count blocks ends at byte k*block_size,
+        # inside frame first_frame[k]; all frames before it are whole.
+        # The full video displays every frame.  Shares first_frame's ints.
+        self.displayable: list[int] = self.first_frame + [sequence.frame_count]
+        cumulative, size = sequence.cumulative, self.block_size
+        span = (cumulative[first + 1] - 1) // size - cumulative[first] // size + 1
+        self.edge_span: list[int] = span.tolist() + [1]
 
     def block_bytes(self, block: int) -> int:
         """Actual byte length of block *block* (the last may be short)."""

@@ -52,7 +52,7 @@ def prefix_block_count(schedule: "BlockSchedule", prefix_s: float) -> int:
     frames = min(sequence.frame_count, int(prefix_s * sequence.fps))
     if frames <= 0:
         return 0
-    prefix_bytes = sequence.cumulative_list[frames]
+    prefix_bytes = int(sequence.cumulative[frames])
     return min(schedule.block_count, -(-prefix_bytes // schedule.block_size))
 
 

@@ -7,8 +7,8 @@ catches up with delivery, a *glitch* occurs: the terminal stops, counts
 the glitch, re-primes its buffers, and resumes.
 
 Playback is frame-accurate but event-batched: the display process wakes
-only at block boundaries and stall points, computing everything between
-from the video's precomputed frame schedule.
+only at block boundaries and stall points, reading everything between
+from the video's precomputed per-block tables (``BlockSchedule``).
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class Terminal:
         self._video = video
         schedule = video.schedule(self.block_size)
         self._schedule = schedule
-        start_byte = video.sequence.cumulative_list[start_frame]
+        start_byte = int(video.sequence.cumulative[start_frame])
         start_block = min(start_byte // self.block_size, schedule.block_count - 1)
         self._delivered = bytearray(schedule.block_count)
         for early in range(start_block):
@@ -228,8 +228,8 @@ class Terminal:
     # ------------------------------------------------------------------
     def _display(self, epoch: int, pauses: list[tuple[int, float]]):
         env = self.env
-        sequence = self._video.sequence
         schedule = self._schedule
+        displayable_after = schedule.displayable
         frame_count = self._video.frame_count
         pause_index = 0
 
@@ -247,9 +247,7 @@ class Terminal:
                 self._anchor += duration
                 continue
 
-            displayable = sequence.frames_displayable(
-                schedule.delivered_bytes(self._contig)
-            )
+            displayable = displayable_after[self._contig]
             if displayable <= self._next_frame:
                 # The frame due now has not fully arrived: glitch.
                 yield from self._glitch()
@@ -303,27 +301,6 @@ class Terminal:
         self._anchor = self.env.now - self._next_frame / self._display_fps
         return None
 
-    def _edge_frame_span_blocks(self) -> int:
-        """Blocks spanned by the frame at the delivery edge.
-
-        A frame spanning more blocks than the terminal has slots (a
-        deep exponential-tail frame) could never become displayable
-        inside the normal window; the terminal temporarily borrows
-        decoder memory for it — the slot limit widens to the span —
-        rather than stalling forever.  For ordinary frames the span is
-        1-2 blocks and the normal slot window applies.
-        """
-        sequence = self._video.sequence
-        edge = sequence.frames_displayable(
-            self._schedule.delivered_bytes(self._contig)
-        )
-        if edge >= self._video.frame_count:
-            return 1
-        cumulative = sequence.cumulative_list
-        first_block = cumulative[edge] // self.block_size
-        last_block = (cumulative[edge + 1] - 1) // self.block_size
-        return last_block - first_block + 1
-
     def _wait_primed(self):
         """Wait until the buffer is full (or the video fully delivered).
 
@@ -332,8 +309,10 @@ class Terminal:
         """
         schedule = self._schedule
         while True:
+            # The edge span is read from the live session's schedule: a
+            # search playback may switch videos while this one waits.
             want = min(
-                self._freed + max(self.slots, self._edge_frame_span_blocks()),
+                self._freed + max(self.slots, self._schedule.edge_span[self._contig]),
                 schedule.block_count,
             )
             if self._contig >= want:
@@ -346,11 +325,16 @@ class Terminal:
     def _requester(self, epoch: int):
         env = self.env
         schedule = self._schedule
+        edge_span = schedule.edge_span
         while self._epoch == epoch and self._next_request < schedule.block_count:
             held = self._delivered_total - self._freed
-            # A frame larger than the slot window raises the limit so
-            # the display can eventually show it (borrowed memory).
-            limit = max(self.slots, self._edge_frame_span_blocks())
+            # A frame spanning more blocks than the terminal has slots (a
+            # deep exponential-tail frame) could never become displayable
+            # inside the normal window; the terminal temporarily borrows
+            # decoder memory for it — the slot limit widens to the span
+            # of the frame at the delivery edge — rather than stalling
+            # forever.  For ordinary frames the span is 1-2 blocks.
+            limit = max(self.slots, edge_span[self._contig])
             if held + self._outstanding >= limit:
                 yield self._slot_gate.wait()
                 continue
@@ -490,7 +474,7 @@ class Terminal:
         # A pending merge chase retires on the epoch change; the display
         # clock returns to nominal rate at the new position.
         self._display_fps = self._video.fps
-        start_byte = self._video.sequence.cumulative_list[frame]
+        start_byte = int(self._video.sequence.cumulative[frame])
         block = min(start_byte // self.block_size, schedule.block_count - 1)
         self._delivered = bytearray(schedule.block_count)
         self._delivered_total = 0

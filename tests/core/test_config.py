@@ -1,5 +1,8 @@
 """Tests for SpiffiConfig validation and derived quantities."""
 
+import math
+import re
+
 import pytest
 
 from repro import GB, KB, LayoutSpec, MB, ReplacementSpec, SpiffiConfig
@@ -70,6 +73,13 @@ class TestValidation:
     def test_zero_measure(self):
         with pytest.raises(ValueError):
             SpiffiConfig(measure_s=0)
+
+    @pytest.mark.parametrize("field", ["video_length_s", "measure_s"])
+    @pytest.mark.parametrize("value", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_length_names_field_and_value(self, field, value):
+        message = f"{field} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpiffiConfig(**{field: value})
 
 
 class TestLegacyStrings:

@@ -1,5 +1,9 @@
 """Tests for the MPEG frame model."""
 
+import hashlib
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,10 +43,10 @@ class TestFrameSequence:
 
     def test_same_seed_same_sequence(self):
         a, b = self.make(seed=5), self.make(seed=5)
-        assert np.array_equal(a.sizes, b.sizes)
+        assert np.array_equal(a.cumulative, b.cumulative)
 
     def test_different_seed_different_sizes(self):
-        assert not np.array_equal(self.make(seed=1).sizes, self.make(seed=2).sizes)
+        assert not np.array_equal(self.make(seed=1).cumulative, self.make(seed=2).cumulative)
 
     def test_total_bytes_near_bit_rate(self):
         seq = self.make(duration=600.0)
@@ -58,7 +62,7 @@ class TestFrameSequence:
     def test_frame_of_byte_boundaries(self):
         seq = self.make()
         assert seq.frame_of_byte(0) == 0
-        first = int(seq.sizes[0])
+        first = int(seq.cumulative[1])
         assert seq.frame_of_byte(first - 1) == 0
         assert seq.frame_of_byte(first) == 1
         assert seq.frame_of_byte(seq.total_bytes - 1) == seq.frame_count - 1
@@ -73,8 +77,9 @@ class TestFrameSequence:
     def test_frames_displayable(self):
         seq = self.make()
         assert seq.frames_displayable(0) == 0
-        assert seq.frames_displayable(int(seq.sizes[0]) - 1) == 0
-        assert seq.frames_displayable(int(seq.sizes[0])) == 1
+        first = int(seq.cumulative[1])
+        assert seq.frames_displayable(first - 1) == 0
+        assert seq.frames_displayable(first) == 1
         assert seq.frames_displayable(seq.total_bytes) == seq.frame_count
 
     def test_block_count(self):
@@ -113,6 +118,19 @@ class TestFrameSequence:
         with pytest.raises(ValueError):
             self.make(duration=0)
 
+    @pytest.mark.parametrize("duration", [0.0, -5.0, math.nan, math.inf])
+    def test_bad_duration_names_field_and_value(self, duration):
+        message = f"duration_s must be positive and finite, got {duration!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.make(duration=duration)
+
+    def test_only_per_frame_array_is_cumulative(self):
+        seq = self.make()
+        arrays = [name for name, value in vars(seq).items() if isinstance(value, np.ndarray)]
+        assert arrays == ["cumulative"]
+        assert seq.cumulative.dtype == np.int64
+        assert type(seq.total_bytes) is int
+
     @given(
         seed=st.integers(min_value=0, max_value=1000),
         block_kb=st.sampled_from([16, 64, 128, 512]),
@@ -129,3 +147,33 @@ class TestFrameSequence:
         assert last[-1] == seq.frame_count - 1
         assert (np.diff(first) >= 0).all()
         assert (np.diff(last) >= 0).all()
+
+
+#: sha256 of ``cumulative.tobytes()`` per (profile, duration, seed),
+#: recorded before frame sizes were rounded in place; any change to how
+#: a title's frame stream is generated shows here.
+FRAME_STREAM_DIGESTS = [
+    (MpegProfile(), 3600.0, 0, 108000,
+     "d6c2e74782a9992028d030526bba2c0d1598b8ab1e59588e5b1daf6639436d63"),
+    (MpegProfile(), 600.0, 17, 18000,
+     "521da7ba07c930f4c787cc35aeedc0b0a7d410df3584cc5ffa8886b15116cd42"),
+    (MpegProfile(), 10.0, 1_000_004, 300,
+     "9f4fa8182ffcb2808ad84cfc91e4fe128d8116cf8e2610ab430e4eacb4db75e8"),
+    (MpegProfile(deterministic_sizes=True), 600.0, 3, 18000,
+     "d36a4771122441c5bbd06aac037c81762880b8bd33cdfd39b396cc14646daca7"),
+    (MpegProfile(bit_rate_bps=1_500_000.0, frames_per_second=25.0), 120.0, 9, 3000,
+     "c0723fd21a55df4ed6274bd0aee263a5b89adf0540c5fe2ae576455e90bc949b"),
+    (MpegProfile(), 0.01, 5, 1,
+     "ad85facf4cc1e612d838f6e2907554e48d6de97aaae646223c90ea1275ea8537"),
+]
+
+
+@pytest.mark.parametrize(
+    "profile,duration,seed,frames,digest",
+    FRAME_STREAM_DIGESTS,
+    ids=[f"{case[1]:g}s-seed{case[2]}" for case in FRAME_STREAM_DIGESTS],
+)
+def test_frame_stream_golden(profile, duration, seed, frames, digest):
+    seq = FrameSequence(profile, duration, seed)
+    assert seq.frame_count == frames
+    assert hashlib.sha256(seq.cumulative.tobytes()).hexdigest() == digest

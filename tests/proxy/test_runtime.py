@@ -2,6 +2,7 @@
 hit/miss accounting invariants, budget discipline, tracing, startup
 improvement, and determinism."""
 
+import numpy as np
 import pytest
 
 from repro.bufferpool.pool import BufferPool
@@ -48,10 +49,10 @@ def proxied(prefix_s=20.0, memory_bytes=48 * MB, **spec_over):
 
 class TestPrefixBlockCount:
     class Sequence:
-        def __init__(self, frame_count, fps, cumulative_list):
+        def __init__(self, frame_count, fps, cumulative):
             self.frame_count = frame_count
             self.fps = fps
-            self.cumulative_list = cumulative_list
+            self.cumulative = cumulative
 
     class Schedule:
         def __init__(self, sequence, block_size, block_count):
@@ -60,7 +61,7 @@ class TestPrefixBlockCount:
             self.block_count = block_count
 
     def schedule(self, frames=10, fps=2.0, bytes_per_frame=100):
-        cumulative = [frame * bytes_per_frame for frame in range(frames + 1)]
+        cumulative = np.arange(frames + 1, dtype=np.int64) * bytes_per_frame
         return self.Schedule(
             self.Sequence(frames, fps, cumulative),
             block_size=250,
