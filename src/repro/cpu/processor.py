@@ -6,6 +6,7 @@ import typing
 
 from repro.cpu.costs import CpuParameters
 from repro.sim.environment import Environment
+from repro.sim.events import Timeout
 from repro.sim.resources import Resource
 
 
@@ -17,14 +18,21 @@ class Processor:
         self.env = env
         self.params = params
         self.node = node
-        self._resource = Resource(env, capacity=1)
+        self._resource = Resource(env, capacity=1, name=f"cpu-{node}")
+        # Burst seconds by instruction count: ``params.seconds`` is
+        # evaluated once per count, so every burst gets the same float.
+        # Invalid counts raise and are never stored.
+        self._seconds: dict[int, float] = {}
 
     def execute(self, instructions: int) -> typing.Generator:
         """Generator (``yield from``): run a burst of instructions."""
         request = self._resource.request()
         yield request
         try:
-            yield self.env.timeout(self.params.seconds(instructions))
+            seconds = self._seconds.get(instructions)
+            if seconds is None:
+                seconds = self._seconds[instructions] = self.params.seconds(instructions)
+            yield Timeout(self.env, seconds)
         finally:
             self._resource.release(request)
         return None

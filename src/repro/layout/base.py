@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 
-@dataclasses.dataclass(frozen=True)
-class Placement:
-    """Physical location of one stripe block."""
+class Placement(typing.NamedTuple):
+    """Physical location of one stripe block.
+
+    A named tuple because one is built per block read and per prefetch
+    candidate, and a tuple is cheap to build.
+    """
 
     node: int
     disk_in_node: int

@@ -35,26 +35,23 @@ class StripedLayout(Layout):
                 disk_fill[disk] += blocks_here * block_size
         self._disk_used = disk_fill
 
-    def _disk_of_block(self, block: int) -> tuple[int, int, int]:
-        """Block index → (node, disk-in-node, global disk index).
-
-        Nodes alternate fastest, then disks within a node; the global
-        disk index used for fragment accounting follows the same order:
-        ``disk_global = node * disks_per_node + disk_in_node`` but block
-        rotation order is node-major.
-        """
-        slot = block % self.disk_count
-        node = slot % self.nodes
-        disk_in_node = (slot // self.nodes) % self.disks_per_node
-        return node, disk_in_node, node * self.disks_per_node + disk_in_node
-
     def locate(self, video_id: int, block: int) -> Placement:
         count = self.video_block_counts[video_id]
         if block < 0 or block >= count:
             raise ValueError(f"block {block} outside video {video_id} of {count} blocks")
-        node, disk_in_node, disk_global = self._disk_of_block(block)
-        row_index = block // self.disk_count
-        offset = self._fragment_base[video_id][disk_global] + row_index * self.block_size
+        # Nodes alternate fastest, then disks within a node; the global
+        # disk index used for fragment accounting is
+        # ``node * disks_per_node + disk_in_node``.
+        disk_count = self.disk_count
+        nodes = self.nodes
+        slot = block % disk_count
+        node = slot % nodes
+        disk_in_node = (slot // nodes) % self.disks_per_node
+        disk_global = node * self.disks_per_node + disk_in_node
+        offset = (
+            self._fragment_base[video_id][disk_global]
+            + (block // disk_count) * self.block_size
+        )
         return Placement(node, disk_in_node, disk_global, offset)
 
     def next_block_on_same_disk(self, video_id: int, block: int) -> int | None:

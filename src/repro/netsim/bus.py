@@ -17,6 +17,7 @@ import dataclasses
 import typing
 
 from repro.sim.environment import Environment
+from repro.sim.events import Timeout
 from repro.sim.stats import WindowedRate
 
 
@@ -44,6 +45,8 @@ class NetworkBus:
         self.kind_bytes: dict[str, int] = {}
         # Fault-injection state (see repro.faults); empty by default.
         self._degrade_multipliers: list[float] = []
+        # Undegraded transit seconds by message size (see transit_time).
+        self._transit: dict[int, float] = {}
 
     def degrade(self, multiplier: float) -> None:
         """Stretch every transit time by *multiplier* until restored."""
@@ -58,6 +61,18 @@ class NetworkBus:
     def degraded(self) -> bool:
         return bool(self._degrade_multipliers)
 
+    def transit_time(self, size_bytes: int) -> float:
+        """Undegraded wire delay of a *size_bytes* message.
+
+        ``params.transit_time`` is evaluated once per size, so every
+        message of that size gets the same float; a negative size
+        raises on every call (it is never stored).
+        """
+        transit = self._transit.get(size_bytes)
+        if transit is None:
+            transit = self._transit[size_bytes] = self.params.transit_time(size_bytes)
+        return transit
+
     def transfer(self, size_bytes: int, kind: str | None = None) -> typing.Generator:
         """Generator (``yield from``): carry a message across the wire.
 
@@ -69,10 +84,10 @@ class NetworkBus:
         if kind is not None:
             self.kind_bytes[kind] = self.kind_bytes.get(kind, 0) + size_bytes
         self.traffic.record(self.env.now, size_bytes)
-        transit = self.params.transit_time(size_bytes)
+        transit = self.transit_time(size_bytes)
         for multiplier in self._degrade_multipliers:
             transit *= multiplier
-        yield self.env.timeout(transit)
+        yield Timeout(self.env, transit)
         return None
 
     @property

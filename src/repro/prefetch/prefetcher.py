@@ -77,10 +77,12 @@ class DiskPrefetcher:
         self.stats = PrefetchStats()
         self._pending_keys: set[tuple[int, int]] = set()
         self._arrival = Gate(env)
+        #: ``spec.uses_deadlines``, read once per order on the hot path.
+        self._by_deadline = spec.uses_deadlines
         if spec.mode == "none":
             self._queue = None
             return
-        if spec.uses_deadlines:
+        if self._by_deadline:
             self._queue: Store | PriorityStore | None = PriorityStore(env)
         else:
             self._queue = Store(env)
@@ -93,19 +95,38 @@ class DiskPrefetcher:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def schedule(self, order: PrefetchOrder) -> bool:
-        """Queue a prefetch unless disabled, duplicate, or resident."""
+    def schedule(
+        self,
+        key: tuple[int, int],
+        byte_offset: int,
+        deadline: float,
+        size_of: typing.Callable[[int], int],
+    ) -> bool:
+        """Queue a prefetch of *key* ``(video_id, block)`` unless
+        disabled, duplicate, or resident.
+
+        The order is built only once the key passes both checks: its
+        size is ``size_of(block)`` and its cylinder is where
+        *byte_offset* lies on this prefetcher's drive.
+        """
         if self._queue is None:
             return False
-        if order.key in self._pending_keys:
+        if key in self._pending_keys:
             self.stats.deduplicated += 1
             return False
-        if self.pool.lookup(order.key) is not None:
+        if self.pool.lookup(key) is not None:
             self.stats.already_resident += 1
             return False
+        order = PrefetchOrder(
+            key,
+            size_of(key[1]),
+            byte_offset,
+            self.drive.geometry.cylinder_of(byte_offset),
+            deadline,
+        )
         self.stats.scheduled += 1
-        self._pending_keys.add(order.key)
-        if self.spec.uses_deadlines:
+        self._pending_keys.add(key)
+        if self._by_deadline:
             self._queue.put(order.sort_item())
         else:
             self._queue.put(order)
@@ -120,11 +141,11 @@ class DiskPrefetcher:
     # Worker processes
     # ------------------------------------------------------------------
     def _worker(self):
-        env = self.env
+        delayed = self.spec.mode == "delayed"
         while True:
             item = yield self._queue.get()
-            order = item[-1] if self.spec.uses_deadlines else item
-            if self.spec.mode == "delayed":
+            order = item[-1] if self._by_deadline else item
+            if delayed:
                 order = yield from self._hold_back(order)
             yield from self._fetch(order)
 
@@ -165,7 +186,7 @@ class DiskPrefetcher:
             byte_offset=order.byte_offset,
             size=order.size,
             cylinder=order.cylinder,
-            deadline=order.deadline if self.spec.uses_deadlines else NO_DEADLINE,
+            deadline=order.deadline if self._by_deadline else NO_DEADLINE,
             is_prefetch=True,
             terminal_id=PREFETCH_TERMINAL,
         )

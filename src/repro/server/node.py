@@ -14,10 +14,11 @@ from repro.bufferpool.pool import INFLIGHT, MISS, BufferPool
 from repro.cpu.costs import CpuParameters
 from repro.cpu.processor import Processor
 from repro.layout.base import Placement
-from repro.prefetch.prefetcher import DiskPrefetcher, PrefetchOrder
+from repro.prefetch.prefetcher import DiskPrefetcher
 from repro.prefetch.spec import PrefetchSpec
 from repro.sim.environment import Environment
 from repro.sim.events import Event
+from repro.sim.process import Process
 from repro.sim.stats import Tally
 from repro.storage.drive import DiskDrive
 from repro.storage.request import NO_DEADLINE, DiskRequest
@@ -81,6 +82,7 @@ class VideoServerNode:
         #: per-request deadline arithmetic stays off the cost tables.
         costs = cpu_params.costs
         self._reply_cpu_s = cpu_params.seconds(costs.send_message + costs.receive_message)
+        self._service_name = f"node-{node_id}-svc"
         self.stats = NodeStats()
 
     # ------------------------------------------------------------------
@@ -96,10 +98,12 @@ class VideoServerNode:
         deadline: float,
     ) -> Event:
         """Service a stripe block read; the event fires on delivery."""
-        done = self.env.event()
-        self.env.process(
+        env = self.env
+        done = Event(env)
+        Process(
+            env,
             self._service(terminal_id, video_id, block, size, placement, deadline, done),
-            name=f"node-{self.node_id}-svc",
+            self._service_name,
         )
         return done
 
@@ -109,7 +113,7 @@ class VideoServerNode:
         The disk access must finish this much before the terminal's
         deadline, so it is subtracted when assigning the disk deadline.
         """
-        return self._reply_cpu_s + self.bus.params.transit_time(size)
+        return self._reply_cpu_s + self.bus.transit_time(size)
 
     def _service(
         self,
@@ -178,8 +182,9 @@ class VideoServerNode:
         yield from self.cpu.execute(costs.send_message)
         yield from self.bus.transfer(size)
         self.pool.unpin(page)
-        self.stats.service_time.record(env.now - arrived)
-        done.succeed(env.now)
+        now = env.now
+        self.stats.service_time.record(now - arrived)
+        done.succeed(now)
         return None
 
     def _read_degraded(self, page, placement, size, disk_deadline, terminal_id, drive):
@@ -319,41 +324,42 @@ class VideoServerNode:
         fragment (dedup in the prefetcher makes the steady-state cost
         one new prefetch per reference).
         """
-        if self.prefetch_spec.mode == "none":
+        spec = self.prefetch_spec
+        if spec.mode == "none":
             return
         video = self.library[video_id]
         schedule = video.schedule(self.block_size)
+        block_bytes = schedule.block_bytes
+        layout = self.layout
+        replication = self.replication
+        with_deadline = spec.uses_deadlines and base_deadline != NO_DEADLINE
+        if with_deadline:
+            first_frame = schedule.first_frame
+            block_frame = first_frame[block]
+            fps = video.fps
         previous = block
-        for _ in range(self.prefetch_spec.depth):
-            next_block = self.layout.next_block_on_same_disk(video_id, previous)
+        for _ in range(spec.depth):
+            next_block = layout.next_block_on_same_disk(video_id, previous)
             if next_block is None:
                 return
-            placement = self.layout.locate(video_id, next_block)
+            placement = layout.locate(video_id, next_block)
             if (
-                self.replication is not None
-                and self.replication.health.rank(placement.disk_global) > 0
+                replication is not None
+                and replication.health.rank(placement.disk_global) > 0
             ):
                 # Primary disk impaired: prefetch where reads will be
                 # routed; a copy on another node is that node's problem.
-                placement = self.replication.route(video_id, next_block)
+                placement = replication.route(video_id, next_block)
                 if placement.node != self.node_id:
                     return
-            if self.prefetch_spec.uses_deadlines and base_deadline != NO_DEADLINE:
-                frames_ahead = schedule.first_frame[next_block] - schedule.first_frame[block]
-                estimated = base_deadline + frames_ahead / video.fps
+            if with_deadline:
+                estimated = base_deadline + (first_frame[next_block] - block_frame) / fps
             else:
                 estimated = NO_DEADLINE
-            prefetcher = self.prefetchers[placement.disk_in_node]
-            prefetcher.schedule(
-                PrefetchOrder(
-                    key=(video_id, next_block),
-                    size=schedule.block_bytes(next_block),
-                    byte_offset=placement.byte_offset,
-                    cylinder=self.drives[placement.disk_in_node].geometry.cylinder_of(
-                        placement.byte_offset
-                    ),
-                    deadline=estimated,
-                )
+            # The prefetcher dedups on the key before it sizes or
+            # builds the order; most candidates stop there.
+            self.prefetchers[placement.disk_in_node].schedule(
+                (video_id, next_block), placement.byte_offset, estimated, block_bytes
             )
             previous = next_block
 

@@ -92,8 +92,9 @@ class Environment:
         """Place a triggered event on the queue (kernel internal).
 
         Hot constructors (``Timeout``, ``Event.succeed``/``fail``, the
-        condition events) inline this push; rare paths (process
-        bootstrap, interrupt delivery) still come through here.  Both
+        condition events, the process bootstrap, resource grants) inline
+        this push; rare paths (interrupt delivery, resuming on an
+        already-processed event) still come through here.  Both
         produce identical ``(time, priority, seq)`` tuples from the
         shared counter, so ordering is unaffected by which path is used.
         """

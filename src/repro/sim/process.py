@@ -6,7 +6,7 @@ import types
 import typing
 
 from repro.sim.errors import Interrupt, SimError
-from repro.sim.events import _PENDING, _UNRESOLVED, Event
+from repro.sim.events import _PENDING, _UNRESOLVED, NORMAL, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
@@ -34,19 +34,25 @@ class Process(Event):
     ) -> None:
         if not isinstance(generator, types.GeneratorType):
             raise TypeError(f"Process needs a generator, got {generator!r}")
-        super().__init__(env)
+        # One per server reply and block fetch: ``Event.__init__`` and
+        # the bootstrap's ``Environment._schedule`` are inlined flat, the
+        # way ``Timeout`` does it, with the same (time, priority, seq).
+        self.env = env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self._generator = generator
-        #: The event this process is currently waiting on (None if not
-        #: started or already finished).
-        self._target: Event | None = None
         self.name = name or generator.__name__
         # Kick the process off via an immediately-scheduled bootstrap event.
         bootstrap = Event(env)
         bootstrap.callbacks.append(self._resume)
-        bootstrap._ok = True
         bootstrap._value = None
-        env._schedule(bootstrap)
-        self._target = bootstrap
+        env._seq += 1
+        env._push((env._now, NORMAL, env._seq, bootstrap))
+        #: The event this process is currently waiting on (None if not
+        #: started or already finished).
+        self._target: Event | None = bootstrap
 
     @property
     def is_alive(self) -> bool:

@@ -8,18 +8,25 @@ from collections import deque
 
 from repro.sim.environment import Environment
 from repro.sim.errors import SimError
-from repro.sim.events import Event
+from repro.sim.events import _PENDING, NORMAL, Event
 
 
 class Request(Event):
     """Pending claim on a :class:`Resource`; fires when granted."""
 
-    __slots__ = ("resource", "priority")
+    __slots__ = ("resource", "priority", "holds")
 
     def __init__(self, resource: "Resource", priority: int) -> None:
-        super().__init__(resource.env)
+        # Every CPU burst makes one: ``Event.__init__`` is inlined flat.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = _PENDING
+        self._ok = True
+        self._defused = False
         self.resource = resource
         self.priority = priority
+        #: True from the grant until the release.
+        self.holds = False
 
 
 class Resource:
@@ -38,6 +45,7 @@ class Resource:
     __slots__ = (
         "env",
         "capacity",
+        "name",
         "_in_use",
         "_waiting",
         "_seq",
@@ -46,11 +54,12 @@ class Resource:
         "_busy_time",
     )
 
-    def __init__(self, env: Environment, capacity: int = 1) -> None:
+    def __init__(self, env: Environment, capacity: int = 1, name: str = "resource") -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
+        self.name = name
         self._in_use = 0
         self._waiting: list[tuple[int, int, Request]] = []
         self._seq = 0
@@ -81,12 +90,22 @@ class Resource:
         return req
 
     def release(self, request: Request) -> None:
-        """Return one unit and grant the next waiter, if any."""
+        """Return one unit and grant the next waiter, if any.
+
+        Only a granted, not yet released request holds a unit; releasing
+        a queued or already released one raises :class:`SimError`.
+        """
         if request.resource is not self:
             raise SimError("release() of a request belonging to another resource")
+        if not request.holds:
+            state = "already released" if request._value is not _PENDING else "queued"
+            raise SimError(
+                f"release() of a {state} request to {self.name!r}: it holds no unit"
+            )
+        request.holds = False
         self._in_use -= 1
         if self._in_use == 0 and self._busy_since is not None:
-            self._busy_time += self.env.now - self._busy_since
+            self._busy_time += self.env._now - self._busy_since
             self._busy_since = None
         if self._waiting:
             _, _, nxt = heappop(self._waiting)
@@ -95,9 +114,14 @@ class Resource:
     def _grant(self, request: Request) -> None:
         self._in_use += 1
         self._grants += 1
+        env = self.env
         if self._busy_since is None:
-            self._busy_since = self.env.now
-        request.succeed()
+            self._busy_since = env._now
+        request.holds = True
+        # ``request.succeed()`` inlined: a request is granted only once.
+        request._value = None
+        env._seq += 1
+        env._push((env._now, NORMAL, env._seq, request))
 
     def utilization(self, elapsed: float | None = None) -> float:
         """Fraction of time at least one unit was in use."""
@@ -233,7 +257,10 @@ class Gate:
 
     def open(self, value: object = None) -> int:
         """Wake all current waiters; returns how many were woken."""
-        waiters, self._waiters = self._waiters, []
+        waiters = self._waiters
+        if not waiters:
+            return 0
+        self._waiters = []
         for event in waiters:
             event.succeed(value)
         return len(waiters)

@@ -35,18 +35,16 @@ class ReadAheadCache:
         """
         if self.capacity == 0:
             return False
-        end = offset + size
-        try:
-            index = self._ends.index(offset)
-        except ValueError:
+        ends = self._ends
+        if offset not in ends:
             self.misses += 1
-            if len(self._ends) >= self.capacity:
-                self._ends.pop(0)
-            self._ends.append(end)
+            if len(ends) >= self.capacity:
+                ends.pop(0)
+            ends.append(offset + size)
             return False
         self.hits += 1
-        del self._ends[index]
-        self._ends.append(end)
+        ends.remove(offset)
+        ends.append(offset + size)
         return True
 
     def reset_stats(self) -> None:

@@ -21,6 +21,7 @@ import math
 import typing
 
 from repro.sim.environment import Environment
+from repro.sim.events import Timeout
 from repro.sim.resources import Gate
 from repro.sim.rng import RandomSource
 from repro.sim.stats import BusyTracker, Tally, TimeWeighted
@@ -161,18 +162,19 @@ class DiskDrive:
             if len(self.scheduler) == 0:
                 yield self._work.wait()
                 continue
-            request = self.scheduler.pop(env.now, self.head_cylinder)
-            self.queue_length.update(env.now, len(self.scheduler))
+            now = env.now
+            request = self.scheduler.pop(now, self.head_cylinder)
+            self.queue_length.update(now, len(self.scheduler))
             if request.cancelled:
                 # The submitter timed out and re-dispatched; discard.
                 request.complete()
                 continue
-            request.started_at = env.now
+            request.started_at = now
             service = self._service_time(request)
             for multiplier in self._slow_multipliers:
                 service *= multiplier
-            self.busy.begin(env.now)
-            yield env.timeout(service)
+            self.busy.begin(now)
+            yield Timeout(env, service)
             self.busy.end(env.now)
             self.reads += 1
             self.bytes_read += request.size
@@ -182,13 +184,14 @@ class DiskDrive:
     def _service_time(self, request: DiskRequest) -> float:
         params = self.params
         old_head = self.head_cylinder
-        sequential = self.cache.access(request.byte_offset, request.size)
-        crossings = self.geometry.cylinders_crossed(request.byte_offset, request.size)
-        transfer = params.transfer_time_s(request.size)
-        transfer += crossings * params.settle_time_ms / 1000.0
-        self.head_cylinder = self.geometry.cylinder_of(
-            min(request.byte_offset + request.size, self.geometry.capacity_bytes) - 1
-        )
+        offset = request.byte_offset
+        size = request.size
+        sequential = self.cache.access(offset, size)
+        first, last = self.geometry.cylinder_span(offset, size)
+        transfer = params.transfer_time_s(size)
+        transfer += (last - first) * params.settle_time_ms / 1000.0
+        # The head ends on the cylinder of the last byte read.
+        self.head_cylinder = last
         if sequential:
             # Head already positioned: the read-ahead context continues,
             # so seek and rotational latency are skipped.

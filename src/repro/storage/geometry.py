@@ -27,12 +27,18 @@ class DiskGeometry:
             )
         return offset // self.cylinder_bytes
 
-    def cylinders_crossed(self, offset: int, size: int) -> int:
-        """Cylinder boundaries crossed while transferring *size* bytes."""
+    def cylinder_span(self, offset: int, size: int) -> tuple[int, int]:
+        """First and last cylinder a *size*-byte transfer at *offset* touches."""
         if size <= 0:
             raise ValueError(f"size must be positive, got {size}")
         first = self.cylinder_of(offset)
-        last = self.cylinder_of(min(offset + size, self.capacity_bytes) - 1)
+        # A valid offset and a positive size put the last byte on the disk.
+        last = (min(offset + size, self.capacity_bytes) - 1) // self.cylinder_bytes
+        return first, last
+
+    def cylinders_crossed(self, offset: int, size: int) -> int:
+        """Cylinder boundaries crossed while transferring *size* bytes."""
+        first, last = self.cylinder_span(offset, size)
         return last - first
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

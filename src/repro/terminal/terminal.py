@@ -18,6 +18,8 @@ import typing
 from repro.media.access import BoundAccessModel
 from repro.media.video import BlockSchedule, Video
 from repro.sim.environment import Environment
+from repro.sim.events import Timeout
+from repro.sim.process import Process
 from repro.sim.resources import Gate
 from repro.sim.rng import RandomSource
 from repro.sim.stats import Tally
@@ -25,6 +27,12 @@ from repro.terminal.pauses import PauseModel
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import ServerFabric
+
+
+def _delivered_from(start_block: int, block_count: int) -> bytearray:
+    """Delivery bitmap of a session starting at *start_block*: every
+    earlier block counts as delivered (already displayed)."""
+    return bytearray(b"\x01") * start_block + bytearray(block_count - start_block)
 
 
 class TerminalStats:
@@ -211,9 +219,7 @@ class Terminal:
         self._schedule = schedule
         start_byte = int(video.sequence.cumulative[start_frame])
         start_block = min(start_byte // self.block_size, schedule.block_count - 1)
-        self._delivered = bytearray(schedule.block_count)
-        for early in range(start_block):
-            self._delivered[early] = 1
+        self._delivered = _delivered_from(start_block, schedule.block_count)
         self._delivered_total = start_block
         self._contig = start_block
         self._freed = start_block
@@ -261,8 +267,9 @@ class Terminal:
                 # the pause once display reaches it.
                 target = min(target, pauses[pause_index][0])
             due = self._anchor + target / self._display_fps
-            if due > env.now:
-                yield env.timeout(due - env.now)
+            now = env.now
+            if due > now:
+                yield Timeout(env, due - now)
             if self._epoch != epoch:
                 return None
             self._next_frame = target
@@ -341,28 +348,24 @@ class Terminal:
             block = self._next_request
             self._next_request += 1
             self._outstanding += 1
-            env.process(self._fetch_block(block, epoch))
+            Process(env, self._fetch_block(block, epoch))
         return None
-
-    def _request_deadline(self, block: int) -> float:
-        """When the first frame needing *block* will be displayed.
-
-        While priming (display stopped), assume display restarts right
-        now — a pessimistic but safe deadline.
-        """
-        first_frame = self._schedule.first_frame[block]
-        if self._playing:
-            base = self._anchor
-        else:
-            base = self.env.now - self._next_frame / self._display_fps
-        return base + first_frame / self._display_fps
 
     def _fetch_block(self, block: int, epoch: int):
         env = self.env
         fabric = self.fabric
         video_id = self._video.video_id
-        size = self._schedule.block_bytes(block)
-        deadline = self._request_deadline(block)
+        schedule = self._schedule
+        size = schedule.block_bytes(block)
+        # Deadline: when the first frame needing *block* will be
+        # displayed.  While priming (display stopped), assume display
+        # restarts right now — a pessimistic but safe deadline.
+        fps = self._display_fps
+        if self._playing:
+            base = self._anchor
+        else:
+            base = env.now - self._next_frame / fps
+        deadline = base + schedule.first_frame[block] / fps
         locate = self._locate_block
         if locate is not None:
             placement = locate(video_id, block)
@@ -401,8 +404,9 @@ class Terminal:
         while self._contig < count and self._delivered[self._contig]:
             self._contig += 1
         self.stats.blocks_received += 1
-        self.stats.response_time.record(env.now - sent_at)
-        if env.now > deadline:
+        now = env.now
+        self.stats.response_time.record(now - sent_at)
+        if now > deadline:
             self.stats.deadline_misses += 1
         self._data_gate.open()
         self._slot_gate.open()
@@ -476,14 +480,11 @@ class Terminal:
         self._display_fps = self._video.fps
         start_byte = int(self._video.sequence.cumulative[frame])
         block = min(start_byte // self.block_size, schedule.block_count - 1)
-        self._delivered = bytearray(schedule.block_count)
-        self._delivered_total = 0
         self._outstanding = 0
         # Treat everything before the seek point as already displayed so
         # priming and slot accounting restart cleanly at the new spot.
+        self._delivered = _delivered_from(block, schedule.block_count)
         self._contig = block
-        for early in range(block):
-            self._delivered[early] = 1
         self._delivered_total = block
         self._freed = block
         self._next_request = block

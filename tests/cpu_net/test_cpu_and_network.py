@@ -132,3 +132,81 @@ class TestNetwork:
         bus.reset_stats()
         assert bus.traffic.total == 0
         assert bus.messages == 0
+
+
+def burst_delay(env, cpu, instructions):
+    """The Timeout delay of one ``Processor.execute`` burst."""
+    burst = cpu.execute(instructions)
+    next(burst)  # the CPU grant
+    env.run()
+    timeout = burst.send(None)
+    with pytest.raises(StopIteration):
+        burst.send(None)
+    env.run()
+    return timeout.delay
+
+
+class TestMemoisedDelays:
+    """Memoised burst and transit times are the parameter methods' own
+    floats, bit for bit, on first and on later calls."""
+
+    SIZES = (0, 1, 128, 3, 512 * 1024, 524_287, 10**9)
+
+    def test_processor_seconds_identical(self):
+        env = Environment()
+        params = CpuParameters(speed_mips=37.3)
+        cpu = Processor(env, params, 0)
+        for _ in range(3):
+            for count in (0, 1, 2_200, 6_800, 20_000, 9_001, 40_000_000):
+                delay = burst_delay(env, cpu, count)
+                assert delay.hex() == params.seconds(count).hex()
+
+    def test_processor_negative_count_raises_every_call(self):
+        env = Environment()
+        cpu = Processor(env, CpuParameters(), 0)
+        burst_delay(env, cpu, 2_200)
+        for _ in range(3):
+            burst = cpu.execute(-1)
+            next(burst)
+            env.run()
+            with pytest.raises(ValueError, match="instructions must be >= 0"):
+                burst.send(None)
+            # The burst's finally clause still returned the CPU.
+            assert cpu._resource.in_use == 0
+
+    def test_bus_transit_identical(self):
+        env = Environment()
+        params = NetworkParameters(fixed_delay_s=3.3e-6, per_byte_delay_s=0.037e-6)
+        bus = NetworkBus(env, params)
+        for _ in range(3):
+            for size in self.SIZES:
+                expected = params.transit_time(size).hex()
+                assert bus.transit_time(size).hex() == expected
+                assert next(bus.transfer(size)).delay.hex() == expected
+
+    def test_degraded_bus_applies_stacked_multipliers_after_lookup(self):
+        env = Environment()
+        params = NetworkParameters()
+        bus = NetworkBus(env, params)
+        size = 512 * 1024
+        plain = next(bus.transfer(size)).delay
+        bus.degrade(1.5)
+        bus.degrade(3.0)
+        for _ in range(2):
+            expected = params.transit_time(size) * 1.5 * 3.0
+            assert next(bus.transfer(size)).delay.hex() == expected.hex()
+        bus.restore(1.5)
+        bus.restore(3.0)
+        assert next(bus.transfer(size)).delay.hex() == plain.hex()
+        # The memo holds the undegraded time.
+        assert bus.transit_time(size).hex() == params.transit_time(size).hex()
+
+    def test_bus_negative_size_raises_every_call(self):
+        env = Environment()
+        bus = NetworkBus(env, NetworkParameters())
+        next(bus.transfer(100))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="message size must be >= 0"):
+                bus.transit_time(-1)
+            with pytest.raises(ValueError, match="message size must be >= 0"):
+                next(bus.transfer(-1))

@@ -24,13 +24,8 @@ def make_rig(env, spec, pool_capacity=16):
 
 
 def order(block, deadline=math.inf, size=1024):
-    return PrefetchOrder(
-        key=("v", block),
-        size=size,
-        byte_offset=block * 512 * 1024,
-        cylinder=0,
-        deadline=deadline,
-    )
+    """Arguments of one ``DiskPrefetcher.schedule`` call."""
+    return ("v", block), block * 512 * 1024, deadline, lambda _block: size
 
 
 class TestSpec:
@@ -60,7 +55,7 @@ class TestStandardPrefetch:
     def test_fetch_lands_in_pool(self):
         env = Environment()
         prefetcher, pool, drive = make_rig(env, PrefetchSpec("standard"))
-        assert prefetcher.schedule(order(0)) is True
+        assert prefetcher.schedule(*order(0)) is True
         env.run(until=5.0)
         page = pool.lookup(("v", 0))
         assert page is not None
@@ -72,22 +67,41 @@ class TestStandardPrefetch:
     def test_duplicate_key_deduplicated(self):
         env = Environment()
         prefetcher, pool, drive = make_rig(env, PrefetchSpec("standard"))
-        assert prefetcher.schedule(order(0)) is True
-        assert prefetcher.schedule(order(0)) is False
+        assert prefetcher.schedule(*order(0)) is True
+        assert prefetcher.schedule(*order(0)) is False
         assert prefetcher.stats.deduplicated == 1
 
     def test_resident_key_skipped(self):
         env = Environment()
         prefetcher, pool, drive = make_rig(env, PrefetchSpec("standard"))
-        prefetcher.schedule(order(0))
+        prefetcher.schedule(*order(0))
         env.run(until=5.0)
-        assert prefetcher.schedule(order(0)) is False
+        assert prefetcher.schedule(*order(0)) is False
         assert prefetcher.stats.already_resident == 1
+
+    def test_order_built_only_after_the_checks(self):
+        env = Environment()
+        prefetcher, pool, drive = make_rig(
+            env, PrefetchSpec("standard", processes_per_disk=1)
+        )
+        sized = []
+
+        def size_of(block):
+            sized.append(block)
+            return 4096
+
+        offset = 3 * drive.params.cylinder_bytes + 10
+        assert prefetcher.schedule(("v", 7), offset, math.inf, size_of) is True
+        assert prefetcher.schedule(("v", 7), offset, math.inf, size_of) is False
+        # The duplicate was dropped before it was sized.
+        assert sized == [7]
+        (queued,) = prefetcher._queue.items
+        assert queued == PrefetchOrder(("v", 7), 4096, offset, 3, math.inf)
 
     def test_disabled_mode_schedules_nothing(self):
         env = Environment()
         prefetcher, pool, drive = make_rig(env, PrefetchSpec("none"))
-        assert prefetcher.schedule(order(0)) is False
+        assert prefetcher.schedule(*order(0)) is False
         env.run(until=5.0)
         assert drive.reads == 0
 
@@ -97,7 +111,7 @@ class TestStandardPrefetch:
             env, PrefetchSpec("standard", processes_per_disk=1)
         )
         for block in (3, 1, 2):
-            prefetcher.schedule(order(block))
+            prefetcher.schedule(*order(block))
         env.run(until=10.0)
         # completed in FIFO order: block 3's page loaded first.
         assert prefetcher.stats.completed == 3
@@ -109,8 +123,8 @@ class TestRealtimePrefetch:
         prefetcher, pool, drive = make_rig(
             env, PrefetchSpec("realtime", processes_per_disk=1)
         )
-        prefetcher.schedule(order(1, deadline=50.0))
-        prefetcher.schedule(order(2, deadline=5.0))
+        prefetcher.schedule(*order(1, deadline=50.0))
+        prefetcher.schedule(*order(2, deadline=5.0))
 
         completions = []
         original = pool.finish_io
@@ -130,7 +144,7 @@ class TestDelayedPrefetch:
         prefetcher, pool, drive = make_rig(
             env, PrefetchSpec("delayed", max_advance_s=8.0)
         )
-        prefetcher.schedule(order(0, deadline=20.0))
+        prefetcher.schedule(*order(0, deadline=20.0))
         env.run(until=11.0)
         # Issue time = deadline - 8 = 12s; nothing read yet at t=11.
         assert drive.reads == 0
@@ -143,11 +157,11 @@ class TestDelayedPrefetch:
         prefetcher, pool, drive = make_rig(
             env, PrefetchSpec("delayed", max_advance_s=2.0, processes_per_disk=1)
         )
-        prefetcher.schedule(order(0, deadline=100.0))
+        prefetcher.schedule(*order(0, deadline=100.0))
 
         def later(env):
             yield env.timeout(10.0)
-            prefetcher.schedule(order(1, deadline=20.0))
+            prefetcher.schedule(*order(1, deadline=20.0))
 
         env.process(later(env))
         env.run(until=30.0)
@@ -158,5 +172,5 @@ class TestDelayedPrefetch:
     def test_queue_depth_visible(self):
         env = Environment()
         prefetcher, pool, drive = make_rig(env, PrefetchSpec("standard"))
-        prefetcher.schedule(order(0))
+        prefetcher.schedule(*order(0))
         assert prefetcher.queue_depth >= 0  # drained asynchronously

@@ -97,6 +97,51 @@ class TestResource:
         with pytest.raises(SimError):
             two.release(req)
 
+    def test_release_of_a_queued_request_rejected(self):
+        """A queued request holds no unit: releasing it used to free the
+        holder's unit and then grant the queued request to itself."""
+        env = Environment()
+        cpu = Resource(env, name="cpu-3")
+        held = cpu.request()
+        queued = cpu.request()
+        with pytest.raises(SimError, match="queued request to 'cpu-3'"):
+            cpu.release(queued)
+        assert cpu.in_use == 1
+        assert cpu.queue_length == 1
+        assert not queued.triggered
+        # The unit still passes to the queued request on a real release.
+        cpu.release(held)
+        assert queued.triggered
+        assert cpu.in_use == 1
+        assert cpu.queue_length == 0
+
+    def test_double_release_rejected(self):
+        """A double release used to drive ``in_use`` to -1, after which a
+        capacity-1 resource granted two concurrent holders."""
+        env = Environment()
+        cpu = Resource(env, name="cpu-3")
+        first = cpu.request()
+        cpu.release(first)
+        with pytest.raises(SimError, match="already released request to 'cpu-3'"):
+            cpu.release(first)
+        assert cpu.in_use == 0
+        one, two = cpu.request(), cpu.request()
+        assert one.triggered
+        assert not two.triggered
+        assert cpu.in_use == 1
+        assert cpu.queue_length == 1
+
+    def test_release_trap_adds_no_events(self):
+        env = Environment()
+        cpu = Resource(env)
+        held = cpu.request()
+        queued = cpu.request()
+        before = len(env._queue)
+        for request in (queued, queued):
+            with pytest.raises(SimError, match="'resource'"):
+                cpu.release(request)
+        assert len(env._queue) == before
+
     def test_utilization_tracks_busy_time(self):
         env = Environment()
         cpu = Resource(env)

@@ -242,6 +242,73 @@ class TestSeek:
             terminal.seek(0)  # no active video
 
 
+def reference_session(video, start_frame):
+    """The session state the old per-block loop built for a start frame."""
+    schedule = video.schedule(BLOCK)
+    start_byte = int(video.sequence.cumulative[start_frame])
+    start_block = min(start_byte // BLOCK, schedule.block_count - 1)
+    delivered = bytearray(schedule.block_count)
+    for early in range(start_block):
+        delivered[early] = 1
+    return delivered, start_block
+
+
+def session_state(terminal):
+    return (
+        terminal._delivered,
+        terminal._delivered_total,
+        terminal._contig,
+        terminal._freed,
+        terminal._next_request,
+    )
+
+
+class TestSessionBitmap:
+    """``_begin_session`` and ``seek`` build the delivery bitmap the way
+    the old per-block loop did, at the first, a middle and the last
+    block of a title."""
+
+    @staticmethod
+    def start_frames(video):
+        schedule = video.schedule(BLOCK)
+        last_block_frame = schedule.first_frame[schedule.block_count - 1]
+        frames = {
+            "first": 0,
+            "middle": video.frame_count // 2,
+            "last block": max(last_block_frame, video.frame_count - 1),
+        }
+        blocks = {name: reference_session(video, f)[1] for name, f in frames.items()}
+        assert blocks["first"] == 0
+        assert 0 < blocks["middle"] < schedule.block_count - 1
+        assert blocks["last block"] == schedule.block_count - 1
+        return frames.values()
+
+    def test_begin_session_matches_the_loop(self):
+        env = Environment()
+        fabric = FakeFabric(env, duration_s=4.0)
+        terminal = make_terminal(env, fabric)
+        video = fabric.library[0]
+        for frame in self.start_frames(video):
+            terminal._begin_session(video, frame)
+            delivered, block = reference_session(video, frame)
+            assert type(terminal._delivered) is bytearray
+            assert session_state(terminal) == (delivered, block, block, block, block)
+            assert terminal._next_frame == frame
+
+    def test_seek_matches_the_loop(self):
+        env = Environment()
+        fabric = FakeFabric(env, duration_s=4.0)
+        terminal = make_terminal(env, fabric)
+        video = fabric.library[0]
+        terminal._begin_session(video, video.frame_count // 3)
+        for frame in self.start_frames(video):
+            terminal.seek(frame)
+            delivered, block = reference_session(video, frame)
+            assert type(terminal._delivered) is bytearray
+            assert session_state(terminal) == (delivered, block, block, block, block)
+            assert terminal._next_frame == frame
+
+
 class TestConstruction:
     def test_too_little_memory_rejected(self):
         env = Environment()
