@@ -91,8 +91,6 @@ def collect_cluster_metrics(
 
     share_leaders = share_followers = merged = chain_reads = chain_breaks = 0
     for member in members:
-        share_leaders += member.piggyback.batches_launched
-        share_followers += member.piggyback.terminals_batched
         if member.sharing is not None:
             share_leaders += member.sharing.stats.batches_launched
             share_followers += member.sharing.stats.batch_followers

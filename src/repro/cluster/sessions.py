@@ -9,7 +9,7 @@ for a hosting node, and runs each session against that member's own
 admission controller and server fabric:
 
     arrive → route → (balk | queue → (renege | admit)) →
-    piggyback window → stream → (complete | depart early) → release
+    [batch window] → stream → (complete | depart early) → release
 
 The cluster-only clause is **failover**: every wait on a member —
 queueing for admission, streaming a video — also watches that member's
@@ -174,7 +174,7 @@ class ClusterSessionGenerator:
                 open_batch = sharing.joinable_batch(local)
                 if open_batch is not None:
                     # Joining commits the customer: the window is a
-                    # service-side startup delay (like piggybacking),
+                    # service-side startup delay (like §8.2 delays),
                     # not queue time, so only a host outage — never
                     # patience — pulls a joiner back out of it.
                     open_batch.join()
@@ -255,7 +255,7 @@ class ClusterSessionGenerator:
             stats.routed[node_id] += 1
             self.assignments.append((session, title, node_id))
 
-            # --- launch on the member: batch/piggyback, then a terminal
+            # --- launch on the member: batch window, then a terminal
             local = cluster.placement.local_id(title, node_id)
             if batch is None and sharing is not None and attempt == 0:
                 # Admitted leader: open the member's launch window; the
@@ -263,32 +263,6 @@ class ClusterSessionGenerator:
                 # last member to depart).
                 batch = sharing.open_batch(local, member.release_admission)
                 yield batch.launch
-            elif batch is None:
-                remaining = (
-                    view_deadline - env.now if view_deadline is not None else None
-                )
-                if remaining is not None and remaining <= 0:
-                    # The whole budget went to waiting (e.g. re-routing
-                    # after an outage): leave before joining a window.
-                    admission.release_slot()
-                    stats.abandoned += 1
-                    return None
-                follower = member.piggyback.has_open_batch(local)
-                launch = member.request_start(local)
-                if launch is not None:
-                    if remaining is not None:
-                        yield env.any_of([launch, env.timeout(remaining)])
-                        if not launch.triggered:
-                            # Budget exhausted inside the window: undo a
-                            # follower's join so the departed customer
-                            # does not inflate the sharing counters.
-                            if follower:
-                                member.piggyback.withdraw(local)
-                            admission.release_slot()
-                            stats.abandoned += 1
-                            return None
-                    else:
-                        yield launch
             if view_deadline is not None and env.now >= view_deadline:
                 # The whole budget went to waiting; the customer leaves.
                 if batch is not None:

@@ -76,7 +76,6 @@ class SpiffiConfig:
     access_model: str = "zipf"
     zipf_skew: float = 1.0
     pause_model: PauseModel = dataclasses.field(default_factory=PauseModel)
-    piggyback_window_s: float = 0.0
     #: An :class:`~repro.server.admission.AdmissionSpec` naming the
     #: registered admission policy.
     admission: AdmissionSpec = dataclasses.field(default_factory=AdmissionSpec)
@@ -122,9 +121,10 @@ class SpiffiConfig:
     # --- stream sharing ----------------------------------------------------
     #: Inert by default: no sharing runtime is built, and runs are
     #: bit-identical to a build without the sharing subsystem (see
-    #: :mod:`repro.sharing`).  Policies batch same-title admissions,
-    #: merge trailing streams onto leaders, and/or chain later sessions
-    #: off earlier sessions' buffer pages.
+    #: :mod:`repro.sharing`).  Policies batch same-title starts (the
+    #: paper's §8.2 piggybacking for closed terminals), merge trailing
+    #: streams onto leaders, and/or chain later sessions off earlier
+    #: sessions' buffer pages.
     sharing: SharingSpec = dataclasses.field(default_factory=SharingSpec)
 
     # --- messaging --------------------------------------------------------
@@ -177,13 +177,6 @@ class SpiffiConfig:
         if not isinstance(self.sharing, SharingSpec):
             raise TypeError(
                 f"sharing must be a SharingSpec, got {self.sharing!r}"
-            )
-        if self.sharing.batching and self.piggyback_window_s > 0:
-            raise ValueError(
-                f"sharing policy {self.sharing.policy!r} batches launches "
-                f"itself; it cannot combine with piggyback_window_s="
-                f"{self.piggyback_window_s:g} (two batching mechanisms "
-                f"would fight over the same launch path)"
             )
         if self.proxy.enabled and self.proxy.memory_bytes < self.stripe_bytes:
             raise ValueError(
@@ -325,6 +318,11 @@ def config_cache_dict(config: SpiffiConfig) -> dict:
     across every spec-field addition.
     """
     data = dataclasses.asdict(config)
+    # §8.2 piggybacking is now ``SharingSpec("batch")``.  The retired
+    # field's zero default stays in the canonical form so every existing
+    # config digest and run-cache key stays valid, until ROADMAP item
+    # 3's declarative schema retires the key.
+    data["piggyback_window_s"] = 0.0
     data["layout"] = config.layout.name
     data["replacement_policy"] = config.replacement_policy.name
     if config.faults == FaultSpec():

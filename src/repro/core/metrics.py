@@ -97,12 +97,11 @@ class RunMetrics:
     proxy_misses: int = 0
     proxy_served_bytes: int = 0
     proxy_origin_bytes: int = 0
-    # Stream sharing (all zero unless a sharing policy or the legacy
-    # piggyback window engages; the whole group is dropped from
-    # :meth:`deterministic_dict` while inert, same discipline as the
-    # proxy group).  Piggyback and batched-admission launches both
-    # count here: ``shared_streams`` is every session served without a
-    # disk stream of its own.
+    # Stream sharing (all zero unless a sharing policy engages; the
+    # whole group is dropped from :meth:`deterministic_dict` while
+    # inert, same discipline as the proxy group).  ``shared_streams``
+    # is every session served without a disk stream of its own: batch
+    # followers (closed §8.2 starts included) plus completed merges.
     batches_launched: int = 0
     shared_streams: int = 0
     merged_sessions: int = 0
@@ -304,16 +303,10 @@ def collect_metrics(system: "SpiffiSystem", measure_s: float) -> RunMetrics:
     proxy = getattr(system, "proxy_runtime", None)
     proxy_stats = proxy.stats if proxy is not None else None
     sharing = getattr(system, "sharing", None)
-    piggyback = system.piggyback
-    # Piggyback windows and batched admission are two drivers of the
-    # same physical effect (synchronized launches on shared streams),
-    # so their counters combine into one sharing group.
-    share_leaders = piggyback.batches_launched
-    share_followers = piggyback.terminals_batched
-    merged = chain_reads = chain_breaks = 0
+    share_leaders = share_followers = merged = chain_reads = chain_breaks = 0
     if sharing is not None:
-        share_leaders += sharing.stats.batches_launched
-        share_followers += sharing.stats.batch_followers
+        share_leaders = sharing.stats.batches_launched
+        share_followers = sharing.stats.batch_followers
         merged = sharing.stats.merged_sessions
         chain_reads = sharing.stats.chain_reads
         chain_breaks = sharing.stats.chain_breaks

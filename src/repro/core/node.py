@@ -33,7 +33,6 @@ from repro.replication.rebuild import RebuildManager
 from repro.replication.runtime import ReplicationRuntime
 from repro.server.admission import AdmissionController
 from repro.server.node import VideoServerNode
-from repro.server.piggyback import PiggybackCoordinator
 from repro.sharing.runtime import SharingRuntime
 from repro.sim.environment import Environment
 from repro.sim.events import Event
@@ -129,7 +128,6 @@ class SpiffiNode:
         self.bus = NetworkBus(self.env, config.network)
         self.block_size = config.stripe_bytes
         self.control_message_bytes = config.control_message_bytes
-        self.piggyback = PiggybackCoordinator(self.env, config.piggyback_window_s)
         stream = StreamParameters(
             bit_rate_bps=config.video_bit_rate_bps,
             block_bytes=config.stripe_bytes,
@@ -325,7 +323,11 @@ class SpiffiNode:
         return self.layout.locate(video_id, block)
 
     def request_start(self, video_id: int) -> Event | None:
-        return self.piggyback.request_start(video_id)
+        """The launch event of a closed terminal's §8.2 start batch, or
+        None (start now) when the sharing policy does not batch."""
+        if self.sharing is None or not self.sharing.batching:
+            return None
+        return self.sharing.request_start(video_id)
 
     def request_admission(self) -> Event:
         return self.admission.request_slot()
@@ -432,7 +434,6 @@ class SpiffiNode:
             for prefetcher in node.prefetchers:
                 prefetcher.reset_stats()
         self.bus.reset_stats()
-        self.piggyback.reset_stats()
         self.admission.reset_stats()
         self.qos.reset()
         if self.workload is not None:

@@ -30,6 +30,7 @@ from repro.bufferpool.registry import ReplacementSpec
 from repro.layout.registry import LayoutSpec
 from repro.media.access import UniformAccess, ZipfianAccess
 from repro.sched.registry import SchedulerSpec
+from repro.sharing.spec import SharingSpec
 
 KB = 1024
 
@@ -521,7 +522,8 @@ def fig19_pause() -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def sec82_piggyback(window_s: float | None = None) -> ExperimentResult:
-    """Delayed-start piggybacking of same-video terminals.
+    """Delayed-start piggybacking of same-video terminals: the ``batch``
+    sharing policy holds each title's first start for the window.
 
     The paper's example delay is 5 minutes; the quick bench scale uses
     a 2-minute window to bound the (long) warmup these runs need.
@@ -542,7 +544,11 @@ def sec82_piggyback(window_s: float | None = None) -> ExperimentResult:
         _cell(
             f"sec82 {label}",
             paper_config(**bundle).replace(
-                piggyback_window_s=window,
+                sharing=(
+                    SharingSpec(policy="batch", window_s=window)
+                    if window
+                    else SharingSpec()
+                ),
                 warmup_grace_s=window + scale.warmup_grace_s,
             ),
             HINTS["striped"],

@@ -1,6 +1,5 @@
-"""Video server: nodes and the piggybacking coordinator."""
+"""Video server nodes."""
 
 from repro.server.node import NodeStats, VideoServerNode
-from repro.server.piggyback import PiggybackCoordinator
 
-__all__ = ["NodeStats", "PiggybackCoordinator", "VideoServerNode"]
+__all__ = ["NodeStats", "VideoServerNode"]

@@ -4,13 +4,13 @@ One :class:`SharingRuntime` per system (or per cluster member) carries
 the three mechanisms a :class:`~repro.sharing.spec.SharingSpec` policy
 composes:
 
-* a **batch coordinator** the session generators drive: the first
-  admitted arrival for a title opens a :class:`StreamBatch` holding one
-  admission slot; same-title arrivals inside the window (including
-  requests already queued for admission) join slot-free and every
-  member launches at the same instant, so all but one merge onto shared
-  in-flight buffer reads.  The slot is released when the *last* batch
-  member departs.
+* a **batch coordinator** (paper §8.2 piggybacking): the first start
+  of a title opens a :class:`StreamBatch`; same-title starts inside the
+  window join and every member launches at the same instant, so all
+  but one merge onto shared in-flight buffer reads.  Closed terminals
+  keep a slot each (:meth:`SharingRuntime.request_start`); in the open
+  workload the batch holds its leader's slot, joiners (queued requests
+  included) ride it, and the *last* member to depart releases it.
 * a **merge controller**: terminals report playback starts; a new
   stream with a leader close ahead displays fast (``1 + rate_delta``)
   until the positions meet, then snaps back to nominal rate — from
@@ -213,6 +213,17 @@ class SharingRuntime:
             if opened is not None:
                 opened.succeed()
         return batch
+
+    def request_start(self, video_id: int) -> Event:
+        """A closed terminal's start: join or open the title's batch and
+        return its launch event.  The terminal keeps its own admission
+        slot, so the batch releases nothing."""
+        batch = self.joinable_batch(video_id)
+        if batch is None:
+            batch = self.open_batch(video_id, release=None)
+        else:
+            batch.join()
+        return batch.launch
 
     def window_opened(self, video_id: int) -> Event:
         """Fires when a batch window next opens for *video_id* (lets a
@@ -481,25 +492,8 @@ class SharingRuntime:
         self._release_pins(chain)
         self._unlink_chain(chain)
 
-    # ------------------------------------------------------------------
-    # Derived stats
-    # ------------------------------------------------------------------
-    @property
-    def shared_streams(self) -> int:
-        """Sessions served without their own disk stream: batch
-        followers plus sessions that completed a merge."""
-        return self.stats.batch_followers + self.stats.merged_sessions
-
-    @property
-    def sharing_fraction(self) -> float:
-        """Shared fraction of the batch-coordinated launches."""
-        launched = self.stats.batches_launched + self.stats.batch_followers
-        if launched == 0:
-            return 0.0
-        return self.stats.batch_followers / launched
-
     def reset_stats(self) -> None:
         # In-flight batches and chains deliberately survive the reset:
-        # they are live state, not statistics (same discipline as the
-        # piggyback coordinator's open batches).
+        # they are live state, not statistics — clearing an open batch
+        # would strand every session waiting on its launch.
         self.stats.reset()

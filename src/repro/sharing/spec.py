@@ -1,15 +1,17 @@
 """Stream-sharing configuration (ROADMAP item 3; paper §8.2 and beyond).
 
 ``SharingSpec`` selects how concurrent sessions of the same title share
-disk streams and buffer pages, going past the fixed-window piggyback of
-:mod:`repro.server.piggyback`.  A *policy* names a registered set of
+disk streams and buffer pages.  A *policy* names a registered set of
 sharing components; the built-ins compose three mechanisms:
 
-* **batch** — *batched admission*: near-simultaneous same-title
-  arrivals from the open-system workload launch together on one
-  admission slot and (through in-flight buffer merging) one disk
-  stream.  A queued request whose title opens a batch leaves the
-  admission queue and joins the batch instead of consuming a slot.
+* **batch** — *batched launches*: the paper's §8.2 piggybacking.  The
+  first start of a title opens a ``window_s`` window; same-title starts
+  inside it launch together, so (through in-flight buffer merging) they
+  share one disk stream.  Closed terminals keep one admission slot
+  each and only delay their start.  Open-workload arrivals ride the
+  leader's single admission slot, and a queued request whose title
+  opens a batch leaves the admission queue and joins the batch instead
+  of consuming a slot.
 * **merge** — *adaptive piggyback merging*: a session starting shortly
   behind an existing stream of the same title displays slightly fast
   (``1 + rate_delta`` over the frame schedule) until it catches the
@@ -31,6 +33,7 @@ following the ``FaultSpec``/``ProxySpec``/``ArrivalSpec`` convention.
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 
 #: Component names a policy may compose.
@@ -86,9 +89,9 @@ class SharingSpec:
     #: Registered policy name (see :func:`register_sharing_policy`).
     policy: str = "none"
 
-    # --- batched admission ------------------------------------------------
-    #: Seconds a newly opened batch waits for more same-title arrivals
-    #: before every member launches together.
+    # --- batched launches (§8.2 piggybacking) -----------------------------
+    #: Seconds a newly opened batch waits for more same-title starts
+    #: before every member launches together (the paper's start delay).
     window_s: float = 2.0
     #: Largest batch (leader included); 0 = unbounded.
     max_batch: int = 0
@@ -114,6 +117,12 @@ class SharingSpec:
                 f"unknown sharing policy {self.policy!r}; "
                 f"choose from {sharing_policy_names()}"
             )
+        for name in ("window_s", "merge_max_lag_s", "chain_max_lag_s"):
+            value = getattr(self, name)
+            # Non-finite knobs would only fail at run time: a nan
+            # window raises in env.timeout, an inf one never launches.
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.window_s < 0:
             raise ValueError(f"window_s must be >= 0, got {self.window_s}")
         if self.batching and self.window_s == 0:

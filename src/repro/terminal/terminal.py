@@ -102,7 +102,7 @@ class Terminal:
         self.stats = TerminalStats()
         #: When set (by the open-system session layer), the next
         #: playback's startup latency is measured from this instant —
-        #: the customer's *arrival* — so admission-queue and piggyback
+        #: the customer's *arrival* — so admission-queue and batch-window
         #: waits count toward the startup SLO.  None measures from the
         #: play() call, the closed-system behaviour.
         self.startup_anchor: float | None = None
@@ -143,7 +143,7 @@ class Terminal:
         first = True
         while True:
             # Admission control (a no-op unless the server enforces a
-            # stream cap), then any piggyback launch batching.
+            # stream cap), then any §8.2 launch batch of the sharing policy.
             admission = getattr(self.fabric, "request_admission", None)
             if admission is not None:
                 yield admission()

@@ -6,7 +6,7 @@ One :class:`SessionGenerator` process replaces the closed loop of
 :mod:`arrival process <repro.workload.arrivals>` by thinning, and each
 session runs as its own process through the full customer lifecycle:
 
-    arrive → (balk | queue → (renege | admit)) → piggyback window →
+    arrive → (balk | queue → (renege | admit)) → [batch window] →
     stream → (watch to the end | depart early) → release slot
 
 Every admitted session spawns a fresh :class:`~repro.terminal.terminal.
@@ -180,45 +180,9 @@ class SessionGenerator:
                 waited_s=env.now - arrived,
             )
 
-        # --- launch: piggyback batching, then a fresh terminal ---------
+        # --- launch a fresh terminal and watch -------------------------
         video_id = self.popularity.select(env.now)
-        launch = system.request_start(video_id)
-        if launch is not None:
-            yield launch
-        terminal = self._spawn_terminal(session)
-        # Startup latency spans the whole wait: arrival to first frame.
-        terminal.startup_anchor = arrived
-        playback = env.process(
-            terminal.play(video_id), name=f"session-{session}-play"
-        )
-
-        # --- viewing time: watch to the end, or churn out early --------
-        if spec.mean_view_duration_s > 0:
-            view_for = self._view_rng.exponential(spec.mean_view_duration_s)
-            yield env.any_of([playback, env.timeout(view_for)])
-            if not playback.triggered:
-                terminal.abandon()
-                self.stats.abandoned += 1
-                if self.trace is not None:
-                    self._record(
-                        trace_events.SESSION_ABANDON,
-                        session=session,
-                        video=video_id,
-                        watched_s=view_for,
-                    )
-            else:
-                self.stats.completed += 1
-                if self.trace is not None:
-                    self._record(
-                        trace_events.SESSION_COMPLETE, session=session, video=video_id
-                    )
-        else:
-            yield playback
-            self.stats.completed += 1
-            if self.trace is not None:
-                self._record(
-                    trace_events.SESSION_COMPLETE, session=session, video=video_id
-                )
+        yield from self._watch(session, arrived, video_id)
         system.release_admission()
         return None
 
@@ -234,12 +198,19 @@ class SessionGenerator:
         leader's — and one disk stream.  The batch, not the session,
         owns the slot; the last member to depart releases it.
         """
-        env = self.env
-        spec = self.spec
-        video_id = self.popularity.select(env.now)
+        video_id = self.popularity.select(self.env.now)
         batch = yield from self._acquire_stream(session, arrived, video_id)
         if batch is None:
             return None  # balked or reneged; stats already recorded
+        yield from self._watch(session, arrived, video_id)
+        batch.depart()
+        return None
+
+    def _watch(self, session: int, arrived: float, video_id: int):
+        """Spawn the session's terminal and view: to the end, or churn
+        out early.  The caller releases whatever admitted the session."""
+        env = self.env
+        spec = self.spec
         terminal = self._spawn_terminal(session)
         # Startup latency spans the whole wait: arrival to first frame.
         terminal.startup_anchor = arrived
@@ -272,8 +243,6 @@ class SessionGenerator:
                 self._record(
                     trace_events.SESSION_COMPLETE, session=session, video=video_id
                 )
-        batch.depart()
-        return None
 
     def _acquire_stream(self, session: int, arrived: float, video_id: int):
         """Join or open a launch batch; None when the session gave up.
@@ -363,7 +332,7 @@ class SessionGenerator:
     def _join_batch(self, session: int, arrived: float, batch, patience_expired):
         """Ride an open window; None when patience ran out first.
 
-        Joining is a commitment: like the piggyback window, the wait to
+        Joining is a commitment: like a §8.2 delayed start, the wait to
         launch is a service-side startup delay, not queue time, so a
         direct joiner never reneges inside it.  ``patience_expired``
         carries a *queued* customer's already-running patience timer

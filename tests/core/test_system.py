@@ -7,6 +7,7 @@ import pytest
 from repro import LayoutSpec, MB, ReplacementSpec, SpiffiConfig, SpiffiSystem, run_simulation
 from repro.prefetch import PrefetchSpec
 from repro.sched import SchedulerSpec
+from repro.sharing import SharingSpec
 
 
 def tiny_config(**overrides):
@@ -131,7 +132,9 @@ class TestAlgorithmWiring:
             server_memory_bytes=8 * MB,
         )
         solo = run_simulation(base)
-        batched = run_simulation(base.replace(piggyback_window_s=20.0))
+        batched = run_simulation(
+            base.replace(sharing=SharingSpec(policy="batch", window_s=20.0))
+        )
         assert batched.rereference_rate > solo.rereference_rate
 
     def test_metrics_are_frozen_dataclass(self):

@@ -8,7 +8,7 @@ from repro.sharing.runtime import StreamBatch
 from repro.sim.environment import Environment
 from repro.telemetry.trace import TraceRecorder
 
-from tests.sharing.test_batching import batch_config, run_whole
+from tests.sharing.test_batching import batch_config
 from tests.sharing.test_merge_chain import FakePool, FakeTerminal
 
 
@@ -167,14 +167,28 @@ class TestSeekAndStrays:
 
 class TestDerivedStats:
     def test_shared_streams_and_fraction(self):
-        env, runtime = runtime_with_trace()
-        assert runtime.shared_streams == 0
-        assert runtime.sharing_fraction == 0.0
-        runtime.stats.batches_launched = 2
-        runtime.stats.batch_followers = 6
-        runtime.stats.merged_sessions = 1
-        assert runtime.shared_streams == 7
-        assert runtime.sharing_fraction == 0.75
+        # RunMetrics is the one place the ratios are derived: a merged
+        # session is shared too, so it counts in the numerator *and*
+        # the denominator (2 batches, 6 followers, 1 merge give 7/9).
+        from repro import SpiffiSystem
+
+        system = SpiffiSystem(
+            batch_config(
+                sharing=SharingSpec(
+                    policy="batch+merge+chain", window_s=2.0, rate_delta=0.5
+                )
+            )
+        )
+        metrics = system.run()
+        stats = system.sharing.stats
+        assert metrics.merged_sessions == stats.merged_sessions > 0
+        assert metrics.batches_launched == stats.batches_launched > 0
+        assert metrics.shared_streams == (
+            stats.batch_followers + stats.merged_sessions
+        )
+        assert metrics.sharing_fraction == metrics.shared_streams / (
+            metrics.batches_launched + metrics.shared_streams
+        )
 
     def test_reset_keeps_live_batches(self):
         env, runtime = runtime_with_trace()

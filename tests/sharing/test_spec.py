@@ -45,10 +45,18 @@ class TestValidation:
             ("merge_max_lag_s", 0.0),
             ("chain_max_lag_s", 0.0),
             ("chain_pin_limit_blocks", 0),
+            # Non-finite knobs: an inf window never launches its batch,
+            # and a nan one fails mid-run in env.timeout.
+            ("window_s", float("nan")),
+            ("window_s", float("inf")),
+            ("merge_max_lag_s", float("nan")),
+            ("merge_max_lag_s", float("inf")),
+            ("chain_max_lag_s", float("nan")),
+            ("chain_max_lag_s", float("inf")),
         ],
     )
     def test_bad_parameters_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             SharingSpec(policy="batch+merge+chain", **{field: value})
 
     def test_batching_needs_a_positive_window(self):
@@ -80,18 +88,6 @@ class TestConfigWiring:
     def test_config_rejects_non_spec(self):
         with pytest.raises(TypeError, match="SharingSpec"):
             SpiffiConfig(sharing="batch")
-
-    def test_batching_conflicts_with_piggyback_window(self):
-        with pytest.raises(ValueError, match="piggyback"):
-            SpiffiConfig(
-                sharing=SharingSpec(policy="batch"), piggyback_window_s=2.0
-            )
-
-    def test_merge_only_composes_with_piggyback_window(self):
-        config = SpiffiConfig(
-            sharing=SharingSpec(policy="merge"), piggyback_window_s=2.0
-        )
-        assert config.sharing.merging
 
     def test_inert_spec_omitted_from_cache_dict(self):
         data = config_cache_dict(SpiffiConfig())

@@ -1,45 +1,40 @@
 """Piggybacking x admission interaction.
 
-Sessions request their admission slot *before* joining a piggyback
-launch batch, so a batch of piggybacked sessions holds one slot per
-session: launching a batch can never burst past a fixed cap, and no
-session is counted (or admitted) twice.  These tests run systems
-without the warmup stats reset so every counter covers the whole run
-and the invariants can be checked as exact totals.
+Closed terminals under the ``batch`` sharing policy (paper §8.2) take
+their admission slot *before* they join a launch window, and keep it:
+a batch of piggybacked terminals holds one slot per terminal, so a
+launch can never burst past a fixed cap and no start is counted (or
+admitted) twice.  These tests run systems without the warmup stats
+reset so every counter covers the whole run and the invariants can be
+checked as exact totals.
 """
 
 from repro import MB, SpiffiConfig, SpiffiSystem, run_simulation
 from repro.server.admission import AdmissionSpec
-from repro.workload import ArrivalSpec
+from repro.sharing import SharingSpec
 
 
 def hot_config(**overrides):
-    """Heavy arrivals on few titles: piggyback windows fill up."""
+    """Many terminals on few short titles: launch windows fill up."""
     defaults = dict(
         nodes=2,
         disks_per_node=2,
-        terminals=1,
+        terminals=24,
         videos_per_disk=1,  # 4 titles: concurrent same-title starts
-        video_length_s=600.0,
+        video_length_s=20.0,
         server_memory_bytes=256 * MB,
-        piggyback_window_s=2.0,
-        start_spread_s=4.0,
+        sharing=SharingSpec(policy="batch", window_s=3.0),
+        initial_position_fraction=0.0,
+        start_spread_s=6.0,
         warmup_grace_s=6.0,
-        measure_s=30.0,
-        seed=11,
-        workload=ArrivalSpec(
-            process="poisson",
-            rate_per_s=1.0,
-            mean_view_duration_s=20.0,
-            queue_limit=16,
-            mean_patience_s=8.0,
-        ),
+        measure_s=40.0,
+        seed=3,
     )
     defaults.update(overrides)
     return SpiffiConfig(**defaults)
 
 
-def run_whole(config, until=40.0):
+def run_whole(config, until=60.0):
     """Run without the warmup reset so counters are whole-run totals."""
     system = SpiffiSystem(config)
     system.start()
@@ -47,39 +42,34 @@ def run_whole(config, until=40.0):
     return system
 
 
-class _Silence:
-    """Zero-rate profile: swapping it in stops further arrivals."""
-
-    def rate_at(self, t):
-        return 0.0
+def in_window(system):
+    """Terminals admitted and waiting in a still-open launch window."""
+    return sum(batch.live for batch in system.sharing._batches.values())
 
 
 class TestNoDoubleCounting:
     def test_batched_sessions_each_counted_once(self):
         system = run_whole(hot_config())
-        stats = system.workload.stats
+        stats = system.sharing.stats
         # Piggybacking actually engaged (same-title concurrent starts).
-        assert system.piggyback.terminals_batched > 0
-        # One admission grant per admitted session, even inside batches.
-        assert system.admission.admitted == stats.admitted
-        # Let open piggyback windows drain with arrivals silenced: every
-        # admitted session must then own exactly one terminal.
-        system.workload.process = _Silence()
-        system.env.run(until=45.0)
-        assert len(system.terminals) == system.workload.stats.admitted
-        # Ledger closes: every offer is admitted, rejected, or queued.
-        stats = system.workload.stats
-        in_queue = system.admission.queue_length
-        assert stats.offered == (
-            stats.admitted + stats.balked + stats.reneged + in_queue
+        assert stats.batch_followers > 0
+        # One admission grant per start: each one has launched, as a
+        # batch leader or follower, or waits in an open window.
+        assert system.admission.admitted == (
+            stats.batches_launched + stats.batch_followers + in_window(system)
         )
+        # Uncapped, every terminal holds exactly one slot.
+        assert system.admission.active == len(system.terminals)
 
     def test_piggyback_stats_consistent(self):
-        system = run_whole(hot_config())
-        pig = system.piggyback
-        assert pig.terminals_joined == system.workload.stats.admitted
-        assert pig.terminals_batched < pig.terminals_joined
-        assert 0.0 < pig.sharing_fraction < 1.0
+        metrics = run_simulation(hot_config())
+        assert 0 < metrics.batches_launched < metrics.shared_streams
+        assert metrics.merged_sessions == 0
+        assert metrics.sharing_fraction == (
+            metrics.shared_streams
+            / (metrics.batches_launched + metrics.shared_streams)
+        )
+        assert 0.0 < metrics.sharing_fraction < 1.0
 
 
 class TestAtomicBatchUnderCap:
@@ -88,39 +78,34 @@ class TestAtomicBatchUnderCap:
         system = run_whole(
             hot_config(admission=AdmissionSpec("fixed", max_streams=cap))
         )
-        stats = system.workload.stats
-        # The load genuinely exceeded the cap at some point.
-        assert system.admission.queued > 0
-        # Slots are held per session even through batch launches.
-        assert system.admission.active <= cap
-        live = stats.admitted - stats.completed - stats.abandoned
-        assert system.admission.active == live
-        assert system.admission.admitted == stats.admitted
+        admission = system.admission
+        # The load genuinely exceeded the cap.
+        assert admission.queue_length > 0
+        # Slots are held per terminal even through batch launches:
+        # every terminal either holds exactly one slot or queues.
+        assert admission.active <= cap
+        assert admission.active + admission.queue_length == len(system.terminals)
 
     def test_released_slots_flow_to_queued_sessions(self):
         cap = 4
         system = run_whole(
-            hot_config(admission=AdmissionSpec("fixed", max_streams=cap)),
-            until=60.0,
+            hot_config(admission=AdmissionSpec("fixed", max_streams=cap))
         )
-        # Churn (20s mean views) frees slots; queued sessions claim them.
-        assert system.admission.wait_times.count > 0
-        waited = [
-            wait for wait in [system.admission.wait_times.maximum] if wait > 0
-        ]
-        assert waited, "no queued session was ever admitted"
+        # Completed viewings free slots; queued terminals claim them.
+        assert system.admission.wait_times.maximum > 0
+        assert system.admission.admitted > cap
 
     def test_capped_piggyback_run_is_deterministic(self):
         config = hot_config(admission=AdmissionSpec("fixed", max_streams=6))
         first = run_simulation(config)
         second = run_simulation(config)
         assert first.deterministic_dict() == second.deterministic_dict()
-        assert first.admitted_sessions < first.offered_sessions
+        assert first.batches_launched > 0
 
 
 class TestPiggybackStillBatchesClosedTerminals:
     def test_closed_piggyback_unaffected_by_workload_layer(self):
-        """The closed piggyback path (§8.2) must not notice the new
+        """The closed piggyback path (§8.2) must not notice the
         workload machinery."""
         config = SpiffiConfig(
             nodes=2,
@@ -129,7 +114,7 @@ class TestPiggybackStillBatchesClosedTerminals:
             videos_per_disk=1,
             video_length_s=120.0,
             server_memory_bytes=256 * MB,
-            piggyback_window_s=4.0,
+            sharing=SharingSpec(policy="batch", window_s=4.0),
             start_spread_s=2.0,
             warmup_grace_s=4.0,
             measure_s=20.0,
@@ -137,5 +122,5 @@ class TestPiggybackStillBatchesClosedTerminals:
         )
         system = run_whole(config, until=25.0)
         assert system.workload is None
-        assert system.piggyback.terminals_batched > 0
+        assert system.sharing.stats.batch_followers > 0
         assert system.admission.admitted >= 12
