@@ -8,13 +8,14 @@ adds the installation-level layers around it:
   (``partitioned`` / ``replicated`` / ``hybrid-hot-replicated``);
 * :mod:`~repro.cluster.routing` — which replica host serves a session
   (``least-loaded`` / ``consistent-hash`` / ``locality``);
-* :mod:`~repro.cluster.sessions` — the cluster-wide open workload with
-  cross-node failover when a member drops;
 * :mod:`~repro.cluster.selfheal` / :mod:`~repro.cluster.rebuild` — the
   self-healing layer: catalog re-replication onto survivors, node
   rejoin resync, and placement-aware (spill) admission;
 * :mod:`~repro.cluster.system` — N members on one simulation
-  environment, scripted node outages, cluster-wide metrics.
+  environment, scripted node outages, cluster-wide metrics, and the
+  front door that :class:`repro.workload.generator.SessionGenerator`
+  drives: the same session lifecycle as a standalone server, plus
+  cross-node failover when a member drops.
 
 Everything is registry-backed and deterministic, and the degenerate
 1-node closed cluster is bit-identical to the standalone system.
@@ -36,15 +37,12 @@ from repro.cluster.routing import (
     router_names,
 )
 from repro.cluster.selfheal import RebuildPlan, SelfHealSpec
-from repro.cluster.sessions import ClusterSessionGenerator, ClusterSessionStats
 from repro.cluster.system import ClusterStats, SpiffiCluster, run_cluster
 
 __all__ = [
     "CatalogPlacement",
     "ClusterConfig",
     "ClusterRebuildManager",
-    "ClusterSessionGenerator",
-    "ClusterSessionStats",
     "ClusterStats",
     "PlacementSpec",
     "RebuildPlan",

@@ -3,7 +3,9 @@
 ``SpiffiCluster`` builds N :class:`~repro.core.node.SpiffiNode` members
 onto **one** shared simulation environment, joined by a dedicated
 interconnect :class:`~repro.netsim.bus.NetworkBus` and fronted by the
-placement/routing/session layers of this package.  Cross-node health is
+placement/routing layers of this package.  The cluster is the front door
+that :class:`~repro.workload.generator.SessionGenerator` drives, the same
+session lifecycle a standalone server runs.  Cross-node health is
 tracked by reusing :class:`repro.replication.health.HealthMonitor` —
 it is generic over indices, so the same SUSPECT/DOWN ranking that
 routes replica reads around sick disks routes sessions around sick
@@ -43,7 +45,6 @@ from repro.cluster.config import ClusterConfig
 from repro.cluster.metrics import collect_cluster_metrics
 from repro.cluster.rebuild import ClusterRebuildManager
 from repro.cluster.selfheal import RebuildPlan
-from repro.cluster.sessions import ClusterSessionGenerator
 from repro.core.metrics import RunMetrics
 from repro.core.node import SpiffiNode
 from repro.faults.schedule import FaultEvent
@@ -55,6 +56,7 @@ from repro.replication.health import HealthMonitor
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.rng import RandomSource
+from repro.workload.generator import SessionGenerator
 from repro.workload.qos import QosMonitor
 
 
@@ -89,11 +91,15 @@ class ClusterStats:
 class SpiffiCluster:
     """N SPIFFI nodes, one environment, one front door."""
 
+    #: Sessions draw their title on arrival: routing needs it.
+    select_on_arrival = True
+
     def __init__(self, config: ClusterConfig) -> None:
         self.config = config
         self.env = Environment()
         base = config.node
         self.placement = config.placement.build(config.nodes, base.video_count)
+        self.catalog_size = self.placement.catalog_size
         # Scripted outages + rebuild: plan the re-replication at build
         # time so every destination member is born with the spare
         # library/layout slots its future copies will land in.  With
@@ -143,9 +149,9 @@ class SpiffiCluster:
         self.proxy_runtime: ProxyRuntime | None = None
         if config.proxy.enabled:
             self._build_proxy()
-        self.workload: ClusterSessionGenerator | None = None
+        self.workload: SessionGenerator | None = None
         if config.workload.enabled:
-            self.workload = ClusterSessionGenerator(
+            self.workload = SessionGenerator(
                 self.env,
                 self,
                 config.workload,
@@ -226,6 +232,22 @@ class SpiffiCluster:
         self.rebuild_manager.trace = recorder
         self.health.trace = recorder
         return recorder
+
+    # ------------------------------------------------------------------
+    # The front door the session generator drives
+    # ------------------------------------------------------------------
+    def route(self, title: int) -> int | None:
+        """The member to place a session for *title* on, or None."""
+        return self.router.route(title)
+
+    def local_id(self, title: int, node: int) -> int:
+        return self.placement.local_id(title, node)
+
+    def place(self):
+        """Generator (``yield from``): every placement, failover
+        re-routes and spills included, sends one routing message over
+        the interconnect before the member is engaged."""
+        return self.interconnect.transfer(self.config.node.control_message_bytes)
 
     # ------------------------------------------------------------------
     # Member availability (consulted by the router and sessions)

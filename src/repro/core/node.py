@@ -40,7 +40,7 @@ from repro.sim.rng import RandomSource
 from repro.storage.drive import DiskDrive
 from repro.storage.geometry import DiskGeometry
 from repro.terminal.terminal import Terminal
-from repro.workload.generator import SessionGenerator
+from repro.workload.generator import SessionGenerator, SingleServer
 from repro.workload.qos import QosMonitor
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -287,7 +287,7 @@ class SpiffiNode:
         if config.workload.enabled:
             self.terminals: list[Terminal] = []
             self.workload = SessionGenerator(
-                self.env, self, config.workload, rng.spawn("workload")
+                self.env, SingleServer(self), config.workload, rng.spawn("workload")
             )
         elif closed_terminals:
             self.terminals = [

@@ -75,6 +75,25 @@ class TestStripedLayout:
         for disk in range(4):
             assert layout.disk_used_bytes(disk) == per_disk[disk]
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP 4(d)")
+    def test_remainder_blocks_land_on_the_accounted_disks(self):
+        # 6 blocks over 2 nodes x 2 disks leave 2 remainder blocks.  The
+        # fill accounting gives them to disks 0 and 1, but locate sends
+        # block 5 to node 1 / disk 0, which is global disk 2.  Video 1's
+        # fragment on disk 2 then starts under video 0's last block.
+        counts = (6, 4)
+        block = 512 * 1024
+        layout = StripedLayout(list(counts), 2, 2, block)
+        extents = {disk: [] for disk in range(4)}
+        for video, count in enumerate(counts):
+            for index in range(count):
+                placement = layout.locate(video, index)
+                extents[placement.disk_global].append(placement.byte_offset)
+        for disk, offsets in extents.items():
+            offsets.sort()
+            assert all(b - a >= block for a, b in zip(offsets, offsets[1:]))
+            assert offsets[-1] + block <= layout.disk_used_bytes(disk)
+
     @given(
         nodes=st.integers(min_value=1, max_value=4),
         disks=st.integers(min_value=1, max_value=4),
