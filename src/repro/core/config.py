@@ -249,7 +249,7 @@ class SpiffiConfig:
             )
         if self.videos_per_disk < 1:
             raise ValueError(f"need >= 1 video per disk, got {self.videos_per_disk}")
-        for name in ("video_length_s", "measure_s"):
+        for name in ("video_bit_rate_bps", "frames_per_second", "video_length_s", "measure_s"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):  # also rejects NaN
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -1,9 +1,11 @@
 """The video library: the catalog of titles stored on the server.
 
 The paper's library holds 4 one-hour videos per disk; each video's frame
-sequence is fixed across plays.  Frame sequences are memoised
-process-wide so that parameter sweeps re-running many simulations do not
-regenerate (or re-allocate) identical videos.
+sequence is fixed across plays.  The process holds one compact copy of
+each title's derived data: frame sequences are memoised process-wide,
+and each sequence memoises its block schedules, so every probe of a
+search and every system of a sweep reuses the same 4-byte frame offsets
+and the same typed per-block tables instead of rebuilding them.
 """
 
 from __future__ import annotations
@@ -26,7 +28,14 @@ def _sequence(profile: MpegProfile, duration_s: float, seed: int) -> FrameSequen
 
 
 def clear_sequence_cache() -> None:
-    """Drop memoised frame sequences (frees memory between sweeps)."""
+    """Drop memoised frame sequences and their block schedules.
+
+    Emptying each sequence's schedule memo breaks the schedule ->
+    sequence -> memo cycle, so both are freed as soon as no library or
+    system holds them, without waiting for a garbage collection.
+    """
+    for sequence in _SEQUENCE_CACHE.values():
+        sequence.schedules.clear()
     _SEQUENCE_CACHE.clear()
 
 

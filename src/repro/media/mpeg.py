@@ -50,6 +50,12 @@ class MpegProfile:
     #: exponentially distributed sizes observed in real MPEG streams.
     deterministic_sizes: bool = False
 
+    def __post_init__(self) -> None:
+        for name in ("bit_rate_bps", "frames_per_second"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):  # also rejects NaN
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
     @property
     def mean_frame_bytes(self) -> float:
         """Average frame size implied by the bit rate and frame rate."""
@@ -69,14 +75,25 @@ class MpegProfile:
         return tuple(r * unit for r in self.size_ratio)
 
 
+#: Byte offsets fit 4 bytes per frame below this total (4 GiB; one hour
+#: at 4 Mbit/s is 1.8 GB).  Larger titles keep 8-byte offsets.
+_UINT32_LIMIT = 2**32
+
+
 class FrameSequence:
     """The immutable frame schedule of one video.
 
-    The only per-frame data kept is :attr:`cumulative`, one int64 numpy
-    array of byte offsets (8 bytes per frame).  Playback never reads it
-    per frame: :class:`~repro.media.video.BlockSchedule` reduces it,
-    vectorised, to per-block lookup tables once per block size, so a
-    one-hour title keeps about 0.9 MB of frame data.
+    The only per-frame data kept is :attr:`cumulative`, one numpy array
+    of byte offsets: ``uint32`` (4 bytes per frame) when the title is
+    under 4 GiB, ``int64`` otherwise.  Playback never reads it per
+    frame: :class:`~repro.media.video.BlockSchedule` reduces it,
+    vectorised, to per-block lookup tables, so a one-hour title keeps
+    about 0.43 MB of frame data.
+
+    :attr:`schedules` memoises those tables per block size.  Sequences
+    are themselves memoised process-wide (see :mod:`repro.media.library`),
+    so every library and every system built in one process shares one
+    schedule per (title, block size); nothing may write them.
     """
 
     def __init__(self, profile: MpegProfile, duration_s: float, seed: int) -> None:
@@ -106,12 +123,18 @@ class FrameSequence:
         np.rint(sizes, out=sizes)
         np.maximum(sizes, 1.0, out=sizes)
 
+        # Whole numbers below 2**53 sum exactly in float64, so the total
+        # picks the offset dtype before any offset exists.
+        dtype = np.uint32 if sizes.sum() < _UINT32_LIMIT else np.int64
         #: ``cumulative[i]`` = bytes of all frames before frame ``i``;
         #: ``cumulative[frame_count]`` = total bytes of the video.
-        self.cumulative = np.zeros(self.frame_count + 1, dtype=np.int64)
-        np.cumsum(sizes, dtype=np.int64, out=self.cumulative[1:])
+        self.cumulative = np.zeros(self.frame_count + 1, dtype=dtype)
+        np.cumsum(sizes, dtype=dtype, out=self.cumulative[1:])
         self.total_bytes: int = int(self.cumulative[-1])
         self.fps: float = profile.frames_per_second
+        #: Block size -> its :class:`~repro.media.video.BlockSchedule`,
+        #: filled by :meth:`repro.media.video.Video.schedule`.
+        self.schedules: dict = {}
 
     def frame_of_byte(self, offset: int) -> int:
         """Index of the frame containing byte *offset* (0-based)."""
@@ -140,7 +163,9 @@ class FrameSequence:
         """
         if block_size <= 0:
             raise ValueError(f"block size must be positive, got {block_size}")
-        starts = np.arange(0, self.total_bytes, block_size, dtype=np.int64)
+        # Keys in the offsets' own dtype: mixed dtypes would make
+        # searchsorted copy the offsets to int64 first.
+        starts = np.arange(0, self.total_bytes, block_size, dtype=self.cumulative.dtype)
         return np.searchsorted(self.cumulative, starts, side="right") - 1
 
     def last_frames_of_blocks(self, block_size: int) -> np.ndarray:
@@ -149,7 +174,8 @@ class FrameSequence:
             raise ValueError(f"block size must be positive, got {block_size}")
         total = self.total_bytes
         ends = np.arange(block_size, total + block_size, block_size, dtype=np.int64)
-        ends = np.minimum(ends, total) - 1
+        # Built in int64: the last end may pass 2**32 before the clamp.
+        ends = (np.minimum(ends, total) - 1).astype(self.cumulative.dtype)
         return np.searchsorted(self.cumulative, ends, side="right") - 1
 
     def block_count(self, block_size: int) -> int:

@@ -81,6 +81,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=re.escape(message)):
             SpiffiConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["video_bit_rate_bps", "frames_per_second"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_stream_rate_names_field_and_value(self, field, value):
+        message = f"{field} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SpiffiConfig(**{field: value})
+
 
 class TestLegacyStrings:
     """Bare component-name strings no longer coerce: specs only."""

@@ -9,13 +9,16 @@ offsets, so the tables are pinned to the formulas they replace.
 
 import tracemalloc
 from bisect import bisect_right
+from itertools import accumulate
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import KB, MB
 from repro.media import BlockSchedule, FrameSequence, MpegProfile
+from repro.proxy.runtime import prefix_block_count
 
 
 def reference_tables(sequence, block_size):
@@ -40,8 +43,8 @@ def assert_tables_match(sequence, block_size):
     schedule = BlockSchedule(sequence, block_size)
     displayable, edge_span = reference_tables(sequence, block_size)
     assert len(schedule.displayable) == len(schedule.edge_span) == schedule.block_count + 1
-    assert schedule.displayable == displayable
-    assert schedule.edge_span == edge_span
+    assert list(schedule.displayable) == displayable
+    assert list(schedule.edge_span) == edge_span
     assert all(type(value) is int for value in schedule.displayable)
     assert all(type(value) is int for value in schedule.edge_span)
     return schedule
@@ -94,16 +97,73 @@ class TestEdgeCases:
         sequence = FrameSequence(MpegProfile(), 10.0, 2)
         schedule = BlockSchedule(sequence, 64 * KB)
         assert schedule.displayable[:-1] == schedule.first_frame
-        assert all(
-            a is b for a, b in zip(schedule.displayable, schedule.first_frame)
-        )
+        assert schedule.displayable.itemsize == schedule.first_frame.itemsize == 8
         assert schedule.displayable[-1] == sequence.frame_count
 
 
-def test_one_hour_title_retains_under_two_megabytes():
-    """A 1-hour title plus its Table-1 schedule keeps one int64 array of
-    byte offsets and a few per-block lists: about 1.2 MB.  A per-frame
-    Python int list (36 bytes per frame) alone would add 3.9 MB."""
+def reference_offsets(profile, frame_count):
+    """Deterministic-size byte offsets, summed in Python ints."""
+    sizes_by_type = [max(1, round(mean)) for mean in profile.mean_type_bytes()]
+    pattern = profile.gop_pattern
+    sizes = [sizes_by_type[pattern[i % len(pattern)]] for i in range(frame_count)]
+    return [0, *accumulate(sizes)]
+
+
+class TestOffsetDtype:
+    """4-byte offsets below 4 GiB, 8-byte offsets from 4 GiB on, same answers."""
+
+    #: Deterministic 60 s titles 16 bytes under and 104 bytes over 2**32.
+    UNDER = MpegProfile(bit_rate_bps=572_662_200.0, deterministic_sizes=True)
+    OVER = MpegProfile(bit_rate_bps=572_662_300.0, deterministic_sizes=True)
+
+    def test_pair_straddles_the_limit(self):
+        under = FrameSequence(self.UNDER, 60.0, 0)
+        over = FrameSequence(self.OVER, 60.0, 0)
+        assert under.total_bytes == 2**32 - 16
+        assert over.total_bytes == 2**32 + 104
+        assert under.cumulative.dtype == np.uint32
+        assert over.cumulative.dtype == np.int64
+        assert type(under.total_bytes) is type(over.total_bytes) is int
+
+    @pytest.mark.parametrize("which", ["UNDER", "OVER"])
+    def test_offsets_tables_and_lookups_match_reference(self, which):
+        profile = getattr(self, which)
+        sequence = FrameSequence(profile, 60.0, 0)
+        offsets = reference_offsets(profile, sequence.frame_count)
+        assert sequence.cumulative.tolist() == offsets
+        total, block_size = offsets[-1], 512 * KB
+        schedule = assert_tables_match(sequence, block_size)
+        starts = range(0, total, block_size)
+        assert list(schedule.first_frame) == [
+            bisect_right(offsets, start) - 1 for start in starts
+        ]
+        assert list(schedule.last_frame) == [
+            bisect_right(offsets, min(start + block_size, total) - 1) - 1
+            for start in starts
+        ]
+        for byte in (0, 1, 2**31, 2**32 - 17, 2**32 - 16, 2**32 - 1, 2**32, total - 1):
+            if byte < total:
+                assert sequence.frame_of_byte(byte) == bisect_right(offsets, byte) - 1
+            assert sequence.frames_displayable(byte) == bisect_right(offsets, byte) - 1
+        for prefix_s in (0.5, 10.0, 59.9, 60.0, 120.0):
+            frames = min(sequence.frame_count, int(prefix_s * sequence.fps))
+            expected = min(schedule.block_count, -(-offsets[frames] // block_size))
+            assert prefix_block_count(schedule, prefix_s) == expected
+
+    def test_title_of_four_gib_or_more_keeps_int64(self):
+        sequence = FrameSequence(MpegProfile(bit_rate_bps=12e6), 3600.0, 0)
+        assert sequence.total_bytes >= 2**32
+        assert sequence.cumulative.dtype == np.int64
+        assert int(sequence.cumulative[-1]) == sequence.total_bytes
+        assert (np.diff(sequence.cumulative) > 0).all()
+        assert_tables_match(sequence, 512 * KB)
+
+
+def test_one_hour_title_retains_under_three_quarters_of_a_megabyte():
+    """A 1-hour title plus its Table-1 schedule keeps one uint32 array of
+    byte offsets and four typed per-block tables: about 0.53 MB.  Int64
+    offsets and per-block int lists took 1.14 MB; a per-frame Python int
+    list (36 bytes per frame) alone would add 3.9 MB."""
     # Warm up first, so lazy imports (numpy.random) are not counted.
     BlockSchedule(FrameSequence(MpegProfile(), 1.0, 0), 512 * KB)
     tracemalloc.start()
@@ -115,5 +175,5 @@ def test_one_hour_title_retains_under_two_megabytes():
     finally:
         tracemalloc.stop()
     assert schedule.block_count > 3000
-    assert retained < 2 * MB, f"retained {retained / MB:.2f} MB"
+    assert retained < 0.75 * MB, f"retained {retained / MB:.2f} MB"
 

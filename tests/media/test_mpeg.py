@@ -33,6 +33,14 @@ class TestMpegProfile:
         assert pattern_mean == pytest.approx(profile.mean_frame_bytes)
 
 
+    @pytest.mark.parametrize("field", ["bit_rate_bps", "frames_per_second"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_stream_rate_names_field_and_value(self, field, value):
+        message = f"{field} must be positive and finite, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MpegProfile(**{field: value})
+
+
 class TestFrameSequence:
     def make(self, duration=10.0, seed=0):
         return FrameSequence(MpegProfile(), duration, seed)
@@ -128,7 +136,8 @@ class TestFrameSequence:
         seq = self.make()
         arrays = [name for name, value in vars(seq).items() if isinstance(value, np.ndarray)]
         assert arrays == ["cumulative"]
-        assert seq.cumulative.dtype == np.int64
+        # Ten seconds is far below 4 GiB: 4 bytes per frame offset.
+        assert seq.cumulative.dtype == np.uint32
         assert type(seq.total_bytes) is int
 
     @given(
@@ -149,9 +158,10 @@ class TestFrameSequence:
         assert (np.diff(last) >= 0).all()
 
 
-#: sha256 of ``cumulative.tobytes()`` per (profile, duration, seed),
-#: recorded before frame sizes were rounded in place; any change to how
-#: a title's frame stream is generated shows here.
+#: sha256 of the int64 bytes of ``cumulative`` per (profile, duration,
+#: seed), recorded before frame sizes were rounded in place and before
+#: offsets were stored as uint32; any change to how a title's frame
+#: stream is generated shows here.
 FRAME_STREAM_DIGESTS = [
     (MpegProfile(), 3600.0, 0, 108000,
      "d6c2e74782a9992028d030526bba2c0d1598b8ab1e59588e5b1daf6639436d63"),
@@ -176,4 +186,5 @@ FRAME_STREAM_DIGESTS = [
 def test_frame_stream_golden(profile, duration, seed, frames, digest):
     seq = FrameSequence(profile, duration, seed)
     assert seq.frame_count == frames
-    assert hashlib.sha256(seq.cumulative.tobytes()).hexdigest() == digest
+    offsets = seq.cumulative.astype(np.int64).tobytes()
+    assert hashlib.sha256(offsets).hexdigest() == digest

@@ -1,14 +1,21 @@
 """Tests for Video, BlockSchedule, VideoLibrary, and access models."""
 
+import hashlib
+import json
+import weakref
+
 import pytest
 
+from repro import MB, SpiffiConfig, run
 from repro.media import (
+    BlockSchedule,
     UniformAccess,
     VideoLibrary,
     ZipfianAccess,
     clear_sequence_cache,
     make_access_model,
 )
+from repro.media.library import _SEQUENCE_CACHE
 from repro.sim import RandomSource
 
 BLOCK = 64 * 1024
@@ -82,6 +89,82 @@ class TestVideoLibrary:
     def test_validation(self):
         with pytest.raises(ValueError):
             VideoLibrary(0, 10.0)
+
+
+def small_config(terminals):
+    return SpiffiConfig(
+        nodes=2,
+        disks_per_node=2,
+        terminals=terminals,
+        videos_per_disk=2,
+        video_length_s=60.0,
+        server_memory_bytes=64 * MB,
+        stripe_bytes=256 * 1024,
+        terminal_memory_bytes=1 * MB,
+        start_spread_s=2.0,
+        warmup_grace_s=3.0,
+        measure_s=20.0,
+        seed=11,
+    )
+
+
+def metrics_digest(metrics) -> str:
+    payload = json.dumps(metrics.deterministic_dict(), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+TABLES = ("first_frame", "last_frame", "displayable", "edge_span")
+
+
+def memoised_schedules():
+    return [
+        schedule
+        for sequence in _SEQUENCE_CACHE.values()
+        for schedule in sequence.schedules.values()
+    ]
+
+
+class TestScheduleMemo:
+    """One schedule per (memoised sequence, block size), shared process-wide."""
+
+    def test_libraries_share_one_schedule(self):
+        a = VideoLibrary(2, 10.0, seed=9)
+        b = VideoLibrary(2, 10.0, seed=9)
+        assert a[1].schedule(BLOCK) is b[1].schedule(BLOCK)
+
+    def test_cache_clear_releases_schedules(self):
+        library = VideoLibrary(1, 10.0, seed=4242)
+        schedule = weakref.ref(library[0].schedule(BLOCK))
+        sequence = weakref.ref(library[0].sequence)
+        del library
+        clear_sequence_cache()
+        # No collection needed: clearing breaks the schedule cycle.
+        assert schedule() is None
+        assert sequence() is None
+
+    def test_run_leaves_shared_tables_unchanged(self):
+        clear_sequence_cache()
+        run(small_config(terminals=8))
+        schedules = memoised_schedules()
+        assert schedules
+        for schedule in schedules:
+            fresh = BlockSchedule(schedule.sequence, schedule.block_size)
+            for name in TABLES:
+                shared = getattr(schedule, name)
+                assert shared.tobytes() == getattr(fresh, name).tobytes(), name
+
+    def test_digest_independent_of_earlier_runs(self):
+        clear_sequence_cache()
+        alone = metrics_digest(run(small_config(terminals=10)))
+        clear_sequence_cache()
+        run(small_config(terminals=6))
+        earlier = memoised_schedules()
+        after = metrics_digest(run(small_config(terminals=10)))
+        assert after == alone
+        # The second run reused the first run's schedules.
+        assert {id(schedule) for schedule in earlier} <= {
+            id(schedule) for schedule in memoised_schedules()
+        }
 
 
 class TestAccessModels:
