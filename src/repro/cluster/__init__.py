@@ -12,17 +12,16 @@ adds the installation-level layers around it:
   self-healing layer: catalog re-replication onto survivors, node
   rejoin resync, and placement-aware (spill) admission;
 * :mod:`~repro.cluster.system` — N members on one simulation
-  environment, scripted node outages, cluster-wide metrics, and the
-  front door that :class:`repro.workload.generator.SessionGenerator`
-  drives: the same session lifecycle as a standalone server, plus
-  cross-node failover when a member drops.
+  environment, scripted node outages, and the front door that
+  :class:`repro.workload.generator.SessionGenerator` drives: the same
+  session lifecycle and the same metrics collector as a standalone
+  server, plus cross-node failover when a member drops.
 
 Everything is registry-backed and deterministic, and the degenerate
 1-node closed cluster is bit-identical to the standalone system.
 """
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.metrics import collect_cluster_metrics
 from repro.cluster.placement import (
     CatalogPlacement,
     PlacementSpec,
@@ -50,7 +49,6 @@ __all__ = [
     "RouterSpec",
     "SelfHealSpec",
     "SpiffiCluster",
-    "collect_cluster_metrics",
     "placement_names",
     "register_placement",
     "register_router",

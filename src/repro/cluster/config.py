@@ -241,9 +241,10 @@ def cluster_cache_dict(config: ClusterConfig) -> dict:
 
 def _run_cluster_config(config: ClusterConfig):
     """The registered executor behind ``run(ClusterConfig)``."""
-    from repro.cluster.system import execute_cluster
+    from repro.cluster.system import SpiffiCluster
+    from repro.telemetry.runstats import execute_timed
 
-    return execute_cluster(config)
+    return execute_timed(SpiffiCluster, config)
 
 
 register_runnable(

@@ -28,24 +28,29 @@ the build-time :class:`~repro.cluster.selfheal.RebuildPlan`), recovered
 members re-sync their stale catalog before re-entering routing, and the
 front door spills arrivals away from full queues instead of balking.
 
+Metrics come from :func:`repro.core.metrics.collect_metrics`, the one
+collector a standalone server (its own sole member) uses too; the
+cluster adds only interconnect traffic, its self-healing counters and
+the diagnostic ``per_node`` rows.
+
 The degenerate cluster — one node, closed workload, ``partitioned``
 placement — builds exactly the standalone system on the same seed and
 is bit-identical to it (pinned by the cluster golden-digest test):
 constructing the bus, health monitor, router, and outage events
-schedules no simulation events and draws no randomness.
+schedules no simulation events and draws no randomness, and its door
+reads the member's own QoS monitor.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
-import time
 
 from repro.cluster.config import ClusterConfig
-from repro.cluster.metrics import collect_cluster_metrics
 from repro.cluster.rebuild import ClusterRebuildManager
 from repro.cluster.selfheal import RebuildPlan
-from repro.core.metrics import RunMetrics
+from repro.core.metrics import RunMetrics, collect_metrics
 from repro.core.node import SpiffiNode
 from repro.faults.schedule import FaultEvent
 from repro.faults.spec import DISK_OUTAGE
@@ -133,7 +138,13 @@ class SpiffiCluster:
             self.env, config.nodes, base.replication.suspect_cooldown_s
         )
         self._down_events = [Event(self.env) for _ in range(config.nodes)]
-        self.qos = QosMonitor(config.workload.startup_slo_s)
+        # A closed cluster's terminals are its sole member's own, fed
+        # into that member's monitor: the door reads the same one.
+        self.qos = (
+            self.members[0].qos
+            if closed
+            else QosMonitor(config.workload.startup_slo_s)
+        )
         self.stats = ClusterStats(config.nodes)
         #: The self-healing layer: re-replication on outage, resync on
         #: rejoin.  None (and zero-cost) unless the config both enables
@@ -375,7 +386,58 @@ class SpiffiCluster:
         self.env.run(until=config.warmup_s)
         self.reset_stats()
         self.env.run(until=config.warmup_s + config.measure_s)
-        return collect_cluster_metrics(self, config.measure_s)
+        return self.collect_metrics(config.measure_s)
+
+    def collect_metrics(self, measure_s: float) -> RunMetrics:
+        """The shared aggregate over the members plus what only a
+        cluster has: interconnect traffic (so the network "peak" is a
+        sum of per-bus peaks, an upper bound — buses peak at different
+        instants), the self-healing counters, and the diagnostic
+        ``per_node`` rows (excluded from digests and equality)."""
+        metrics = collect_metrics(self, measure_s)
+        stats = self.stats
+        routed = [0] * len(self.members)
+        if self.workload is not None:
+            routed = self.workload.stats.routed
+        per_node = []
+        for index, member in enumerate(self.members):
+            utils = member.disk_utilizations()
+            per_node.append(
+                {
+                    "node": index,
+                    "routed": routed[index],
+                    "admissions_queued": member.admission.queued,
+                    "admission_queue_len_max": member.admission.queue_lengths.maximum,
+                    "disk_utilization_mean": sum(utils) / len(utils),
+                    "blocks_delivered": sum(
+                        t.stats.blocks_received for t in member.terminals
+                    ),
+                    "glitches": sum(t.stats.glitches for t in member.terminals),
+                    "available": self.node_available(index),
+                    "rebuild_bytes_in": stats.rebuild_bytes_in[index],
+                    "rebuild_bytes_out": stats.rebuild_bytes_out[index],
+                }
+            )
+        restore_s = 0.0
+        manager = self.rebuild_manager
+        if manager is not None and manager.degree_restored_at is not None:
+            restore_s = manager.degree_restored_at - self.config.faults.fail_nodes_at_s
+        return dataclasses.replace(
+            metrics,
+            network_peak_bytes_per_s=(
+                metrics.network_peak_bytes_per_s + self.interconnect.peak_bandwidth
+            ),
+            network_mean_bytes_per_s=(
+                metrics.network_mean_bytes_per_s + self.interconnect.mean_bandwidth()
+            ),
+            node_titles_rebuilt=stats.titles_rebuilt,
+            node_titles_unrecoverable=stats.titles_unrecoverable,
+            node_rebuild_bytes=stats.rebuild_bytes,
+            replication_restore_s=restore_s,
+            rejoin_resyncs=stats.rejoin_resyncs,
+            rejoin_resync_bytes=stats.rejoin_resync_bytes,
+            per_node=tuple(per_node),
+        )
 
     def reset_stats(self) -> None:
         """Begin the measurement window: zero every statistic."""
@@ -388,23 +450,6 @@ class SpiffiCluster:
             self.proxy_runtime.reset_stats()
         if self.workload is not None:
             self.workload.reset_stats()
-
-
-def execute_cluster(config: ClusterConfig) -> RunMetrics:
-    """The registered executor behind ``run(ClusterConfig)``.
-
-    Mirrors :func:`repro.core.system.execute_simulation`: the returned
-    metrics carry execution accounting (wall time and events processed,
-    covering construction plus the run).
-    """
-    from repro.telemetry.runstats import RunStopwatch
-
-    started = time.perf_counter()
-    cluster = SpiffiCluster(config)
-    with RunStopwatch(cluster.env) as watch:
-        metrics = cluster.run()
-    watch.wall_time_s = time.perf_counter() - started
-    return watch.stamp(metrics)
 
 
 def run_cluster(config: ClusterConfig) -> RunMetrics:

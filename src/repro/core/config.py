@@ -347,11 +347,12 @@ def config_cache_dict(config: SpiffiConfig) -> dict:
 
 
 def _run_spiffi_config(config: SpiffiConfig):
-    # Lazy: repro.core.system imports this module, so the executor can
-    # only be resolved at call time.
-    from repro.core.system import execute_simulation
+    # Lazy: repro.core.system imports this module, so the system class
+    # can only be resolved at call time.
+    from repro.core.system import SpiffiSystem
+    from repro.telemetry.runstats import execute_timed
 
-    return execute_simulation(config)
+    return execute_timed(SpiffiSystem, config)
 
 
 # Registered here — in the module that *defines* the class — so any

@@ -6,7 +6,8 @@ import dataclasses
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.core.system import SpiffiSystem
+    from repro.cluster.system import SpiffiCluster
+    from repro.core.node import SpiffiNode
 
 MB = 1024 * 1024
 
@@ -293,71 +294,75 @@ class RunMetrics:
         return text
 
 
-def collect_metrics(system: "SpiffiSystem", measure_s: float) -> RunMetrics:
-    """Read the post-measurement statistics out of a finished system."""
-    terminals = system.terminals
-    replication = getattr(system, "replication", None)
-    repl_stats = replication.stats if replication is not None else None
-    workload = getattr(system, "workload", None)
-    sessions = workload.stats if workload is not None else None
-    proxy = getattr(system, "proxy_runtime", None)
-    proxy_stats = proxy.stats if proxy is not None else None
-    sharing = getattr(system, "sharing", None)
-    share_leaders = share_followers = merged = chain_reads = chain_breaks = 0
-    if sharing is not None:
-        share_leaders = sharing.stats.batches_launched
-        share_followers = sharing.stats.batch_followers
-        merged = sharing.stats.merged_sessions
-        chain_reads = sharing.stats.chain_reads
-        chain_breaks = sharing.stats.chain_breaks
-    shared_streams = share_followers + merged
-    qos = getattr(system, "qos", None)
-    pools = [node.pool for node in system.nodes]
-    drives = [drive for node in system.nodes for drive in node.drives]
-    prefetchers = [p for node in system.nodes for p in node.prefetchers]
-    now = system.env.now
+def _pooled_mean(tallies) -> float:
+    """Count-weighted mean of several tallies (0.0 when all are empty)."""
+    count = sum(t.count for t in tallies)
+    return sum(t.mean * t.count for t in tallies) / count if count else 0.0
+
+
+def _member_mean(tallies) -> float:
+    """Pool per-member tallies by count, but return a sole member's own
+    running mean: ``mean * count / count`` can differ from it in the
+    last bit, and a standalone digest must not."""
+    return tallies[0].mean if len(tallies) == 1 else _pooled_mean(tallies)
+
+
+def collect_metrics(
+    door: "SpiffiNode | SpiffiCluster", measure_s: float
+) -> RunMetrics:
+    """Read the post-measurement statistics out of a finished front door.
+
+    Aggregates over ``door.members`` (a standalone server is its own
+    sole member): counters sum, utilizations average over devices,
+    latency means are count-weighted, maxima take the max.  Sessions,
+    startup QoS and the proxy tier belong to the front door, which
+    sees every customer whichever member served them.  The admission
+    queue-length max is the largest single-member queue, not the
+    instantaneous sum over members.
+    """
+    members = door.members
+    terminals = [t for member in members for t in member.terminals]
+    servers = [node for member in members for node in member.nodes]
+    pools = [node.pool for node in servers]
+    drives = [drive for node in servers for drive in node.drives]
+    prefetchers = [p for node in servers for p in node.prefetchers]
+    admissions = [member.admission for member in members]
+    faults = [m.faults.stats for m in members if m.faults is not None]
+    repl_stats = [m.replication.stats for m in members if m.replication is not None]
+    sharing = [m.sharing.stats for m in members if m.sharing is not None]
+    sessions = door.workload.stats if door.workload is not None else None
+    proxy = door.proxy_runtime.stats if door.proxy_runtime is not None else None
+    qos = door.qos
+    now = door.env.now
 
     references = sum(pool.stats.references for pool in pools)
     hits = sum(pool.stats.hits for pool in pools)
     inflight = sum(pool.stats.inflight_hits for pool in pools)
     rereferences = sum(pool.stats.rereferences for pool in pools)
-
-    glitch_durations = [
-        terminal.stats.glitch_durations for terminal in terminals
-    ]
-    total_glitch_events = sum(t.count for t in glitch_durations)
-    glitch_time = sum(t.mean * t.count for t in glitch_durations)
-
-    response_counts = sum(t.stats.response_time.count for t in terminals)
-    response_total = sum(
-        t.stats.response_time.mean * t.stats.response_time.count for t in terminals
-    )
     response_max = max(
         (t.stats.response_time.maximum for t in terminals if t.stats.response_time.count),
         default=0.0,
     )
-    startup_counts = sum(t.stats.startup_latency.count for t in terminals)
-    startup_total = sum(
-        t.stats.startup_latency.mean * t.stats.startup_latency.count for t in terminals
-    )
     disk_utils = [drive.busy.utilization(now) for drive in drives]
+    share_leaders = sum(s.batches_launched for s in sharing)
+    shared_streams = sum(s.batch_followers + s.merged_sessions for s in sharing)
 
     return RunMetrics(
         terminals=len(terminals),
         measure_s=measure_s,
         glitches=sum(t.stats.glitches for t in terminals),
         glitching_terminals=sum(1 for t in terminals if t.stats.glitches),
-        mean_glitch_duration_s=(
-            glitch_time / total_glitch_events if total_glitch_events else 0.0
+        mean_glitch_duration_s=_pooled_mean(
+            [t.stats.glitch_durations for t in terminals]
         ),
         disk_utilization_mean=sum(disk_utils) / len(disk_utils),
         disk_utilization_min=min(disk_utils),
         disk_utilization_max=max(disk_utils),
         cpu_utilization_mean=(
-            sum(node.cpu.utilization() for node in system.nodes) / len(system.nodes)
+            sum(node.cpu.utilization() for node in servers) / len(servers)
         ),
-        network_peak_bytes_per_s=system.bus.peak_bandwidth,
-        network_mean_bytes_per_s=system.bus.mean_bandwidth(),
+        network_peak_bytes_per_s=sum(m.bus.peak_bandwidth for m in members),
+        network_mean_bytes_per_s=sum(m.bus.mean_bandwidth() for m in members),
         buffer_references=references,
         buffer_hit_rate=hits / references if references else 0.0,
         buffer_inflight_hit_rate=inflight / references if references else 0.0,
@@ -367,26 +372,22 @@ def collect_metrics(system: "SpiffiSystem", measure_s: float) -> RunMetrics:
         allocation_waits=sum(pool.stats.allocation_waits for pool in pools),
         prefetches_issued=sum(p.stats.issued for p in prefetchers),
         prefetches_completed=sum(p.stats.completed for p in prefetchers),
-        mean_response_time_s=response_total / response_counts if response_counts else 0.0,
+        mean_response_time_s=_pooled_mean([t.stats.response_time for t in terminals]),
         max_response_time_s=response_max,
         deadline_misses=sum(t.stats.deadline_misses for t in terminals),
         blocks_delivered=sum(t.stats.blocks_received for t in terminals),
-        mean_startup_latency_s=startup_total / startup_counts if startup_counts else 0.0,
+        mean_startup_latency_s=_pooled_mean(
+            [t.stats.startup_latency for t in terminals]
+        ),
         videos_completed=sum(t.stats.videos_completed for t in terminals),
         pauses_taken=sum(t.stats.pauses_taken for t in terminals),
-        admissions_queued=system.admission.queued,
-        admission_mean_wait_s=system.admission.wait_times.mean,
+        admissions_queued=sum(a.queued for a in admissions),
+        admission_mean_wait_s=_member_mean([a.wait_times for a in admissions]),
         fault_glitches=sum(t.stats.fault_glitches for t in terminals),
-        fault_events_injected=(
-            system.faults.stats.events_injected if system.faults else 0
-        ),
-        fault_retries=system.faults.stats.retries if system.faults else 0,
-        fault_abandoned_reads=(
-            system.faults.stats.abandoned_reads if system.faults else 0
-        ),
-        fault_failed_reads=(
-            system.faults.stats.failed_reads if system.faults else 0
-        ),
+        fault_events_injected=sum(f.events_injected for f in faults),
+        fault_retries=sum(f.retries for f in faults),
+        fault_abandoned_reads=sum(f.abandoned_reads for f in faults),
+        fault_failed_reads=sum(f.failed_reads for f in faults),
         offered_sessions=sessions.offered if sessions else 0,
         admitted_sessions=sessions.admitted if sessions else 0,
         balked_sessions=sessions.balked if sessions else 0,
@@ -394,39 +395,36 @@ def collect_metrics(system: "SpiffiSystem", measure_s: float) -> RunMetrics:
         completed_sessions=sessions.completed if sessions else 0,
         abandoned_sessions=sessions.abandoned if sessions else 0,
         arrival_rate_per_s=(sessions.offered / measure_s if sessions else 0.0),
-        startup_p50_s=qos.startup_quantile(0.5) if qos else 0.0,
-        startup_p95_s=qos.startup_quantile(0.95) if qos else 0.0,
-        startup_p99_s=qos.startup_quantile(0.99) if qos else 0.0,
-        startup_slo_attainment=qos.slo_attainment if qos else 0.0,
-        admission_max_wait_s=system.admission.max_wait_s,
-        admission_queue_len_mean=system.admission.queue_lengths.mean(now),
-        admission_queue_len_max=system.admission.queue_lengths.maximum,
-        failover_reads=repl_stats.failover_reads if repl_stats else 0,
-        remote_replica_reads=(
-            repl_stats.remote_replica_reads if repl_stats else 0
-        ),
-        rebuild_reads=repl_stats.rebuild_reads if repl_stats else 0,
-        rebuild_blocks=repl_stats.rebuild_blocks if repl_stats else 0,
-        rebuild_io_bytes=repl_stats.rebuild_bytes if repl_stats else 0,
-        rebuilds_completed=repl_stats.rebuilds_completed if repl_stats else 0,
-        mean_time_to_rebuild_s=(
-            repl_stats.rebuild_durations.mean
-            if repl_stats and repl_stats.rebuild_durations.count
-            else 0.0
-        ),
-        proxy_requests=proxy_stats.requests if proxy_stats else 0,
-        proxy_hits=proxy_stats.hits if proxy_stats else 0,
-        proxy_misses=proxy_stats.misses if proxy_stats else 0,
-        proxy_served_bytes=proxy_stats.served_bytes if proxy_stats else 0,
-        proxy_origin_bytes=proxy_stats.origin_bytes if proxy_stats else 0,
+        startup_p50_s=qos.startup_quantile(0.5),
+        startup_p95_s=qos.startup_quantile(0.95),
+        startup_p99_s=qos.startup_quantile(0.99),
+        startup_slo_attainment=qos.slo_attainment,
+        admission_max_wait_s=max(a.max_wait_s for a in admissions),
+        admission_queue_len_mean=sum(a.queue_lengths.mean(now) for a in admissions),
+        admission_queue_len_max=max(a.queue_lengths.maximum for a in admissions),
+        failover_reads=sum(s.failover_reads for s in repl_stats),
+        remote_replica_reads=sum(s.remote_replica_reads for s in repl_stats),
+        rebuild_reads=sum(s.rebuild_reads for s in repl_stats),
+        rebuild_blocks=sum(s.rebuild_blocks for s in repl_stats),
+        rebuild_io_bytes=sum(s.rebuild_bytes for s in repl_stats),
+        rebuilds_completed=sum(s.rebuilds_completed for s in repl_stats),
+        mean_time_to_rebuild_s=_member_mean([s.rebuild_durations for s in repl_stats]),
+        proxy_requests=proxy.requests if proxy else 0,
+        proxy_hits=proxy.hits if proxy else 0,
+        proxy_misses=proxy.misses if proxy else 0,
+        proxy_served_bytes=proxy.served_bytes if proxy else 0,
+        proxy_origin_bytes=proxy.origin_bytes if proxy else 0,
         batches_launched=share_leaders,
         shared_streams=shared_streams,
-        merged_sessions=merged,
-        chain_reads=chain_reads,
-        chain_breaks=chain_breaks,
+        merged_sessions=sum(s.merged_sessions for s in sharing),
+        chain_reads=sum(s.chain_reads for s in sharing),
+        chain_breaks=sum(s.chain_breaks for s in sharing),
         sharing_fraction=(
             shared_streams / (share_leaders + shared_streams)
             if share_leaders + shared_streams
             else 0.0
         ),
+        failed_over_sessions=sessions.failed_over if sessions else 0,
+        lost_sessions=sessions.lost if sessions else 0,
+        spilled_sessions=sessions.spilled if sessions else 0,
     )

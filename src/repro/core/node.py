@@ -309,6 +309,12 @@ class SpiffiNode:
             self.terminals = []
         self._started = False
 
+    @property
+    def members(self) -> tuple["SpiffiNode"]:
+        """A standalone server is its own sole member, for the session
+        door and :func:`~repro.core.metrics.collect_metrics` alike."""
+        return (self,)
+
     # ------------------------------------------------------------------
     # ServerFabric interface (used by terminals)
     # ------------------------------------------------------------------

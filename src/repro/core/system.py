@@ -12,8 +12,6 @@ digest is untouched.  Multi-node runs go through
 
 from __future__ import annotations
 
-import time
-
 from repro.core.config import SpiffiConfig
 from repro.core.metrics import RunMetrics
 from repro.core.node import ServerFabric, SpiffiNode
@@ -25,26 +23,8 @@ __all__ = [
     "ServerFabric",
     "SpiffiNode",
     "SpiffiSystem",
-    "execute_simulation",
     "run_simulation",
 ]
-
-
-def execute_simulation(config: SpiffiConfig) -> RunMetrics:
-    """The registered executor behind ``run(SpiffiConfig)``.
-
-    The returned metrics carry execution accounting (wall time and
-    simulator events processed, covering construction plus the run) so
-    sweeps can report per-run cost.
-    """
-    from repro.telemetry.runstats import RunStopwatch
-
-    started = time.perf_counter()
-    system = SpiffiSystem(config)
-    with RunStopwatch(system.env) as watch:
-        metrics = system.run()
-    watch.wall_time_s = time.perf_counter() - started
-    return watch.stamp(metrics)
 
 
 def run_simulation(config: SpiffiConfig) -> RunMetrics:

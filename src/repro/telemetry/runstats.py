@@ -51,3 +51,18 @@ class RunStopwatch:
             wall_time_s=self.wall_time_s,
             events_processed=self.events_processed,
         )
+
+
+def execute_timed(system_class: type, config) -> RunMetrics:
+    """Build ``system_class(config)``, run it, and return its metrics
+    stamped with execution accounting (wall time and simulator events
+    processed, covering construction plus the run) so sweeps can report
+    per-run cost.  The registered executor behind ``run(SpiffiConfig)``
+    and ``run(ClusterConfig)``.
+    """
+    started = time.perf_counter()
+    system = system_class(config)
+    with RunStopwatch(system.env) as watch:
+        metrics = system.run()
+    watch.wall_time_s = time.perf_counter() - started
+    return watch.stamp(metrics)

@@ -91,7 +91,7 @@ class SingleServer:
     """The standalone server as a one-member front door that never fails."""
 
     def __init__(self, node: "SpiffiNode") -> None:
-        self.members = [node]
+        self.members = node.members
         self.qos = node.qos
         self.catalog_size = node.library.title_count
         #: A batching session must know its title on arrival to find an

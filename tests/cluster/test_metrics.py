@@ -102,6 +102,14 @@ class TestSingleNodePassthrough:
         clustered = run_cluster(ClusterConfig(node=node))
         assert clustered.deterministic_dict() == direct.deterministic_dict()
 
+    def test_closed_door_reads_its_members_qos_monitor(self):
+        cluster = SpiffiCluster(
+            ClusterConfig(node=small_node(terminals=8, video_length_s=20.0))
+        )
+        metrics = cluster.run()
+        assert cluster.qos.starts > 0
+        assert metrics.startup_slo_attainment == cluster.qos.slo_attainment
+
     def test_execution_accounting_stamped(self):
         metrics = run_cluster(ClusterConfig(node=small_node(terminals=4)))
         assert metrics.events_processed > 0
