@@ -106,6 +106,7 @@ class SpiffiNode:
         self.library = VideoLibrary(
             video_count,
             config.video_length_s,
+            config.stripe_bytes,
             profile,
             seed=config.seed,
             search_speedup=config.search_version_speedup,

@@ -4,25 +4,35 @@ The paper's library holds 4 one-hour videos per disk; each video's frame
 sequence is fixed across plays.  The process holds one compact copy of
 each title's derived data: frame sequences are memoised process-wide,
 and each sequence memoises its block schedules, so every probe of a
-search and every system of a sweep reuses the same 4-byte frame offsets
-and the same typed per-block tables instead of rebuilding them.
+search and every system of a sweep reuses the same typed per-block
+tables instead of rebuilding them.  No per-frame data is kept: a title
+is generated once, at the library's block size, and reduced to its
+tables on the spot.
 """
 
 from __future__ import annotations
 
-from repro.media.mpeg import FrameSequence, MpegProfile
+from repro.media.mpeg import FrameSequence, FrameWorkspace, MpegProfile
 from repro.media.video import Video
 
 _SEQUENCE_CACHE: dict[tuple, FrameSequence] = {}
 
 
-def _sequence(profile: MpegProfile, duration_s: float, seed: int) -> FrameSequence:
+def _sequence(
+    profile: MpegProfile,
+    duration_s: float,
+    seed: int,
+    block_size: int,
+    workspace: FrameWorkspace,
+) -> FrameSequence:
     # MpegProfile is a frozen dataclass, so the whole profile is a
     # safe cache key — every field that shapes the stream participates.
+    # The block size is not: a memoised sequence schedules another size
+    # on demand (see Video.schedule).
     key = (profile, float(duration_s), seed)
     sequence = _SEQUENCE_CACHE.get(key)
     if sequence is None:
-        sequence = FrameSequence(profile, duration_s, seed)
+        sequence = FrameSequence(profile, duration_s, seed, block_size, workspace)
         _SEQUENCE_CACHE[key] = sequence
     return sequence
 
@@ -50,12 +60,16 @@ class VideoLibrary:
     fast-forward searches" (paper §8.1): a condensed copy holding
     1/speedup of each title's content, striped like any other video.
     Search copies occupy ids ``title_count .. 2*title_count-1``.
+
+    Every title, search copies included, is scheduled at *block_size*
+    (the system's stripe size) as it is generated.
     """
 
     def __init__(
         self,
         video_count: int,
         duration_s: float,
+        block_size: int,
         profile: MpegProfile | None = None,
         seed: int = 0,
         search_speedup: int | None = None,
@@ -71,8 +85,14 @@ class VideoLibrary:
         self.seed = seed
         self.title_count = video_count
         self.search_speedup = search_speedup
+        workspace = FrameWorkspace()
         self.videos = [
-            Video(i, _sequence(self.profile, duration_s, seed * 1_000_003 + i))
+            Video(
+                i,
+                _sequence(
+                    self.profile, duration_s, seed * 1_000_003 + i, block_size, workspace
+                ),
+            )
             for i in range(video_count)
         ]
         if search_speedup is not None:
@@ -84,6 +104,8 @@ class VideoLibrary:
                         self.profile,
                         search_duration,
                         seed * 1_000_003 + video_count + i,
+                        block_size,
+                        workspace,
                     ),
                 )
                 for i in range(video_count)

@@ -20,6 +20,8 @@ from bisect import bisect_right
 
 import numpy as np
 
+from repro.media.video import BlockSchedule
+
 #: Frame-type codes used in a GOP pattern.
 FRAME_I = 0
 FRAME_P = 1
@@ -76,27 +78,57 @@ class MpegProfile:
 
 
 #: Byte offsets fit 4 bytes per frame below this total (4 GiB; one hour
-#: at 4 Mbit/s is 1.8 GB).  Larger titles keep 8-byte offsets.
+#: at 4 Mbit/s is 1.8 GB).  Larger titles get 8-byte offsets.
 _UINT32_LIMIT = 2**32
 
 
+class FrameWorkspace:
+    """Working arrays one library build reuses from title to title.
+
+    Generating a one-hour title needs about 2 MB of per-frame scratch;
+    taking it from buffers that are already paged in, instead of fresh
+    allocations, saves the page faults.  Each buffer grows to the
+    largest title seen and is freed with the workspace.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, size: int, dtype) -> np.ndarray:
+        """A *size*-element *dtype* array; its contents are undefined."""
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.dtype != dtype or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size]
+
+
 class FrameSequence:
-    """The immutable frame schedule of one video.
+    """The immutable frame stream of one video, kept as per-block tables.
 
-    The only per-frame data kept is :attr:`cumulative`, one numpy array
-    of byte offsets: ``uint32`` (4 bytes per frame) when the title is
-    under 4 GiB, ``int64`` otherwise.  Playback never reads it per
-    frame: :class:`~repro.media.video.BlockSchedule` reduces it,
-    vectorised, to per-block lookup tables, so a one-hour title keeps
-    about 0.43 MB of frame data.
+    Construction generates the per-frame byte offsets once, records
+    :attr:`frame_count`, :attr:`total_bytes` and :attr:`fps`, builds the
+    :class:`~repro.media.video.BlockSchedule` for *block_size* from the
+    offsets and drops them: no per-frame array outlives ``__init__``.
+    Terminals request stripe blocks, not frames, so the per-block
+    tables answer every playback question (deadlines, slot freeing,
+    display edges, the block a session starts in); a one-hour title at
+    the Table-1 stripe keeps about 0.11 MB.
 
-    :attr:`schedules` memoises those tables per block size.  Sequences
-    are themselves memoised process-wide (see :mod:`repro.media.library`),
+    :attr:`schedules` memoises the tables per block size; a schedule for
+    another block size regenerates the offsets once.  Sequences are
+    themselves memoised process-wide (see :mod:`repro.media.library`),
     so every library and every system built in one process shares one
     schedule per (title, block size); nothing may write them.
     """
 
-    def __init__(self, profile: MpegProfile, duration_s: float, seed: int) -> None:
+    def __init__(
+        self,
+        profile: MpegProfile,
+        duration_s: float,
+        seed: int,
+        block_size: int,
+        workspace: FrameWorkspace | None = None,
+    ) -> None:
         if not (duration_s > 0 and math.isfinite(duration_s)):
             raise ValueError(
                 f"duration_s must be positive and finite, got {duration_s!r}"
@@ -105,42 +137,78 @@ class FrameSequence:
         self.duration_s = float(duration_s)
         self.seed = seed
         self.frame_count = max(1, int(round(duration_s * profile.frames_per_second)))
+        self.fps: float = profile.frames_per_second
+        offsets = self._generate(workspace or FrameWorkspace())
+        self.total_bytes: int = int(offsets[-1])
+        #: Block size -> its :class:`~repro.media.video.BlockSchedule`;
+        #: :meth:`repro.media.video.Video.schedule` adds other sizes.
+        self.schedules: dict = {block_size: BlockSchedule(self, block_size, offsets)}
 
-        pattern = np.asarray(profile.gop_pattern, dtype=np.int8)
-        repeats = -(-self.frame_count // len(pattern))
-        types = np.tile(pattern, repeats)[: self.frame_count]
+    def offsets(self) -> np.ndarray:
+        """Byte offsets of every frame, regenerated on each call.
 
-        rng = np.random.default_rng(seed)
+        ``offsets()[i]`` is the bytes of all frames before frame ``i``
+        and ``offsets()[frame_count]`` the title's total: ``uint32`` (4
+        bytes a frame) below 4 GiB, ``int64`` otherwise.  The sequence
+        keeps no copy, so each call redraws the whole frame stream from
+        the seed; playback reads the per-block tables instead.
+        """
+        return self._generate(FrameWorkspace())
+
+    def _generate(self, workspace: FrameWorkspace) -> np.ndarray:
+        """Draw the frame sizes and sum them into byte offsets.
+
+        Bit-identical to one ``exponential(mean)`` call per frame type,
+        in I, P, B order, each filling that type's frames in display
+        order: one ``standard_exponential`` fill holds the three
+        segments back to back, each is scaled in place by its type's
+        mean, and each column of the GOP grid takes every k-th draw of
+        its type's segment.  The returned array may be *workspace*'s.
+        """
+        profile, count = self.profile, self.frame_count
+        pattern = profile.gop_pattern
+        period = len(pattern)
+        rows = -(-count // period)
+        # Columns from ``tail`` on are missing from a short last GOP.
+        tail = count - (rows - 1) * period
         means = profile.mean_type_bytes()
-        sizes = np.empty(self.frame_count, dtype=np.float64)
-        for frame_type, mean in zip((FRAME_I, FRAME_P, FRAME_B), means):
-            mask = types == frame_type
-            if profile.deterministic_sizes:
-                sizes[mask] = mean
-            else:
-                sizes[mask] = rng.exponential(mean, size=int(mask.sum()))
+        grid = workspace.take("sizes", rows * period, np.float64).reshape(rows, period)
+        if profile.deterministic_sizes:
+            for column, frame_type in enumerate(pattern):
+                grid[:, column] = means[frame_type]
+        else:
+            draws = workspace.take("draws", count, np.float64)
+            np.random.default_rng(self.seed).standard_exponential(out=draws)
+            start = 0
+            for frame_type in (FRAME_I, FRAME_P, FRAME_B):
+                columns = [c for c, t in enumerate(pattern) if t == frame_type]
+                end = start + sum(rows - (c >= tail) for c in columns)
+                segment = draws[start:end]
+                segment *= means[frame_type]
+                for rank, column in enumerate(columns):
+                    grid[: rows - (column >= tail), column] = segment[rank :: len(columns)]
+                start = end
         # Whole bytes, at least 1 per frame, rounded in place.
+        sizes = grid.reshape(-1)[:count]
         np.rint(sizes, out=sizes)
         np.maximum(sizes, 1.0, out=sizes)
-
         # Whole numbers below 2**53 sum exactly in float64, so the total
         # picks the offset dtype before any offset exists.
         dtype = np.uint32 if sizes.sum() < _UINT32_LIMIT else np.int64
-        #: ``cumulative[i]`` = bytes of all frames before frame ``i``;
-        #: ``cumulative[frame_count]`` = total bytes of the video.
-        self.cumulative = np.zeros(self.frame_count + 1, dtype=dtype)
-        np.cumsum(sizes, dtype=dtype, out=self.cumulative[1:])
-        self.total_bytes: int = int(self.cumulative[-1])
-        self.fps: float = profile.frames_per_second
-        #: Block size -> its :class:`~repro.media.video.BlockSchedule`,
-        #: filled by :meth:`repro.media.video.Video.schedule`.
-        self.schedules: dict = {}
+        offsets = workspace.take("offsets", count + 1, dtype)
+        offsets[0] = 0
+        offsets[1:] = sizes
+        np.cumsum(offsets[1:], out=offsets[1:])
+        return offsets
 
     def frame_of_byte(self, offset: int) -> int:
-        """Index of the frame containing byte *offset* (0-based)."""
+        """Index of the frame containing byte *offset* (0-based).
+
+        Regenerates the offsets (see :meth:`offsets`); no run path calls it.
+        """
         if offset < 0 or offset >= self.total_bytes:
             raise ValueError(f"byte offset {offset} outside video of {self.total_bytes}")
-        return bisect_right(memoryview(self.cumulative), offset) - 1
+        return bisect_right(memoryview(self.offsets()), offset) - 1
 
     def frames_displayable(self, delivered_bytes: int) -> int:
         """How many leading frames are fully displayable.
@@ -149,34 +217,10 @@ class FrameSequence:
         have arrived; returns the count of complete leading frames given
         a contiguous delivered prefix of *delivered_bytes*.  Playback
         reads the per-block :attr:`BlockSchedule.displayable` table
-        instead; this is the general form for any byte count.
+        instead; this general form for any byte count regenerates the
+        offsets (see :meth:`offsets`).
         """
-        return bisect_right(memoryview(self.cumulative), delivered_bytes) - 1
-
-    def first_frames_of_blocks(self, block_size: int) -> np.ndarray:
-        """For each block, the first frame whose display needs the block.
-
-        Block ``k`` covers bytes ``[k*block_size, (k+1)*block_size)``.
-        The frame containing the block's first byte may straddle the
-        previous block boundary; it is still the first frame that cannot
-        be displayed without block ``k``.
-        """
-        if block_size <= 0:
-            raise ValueError(f"block size must be positive, got {block_size}")
-        # Keys in the offsets' own dtype: mixed dtypes would make
-        # searchsorted copy the offsets to int64 first.
-        starts = np.arange(0, self.total_bytes, block_size, dtype=self.cumulative.dtype)
-        return np.searchsorted(self.cumulative, starts, side="right") - 1
-
-    def last_frames_of_blocks(self, block_size: int) -> np.ndarray:
-        """For each block, the last frame whose display needs the block."""
-        if block_size <= 0:
-            raise ValueError(f"block size must be positive, got {block_size}")
-        total = self.total_bytes
-        ends = np.arange(block_size, total + block_size, block_size, dtype=np.int64)
-        # Built in int64: the last end may pass 2**32 before the clamp.
-        ends = (np.minimum(ends, total) - 1).astype(self.cumulative.dtype)
-        return np.searchsorted(self.cumulative, ends, side="right") - 1
+        return bisect_right(memoryview(self.offsets()), delivered_bytes) - 1
 
     def block_count(self, block_size: int) -> int:
         return -(-self.total_bytes // block_size)

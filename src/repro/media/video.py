@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import typing
 from array import array
+from bisect import bisect_left
 
 import numpy as np
 
-from repro.media.mpeg import FrameSequence
+if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.media.mpeg import FrameSequence
 
 
 class BlockSchedule:
     """Precomputed display timing of one video at one block size.
 
     All terminal-side playback arithmetic reduces to table lookups here,
-    built vectorised from the frame sequence once per block size:
+    built vectorised from the frame offsets once per block size:
 
     * ``first_frame[k]`` — first frame that needs block ``k`` (the block
       request's deadline is this frame's display time);
@@ -28,30 +31,69 @@ class BlockSchedule:
     reads them one scalar at a time in the per-block hot path, where an
     array read returns a plain int several times faster than numpy
     scalar indexing, and each entry takes 8 bytes instead of a list's
-    pointer plus a 32-byte int object.  One schedule per (title, block
+    pointer plus a 32-byte int object.  They are all a title keeps of
+    its frames: *offsets* (regenerated from *sequence* when not given)
+    are dropped once the tables exist.  One schedule per (title, block
     size) is shared by every system in the process (see
     :attr:`FrameSequence.schedules`), so nothing may write the tables.
     """
 
-    def __init__(self, sequence: FrameSequence, block_size: int) -> None:
+    def __init__(
+        self,
+        sequence: "FrameSequence",
+        block_size: int,
+        offsets: np.ndarray | None = None,
+    ) -> None:
+        block_size = int(block_size)
+        if block_size <= 0:
+            raise ValueError(f"block size must be positive, got {block_size}")
+        if offsets is None:
+            offsets = sequence.offsets()
         self.sequence = sequence
-        self.block_size = int(block_size)
+        self.block_size = block_size
+        total = sequence.total_bytes
         self.block_count = sequence.block_count(block_size)
-        first = sequence.first_frames_of_blocks(block_size).astype(np.int64, copy=False)
-        self.first_frame = array("q", first.tobytes())
-        last = sequence.last_frames_of_blocks(block_size).astype(np.int64, copy=False)
-        self.last_frame = array("q", last.tobytes())
+        # Block k covers bytes [k*block_size, (k+1)*block_size).  The
+        # frame holding its first byte may straddle the previous block
+        # boundary; it is still the first frame that needs block k.
+        # Keys in the offsets' own dtype: mixed dtypes would make
+        # searchsorted copy the offsets to int64 first.
+        starts = np.arange(0, total, block_size, dtype=offsets.dtype)
+        first = np.searchsorted(offsets, starts, side="right") - 1
+        self.first_frame = array("q", first.astype(np.int64, copy=False).tobytes())
+        # Built in int64: the last end may pass 2**32 before the clamp.
+        ends = np.arange(block_size, total + block_size, block_size, dtype=np.int64)
+        ends = (np.minimum(ends, total) - 1).astype(offsets.dtype)
+        last = np.searchsorted(offsets, ends, side="right") - 1
+        self.last_frame = array("q", last.astype(np.int64, copy=False).tobytes())
         # The prefix of k < block_count blocks ends at byte k*block_size,
         # inside frame first_frame[k]; all frames before it are whole.
         # The full video displays every frame.
         self.displayable = array("q", self.first_frame)
         self.displayable.append(sequence.frame_count)
         # Offsets may be uint32: widen before any subtraction.
-        cumulative, size = sequence.cumulative, self.block_size
-        end = cumulative[first + 1].astype(np.int64) - 1
-        span = end // size - cumulative[first].astype(np.int64) // size + 1
+        end = offsets[first + 1].astype(np.int64) - 1
+        span = end // block_size - offsets[first].astype(np.int64) // block_size + 1
         self.edge_span = array("q", span.tobytes())
         self.edge_span.append(1)
+
+    def block_of_frame(self, frame: int) -> int:
+        """The block holding the first byte of frame *frame*.
+
+        Equal to ``offsets[frame] // block_size``, read off the tables:
+        the first block whose first frame is at or past *frame* starts
+        inside *frame* only when the previous block ends before it;
+        otherwise *frame* begins in the previous block.
+        """
+        first = self.first_frame
+        k = bisect_left(first, frame)
+        if (
+            k < self.block_count
+            and first[k] == frame
+            and (k == 0 or self.last_frame[k - 1] < frame)
+        ):
+            return k
+        return k - 1
 
     def block_bytes(self, block: int) -> int:
         """Actual byte length of block *block* (the last may be short)."""
@@ -89,7 +131,11 @@ class Video:
         return self.frame_count / self.fps
 
     def schedule(self, block_size: int) -> BlockSchedule:
-        """The block schedule for *block_size* bytes, memoised on the sequence."""
+        """The block schedule for *block_size* bytes, memoised on the sequence.
+
+        The library's own block size was scheduled when the sequence was
+        built; any other size regenerates the frame offsets once.
+        """
         schedules = self.sequence.schedules
         schedule = schedules.get(block_size)
         if schedule is None:

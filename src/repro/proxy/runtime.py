@@ -28,6 +28,7 @@ disk work), so no processor is modeled — its costs are the transfers.
 from __future__ import annotations
 
 import typing
+from bisect import bisect_right
 
 from repro.bufferpool.pool import INFLIGHT, MISS, BufferPool
 from repro.telemetry import trace as trace_events
@@ -46,14 +47,14 @@ def prefix_block_count(schedule: "BlockSchedule", prefix_s: float) -> int:
     """Blocks covering the first *prefix_s* seconds of one title.
 
     The byte length of the first ``prefix_s * fps`` frames, rounded up
-    to whole stripe blocks and capped at the title's block count.
+    to whole stripe blocks and capped at the title's block count: the
+    blocks whose first frame is one of those frames.
     """
     sequence = schedule.sequence
     frames = min(sequence.frame_count, int(prefix_s * sequence.fps))
     if frames <= 0:
         return 0
-    prefix_bytes = int(sequence.cumulative[frames])
-    return min(schedule.block_count, -(-prefix_bytes // schedule.block_size))
+    return min(schedule.block_count, bisect_right(schedule.first_frame, frames - 1))
 
 
 class ProxyStats:

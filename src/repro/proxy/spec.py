@@ -14,6 +14,7 @@ subsystem (pinned by the golden digest tests), mirroring the
 from __future__ import annotations
 
 import dataclasses
+import math
 
 from repro.bufferpool.registry import ReplacementSpec
 from repro.proxy.policies import make_prefix_policy, prefix_policy_names
@@ -44,8 +45,11 @@ class ProxySpec:
                 f"replacement must be a ReplacementSpec, "
                 f"got {self.replacement!r}"
             )
-        if self.prefix_s < 0:
-            raise ValueError(f"prefix_s must be >= 0, got {self.prefix_s}")
+        # Also rejects NaN, which compares false to everything.
+        if not (self.prefix_s >= 0 and math.isfinite(self.prefix_s)):
+            raise ValueError(
+                f"prefix_s must be >= 0 and finite, got {self.prefix_s!r}"
+            )
         if self.policy not in prefix_policy_names():
             raise ValueError(
                 f"unknown prefix policy {self.policy!r}; "

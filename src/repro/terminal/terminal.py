@@ -217,8 +217,7 @@ class Terminal:
         self._video = video
         schedule = video.schedule(self.block_size)
         self._schedule = schedule
-        start_byte = int(video.sequence.cumulative[start_frame])
-        start_block = min(start_byte // self.block_size, schedule.block_count - 1)
+        start_block = schedule.block_of_frame(start_frame)
         self._delivered = _delivered_from(start_block, schedule.block_count)
         self._delivered_total = start_block
         self._contig = start_block
@@ -478,8 +477,7 @@ class Terminal:
         # A pending merge chase retires on the epoch change; the display
         # clock returns to nominal rate at the new position.
         self._display_fps = self._video.fps
-        start_byte = int(self._video.sequence.cumulative[frame])
-        block = min(start_byte // self.block_size, schedule.block_count - 1)
+        block = schedule.block_of_frame(frame)
         self._outstanding = 0
         # Treat everything before the seek point as already displayed so
         # priming and slot accounting restart cleanly at the new spot.

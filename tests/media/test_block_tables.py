@@ -2,9 +2,11 @@
 
 ``displayable`` and ``edge_span`` replace per-wakeup byte arithmetic in
 terminal playback: a binary search over the per-frame byte offsets at
-the delivery edge, and the block span of the frame sitting on it.  The
-reference below recomputes both the slow way, from a plain list of the
-offsets, so the tables are pinned to the formulas they replace.
+the delivery edge, and the block span of the frame sitting on it.
+``block_of_frame`` and the proxy's prefix depth replace reading the
+offsets themselves, which no title keeps.  The references below
+recompute each the slow way, from a plain list of the offsets, so the
+tables are pinned to the formulas they replace.
 """
 
 import tracemalloc
@@ -23,7 +25,7 @@ from repro.proxy.runtime import prefix_block_count
 
 def reference_tables(sequence, block_size):
     """(displayable, edge_span) for k = 0..block_count contiguous blocks."""
-    cumulative = sequence.cumulative.tolist()
+    cumulative = sequence.offsets().tolist()
     total = cumulative[-1]
     block_count = -(-total // block_size)
     displayable, edge_span = [], []
@@ -40,7 +42,9 @@ def reference_tables(sequence, block_size):
 
 
 def assert_tables_match(sequence, block_size):
-    schedule = BlockSchedule(sequence, block_size)
+    """Check the schedule built with *sequence* (from the offsets it
+    generated) or, for another block size, built from regenerated ones."""
+    schedule = sequence.schedules.get(block_size) or BlockSchedule(sequence, block_size)
     displayable, edge_span = reference_tables(sequence, block_size)
     assert len(schedule.displayable) == len(schedule.edge_span) == schedule.block_count + 1
     assert list(schedule.displayable) == displayable
@@ -59,46 +63,85 @@ def assert_tables_match(sequence, block_size):
 @settings(max_examples=60, deadline=None)
 def test_tables_match_reference(duration, seed, deterministic, block_size):
     profile = MpegProfile(deterministic_sizes=deterministic)
-    assert_tables_match(FrameSequence(profile, duration, seed), block_size)
+    assert_tables_match(FrameSequence(profile, duration, seed, block_size), block_size)
 
 
 class TestEdgeCases:
     def test_blocks_smaller_than_the_largest_frame(self):
-        sequence = FrameSequence(MpegProfile(), 20.0, 4)
         block_size = 4 * KB
-        assert int(np.diff(sequence.cumulative).max()) > block_size
+        sequence = FrameSequence(MpegProfile(), 20.0, 4, block_size)
+        assert int(np.diff(sequence.offsets()).max()) > block_size
         schedule = assert_tables_match(sequence, block_size)
         assert max(schedule.edge_span) > 2
 
     def test_short_last_block(self):
-        sequence = FrameSequence(MpegProfile(), 20.0, 4)
         block_size = 64 * KB
+        sequence = FrameSequence(MpegProfile(), 20.0, 4, block_size)
         assert sequence.total_bytes % block_size != 0
         assert_tables_match(sequence, block_size)
 
     def test_exact_multiple_has_no_short_block(self):
         # Deterministic sizes: 15 frames per GOP of exactly 250,000 bytes.
-        sequence = FrameSequence(MpegProfile(deterministic_sizes=True), 10.0, 0)
         block_size = 250_000
+        sequence = FrameSequence(MpegProfile(deterministic_sizes=True), 10.0, 0, block_size)
         assert sequence.total_bytes % block_size == 0
         assert_tables_match(sequence, block_size)
 
     def test_single_frame_video(self):
-        sequence = FrameSequence(MpegProfile(), 0.01, 5)
+        sequence = FrameSequence(MpegProfile(), 0.01, 5, 512)
         assert sequence.frame_count == 1
         for block_size in (512, 64 * KB, sequence.total_bytes, 10 * MB):
             schedule = assert_tables_match(sequence, block_size)
             assert schedule.displayable[-1] == 1
 
     def test_one_hour_title_at_table1_stripe(self):
-        assert_tables_match(FrameSequence(MpegProfile(), 3600.0, 11), 512 * KB)
+        assert_tables_match(FrameSequence(MpegProfile(), 3600.0, 11, 512 * KB), 512 * KB)
 
     def test_displayable_shares_first_frame(self):
-        sequence = FrameSequence(MpegProfile(), 10.0, 2)
-        schedule = BlockSchedule(sequence, 64 * KB)
+        sequence = FrameSequence(MpegProfile(), 10.0, 2, 64 * KB)
+        schedule = sequence.schedules[64 * KB]
         assert schedule.displayable[:-1] == schedule.first_frame
         assert schedule.displayable.itemsize == schedule.first_frame.itemsize == 8
         assert schedule.displayable[-1] == sequence.frame_count
+
+
+class TestStartBlock:
+    """Where a session or seek starts, and how deep a proxy prefix
+    reaches, read off the tables for every frame of a title.
+
+    Deterministic GOPs put frames exactly on block edges at 250,000
+    (one GOP a block) and 10,000 bytes (every frame a whole number of
+    blocks, the I frame five), the case where the first frame of a
+    block is also the first frame of the next."""
+
+    CASES = [
+        (deterministic, block_size)
+        for deterministic in (False, True)
+        for block_size in (10_000, 4 * KB, 64 * KB, 250_000, 512 * KB)
+    ]
+
+    @pytest.mark.parametrize(
+        "deterministic,block_size",
+        CASES,
+        ids=[f"{'det' if d else 'exp'}-{b}" for d, b in CASES],
+    )
+    def test_every_frame_matches_the_offsets(self, deterministic, block_size):
+        profile = MpegProfile(deterministic_sizes=deterministic)
+        sequence = FrameSequence(profile, 20.0, 8, block_size)
+        schedule = sequence.schedules[block_size]
+        offsets = sequence.offsets().tolist()
+        aligned = 0
+        for frame in range(sequence.frame_count):
+            assert schedule.block_of_frame(frame) == offsets[frame] // block_size, frame
+            aligned += offsets[frame] % block_size == 0
+        if deterministic and block_size in (10_000, 250_000):
+            assert aligned >= sequence.frame_count // 15
+        for frames in range(sequence.frame_count + 1):
+            # Half a frame on, so the seconds round back to *frames*.
+            prefix_s = (frames + 0.5) / sequence.fps
+            assert min(sequence.frame_count, int(prefix_s * sequence.fps)) == frames
+            expected = min(schedule.block_count, -(-offsets[frames] // block_size))
+            assert prefix_block_count(schedule, prefix_s) == expected, frames
 
 
 def reference_offsets(profile, frame_count):
@@ -117,21 +160,22 @@ class TestOffsetDtype:
     OVER = MpegProfile(bit_rate_bps=572_662_300.0, deterministic_sizes=True)
 
     def test_pair_straddles_the_limit(self):
-        under = FrameSequence(self.UNDER, 60.0, 0)
-        over = FrameSequence(self.OVER, 60.0, 0)
+        under = FrameSequence(self.UNDER, 60.0, 0, 512 * KB)
+        over = FrameSequence(self.OVER, 60.0, 0, 512 * KB)
         assert under.total_bytes == 2**32 - 16
         assert over.total_bytes == 2**32 + 104
-        assert under.cumulative.dtype == np.uint32
-        assert over.cumulative.dtype == np.int64
+        assert under.offsets().dtype == np.uint32
+        assert over.offsets().dtype == np.int64
         assert type(under.total_bytes) is type(over.total_bytes) is int
 
     @pytest.mark.parametrize("which", ["UNDER", "OVER"])
     def test_offsets_tables_and_lookups_match_reference(self, which):
         profile = getattr(self, which)
-        sequence = FrameSequence(profile, 60.0, 0)
+        block_size = 512 * KB
+        sequence = FrameSequence(profile, 60.0, 0, block_size)
         offsets = reference_offsets(profile, sequence.frame_count)
-        assert sequence.cumulative.tolist() == offsets
-        total, block_size = offsets[-1], 512 * KB
+        assert sequence.offsets().tolist() == offsets
+        total = offsets[-1]
         schedule = assert_tables_match(sequence, block_size)
         starts = range(0, total, block_size)
         assert list(schedule.first_frame) == [
@@ -149,28 +193,32 @@ class TestOffsetDtype:
             frames = min(sequence.frame_count, int(prefix_s * sequence.fps))
             expected = min(schedule.block_count, -(-offsets[frames] // block_size))
             assert prefix_block_count(schedule, prefix_s) == expected
+        for frame in range(0, sequence.frame_count, 97):
+            assert schedule.block_of_frame(frame) == offsets[frame] // block_size
 
     def test_title_of_four_gib_or_more_keeps_int64(self):
-        sequence = FrameSequence(MpegProfile(bit_rate_bps=12e6), 3600.0, 0)
+        sequence = FrameSequence(MpegProfile(bit_rate_bps=12e6), 3600.0, 0, 512 * KB)
         assert sequence.total_bytes >= 2**32
-        assert sequence.cumulative.dtype == np.int64
-        assert int(sequence.cumulative[-1]) == sequence.total_bytes
-        assert (np.diff(sequence.cumulative) > 0).all()
+        offsets = sequence.offsets()
+        assert offsets.dtype == np.int64
+        assert int(offsets[-1]) == sequence.total_bytes
+        assert (np.diff(offsets) > 0).all()
         assert_tables_match(sequence, 512 * KB)
 
 
 def test_one_hour_title_retains_under_three_quarters_of_a_megabyte():
-    """A 1-hour title plus its Table-1 schedule keeps one uint32 array of
-    byte offsets and four typed per-block tables: about 0.53 MB.  Int64
-    offsets and per-block int lists took 1.14 MB; a per-frame Python int
-    list (36 bytes per frame) alone would add 3.9 MB."""
+    """A 1-hour title at the Table-1 stripe keeps four typed per-block
+    tables and no per-frame data: about 0.11 MB.  Also keeping its uint32
+    byte offsets took 0.53 MB; int64 offsets and per-block int lists
+    1.14 MB; a per-frame Python int list (36 bytes per frame) alone
+    would add 3.9 MB."""
     # Warm up first, so lazy imports (numpy.random) are not counted.
-    BlockSchedule(FrameSequence(MpegProfile(), 1.0, 0), 512 * KB)
+    FrameSequence(MpegProfile(), 1.0, 0, 512 * KB)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        sequence = FrameSequence(MpegProfile(), 3600.0, 21)
-        schedule = BlockSchedule(sequence, 512 * KB)
+        sequence = FrameSequence(MpegProfile(), 3600.0, 21, 512 * KB)
+        schedule = sequence.schedules[512 * KB]
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from repro.media import FRAME_B, FRAME_I, FRAME_P, GOP_PATTERN, FrameSequence, MpegProfile
 
+BLOCK = 64 * 1024
+
 
 class TestMpegProfile:
     def test_gop_frequency_ratio_is_1_4_10(self):
@@ -43,7 +45,7 @@ class TestMpegProfile:
 
 class TestFrameSequence:
     def make(self, duration=10.0, seed=0):
-        return FrameSequence(MpegProfile(), duration, seed)
+        return FrameSequence(MpegProfile(), duration, seed, BLOCK)
 
     def test_frame_count(self):
         seq = self.make(duration=10.0)
@@ -51,10 +53,10 @@ class TestFrameSequence:
 
     def test_same_seed_same_sequence(self):
         a, b = self.make(seed=5), self.make(seed=5)
-        assert np.array_equal(a.cumulative, b.cumulative)
+        assert np.array_equal(a.offsets(), b.offsets())
 
     def test_different_seed_different_sizes(self):
-        assert not np.array_equal(self.make(seed=1).cumulative, self.make(seed=2).cumulative)
+        assert not np.array_equal(self.make(seed=1).offsets(), self.make(seed=2).offsets())
 
     def test_total_bytes_near_bit_rate(self):
         seq = self.make(duration=600.0)
@@ -63,14 +65,15 @@ class TestFrameSequence:
 
     def test_cumulative_strictly_increasing(self):
         seq = self.make()
-        assert (np.diff(seq.cumulative) > 0).all()
-        assert seq.cumulative[0] == 0
-        assert seq.cumulative[-1] == seq.total_bytes
+        offsets = seq.offsets()
+        assert (np.diff(offsets) > 0).all()
+        assert offsets[0] == 0
+        assert offsets[-1] == seq.total_bytes
 
     def test_frame_of_byte_boundaries(self):
         seq = self.make()
         assert seq.frame_of_byte(0) == 0
-        first = int(seq.cumulative[1])
+        first = int(seq.offsets()[1])
         assert seq.frame_of_byte(first - 1) == 0
         assert seq.frame_of_byte(first) == 1
         assert seq.frame_of_byte(seq.total_bytes - 1) == seq.frame_count - 1
@@ -85,7 +88,7 @@ class TestFrameSequence:
     def test_frames_displayable(self):
         seq = self.make()
         assert seq.frames_displayable(0) == 0
-        first = int(seq.cumulative[1])
+        first = int(seq.offsets()[1])
         assert seq.frames_displayable(first - 1) == 0
         assert seq.frames_displayable(first) == 1
         assert seq.frames_displayable(seq.total_bytes) == seq.frame_count
@@ -97,27 +100,26 @@ class TestFrameSequence:
 
     def test_first_frames_of_blocks_contains_block_start(self):
         seq = self.make()
-        block = 64 * 1024
-        first = seq.first_frames_of_blocks(block)
+        offsets = seq.offsets()
+        first = seq.schedules[BLOCK].first_frame
         for k in (0, 1, len(first) // 2, len(first) - 1):
-            frame = int(first[k])
-            start = k * block
-            assert seq.cumulative[frame] <= start < seq.cumulative[frame + 1]
+            frame = first[k]
+            start = k * BLOCK
+            assert offsets[frame] <= start < offsets[frame + 1]
 
     def test_last_frames_of_blocks_contains_block_end(self):
         seq = self.make()
-        block = 64 * 1024
-        last = seq.last_frames_of_blocks(block)
+        offsets = seq.offsets()
+        last = seq.schedules[BLOCK].last_frame
         for k in (0, 1, len(last) - 1):
-            frame = int(last[k])
-            end = min((k + 1) * block, seq.total_bytes) - 1
-            assert seq.cumulative[frame] <= end < seq.cumulative[frame + 1]
+            frame = last[k]
+            end = min((k + 1) * BLOCK, seq.total_bytes) - 1
+            assert offsets[frame] <= end < offsets[frame + 1]
 
     def test_first_last_frames_ordered(self):
-        seq = self.make()
-        block = 64 * 1024
-        first = seq.first_frames_of_blocks(block)
-        last = seq.last_frames_of_blocks(block)
+        schedule = self.make().schedules[BLOCK]
+        first = np.asarray(schedule.first_frame)
+        last = np.asarray(schedule.last_frame)
         assert (first <= last).all()
         # Consecutive blocks overlap by at most one (straddling) frame.
         assert (first[1:] >= last[:-1]).all()
@@ -132,12 +134,14 @@ class TestFrameSequence:
         with pytest.raises(ValueError, match=re.escape(message)):
             self.make(duration=duration)
 
-    def test_only_per_frame_array_is_cumulative(self):
+    def test_retains_no_ndarray_and_offsets_are_uint32(self):
         seq = self.make()
         arrays = [name for name, value in vars(seq).items() if isinstance(value, np.ndarray)]
-        assert arrays == ["cumulative"]
+        assert arrays == []
+        schedule = seq.schedules[BLOCK]
+        assert not any(isinstance(value, np.ndarray) for value in vars(schedule).values())
         # Ten seconds is far below 4 GiB: 4 bytes per frame offset.
-        assert seq.cumulative.dtype == np.uint32
+        assert seq.offsets().dtype == np.uint32
         assert type(seq.total_bytes) is int
 
     @given(
@@ -146,10 +150,10 @@ class TestFrameSequence:
     )
     @settings(max_examples=20, deadline=None)
     def test_property_block_frame_maps_consistent(self, seed, block_kb):
-        seq = FrameSequence(MpegProfile(), 5.0, seed)
         block = block_kb * 1024
-        first = seq.first_frames_of_blocks(block)
-        last = seq.last_frames_of_blocks(block)
+        seq = FrameSequence(MpegProfile(), 5.0, seed, block)
+        first = np.asarray(seq.schedules[block].first_frame)
+        last = np.asarray(seq.schedules[block].last_frame)
         count = seq.block_count(block)
         assert len(first) == len(last) == count
         assert first[0] == 0
@@ -158,10 +162,11 @@ class TestFrameSequence:
         assert (np.diff(last) >= 0).all()
 
 
-#: sha256 of the int64 bytes of ``cumulative`` per (profile, duration,
-#: seed), recorded before frame sizes were rounded in place and before
-#: offsets were stored as uint32; any change to how a title's frame
-#: stream is generated shows here.
+#: sha256 of the int64 bytes of the frame offsets per (profile,
+#: duration, seed), recorded before frame sizes were rounded in place,
+#: before offsets were stored as uint32 and before the sizes were drawn
+#: in one fill; any change to how a title's frame stream is generated
+#: shows here.
 FRAME_STREAM_DIGESTS = [
     (MpegProfile(), 3600.0, 0, 108000,
      "d6c2e74782a9992028d030526bba2c0d1598b8ab1e59588e5b1daf6639436d63"),
@@ -184,7 +189,7 @@ FRAME_STREAM_DIGESTS = [
     ids=[f"{case[1]:g}s-seed{case[2]}" for case in FRAME_STREAM_DIGESTS],
 )
 def test_frame_stream_golden(profile, duration, seed, frames, digest):
-    seq = FrameSequence(profile, duration, seed)
+    seq = FrameSequence(profile, duration, seed, BLOCK)
     assert seq.frame_count == frames
-    offsets = seq.cumulative.astype(np.int64).tobytes()
+    offsets = seq.offsets().astype(np.int64).tobytes()
     assert hashlib.sha256(offsets).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Tests for Video, BlockSchedule, VideoLibrary, and access models."""
 
+import collections
 import hashlib
 import json
 import weakref
@@ -7,8 +8,17 @@ import weakref
 import pytest
 
 from repro import MB, SpiffiConfig, run
+from repro.cluster import (
+    ClusterConfig,
+    PlacementSpec,
+    RouterSpec,
+    SelfHealSpec,
+    run_cluster,
+)
+from repro.faults.spec import FaultSpec
 from repro.media import (
     BlockSchedule,
+    FrameSequence,
     UniformAccess,
     VideoLibrary,
     ZipfianAccess,
@@ -16,20 +26,28 @@ from repro.media import (
     make_access_model,
 )
 from repro.media.library import _SEQUENCE_CACHE
+from repro.proxy import ProxySpec
 from repro.sim import RandomSource
+from repro.workload import ArrivalSpec
 
 BLOCK = 64 * 1024
 
 
 @pytest.fixture()
 def library():
-    return VideoLibrary(video_count=4, duration_s=10.0, seed=1)
+    return VideoLibrary(video_count=4, duration_s=10.0, block_size=BLOCK, seed=1)
 
 
 class TestVideo:
     def test_schedule_cached(self, library):
         video = library[0]
         assert video.schedule(BLOCK) is video.schedule(BLOCK)
+
+    def test_library_block_size_scheduled_at_build(self):
+        clear_sequence_cache()
+        library = VideoLibrary(2, 10.0, BLOCK, seed=3, search_speedup=4)
+        # Every title, search copies too, holds its tables and nothing else.
+        assert [list(video.sequence.schedules) for video in library] == [[BLOCK]] * 4
 
     def test_schedule_per_block_size(self, library):
         video = library[0]
@@ -73,14 +91,14 @@ class TestVideoLibrary:
         assert library[0].total_bytes != library[1].total_bytes
 
     def test_sequences_memoised_across_libraries(self):
-        a = VideoLibrary(2, 10.0, seed=9)
-        b = VideoLibrary(2, 10.0, seed=9)
+        a = VideoLibrary(2, 10.0, BLOCK, seed=9)
+        b = VideoLibrary(2, 10.0, BLOCK, seed=9)
         assert a[0].sequence is b[0].sequence
 
     def test_cache_clear(self):
-        a = VideoLibrary(1, 10.0, seed=9)
+        a = VideoLibrary(1, 10.0, BLOCK, seed=9)
         clear_sequence_cache()
-        b = VideoLibrary(1, 10.0, seed=9)
+        b = VideoLibrary(1, 10.0, BLOCK, seed=9)
         assert a[0].sequence is not b[0].sequence
 
     def test_total_bytes(self, library):
@@ -88,7 +106,7 @@ class TestVideoLibrary:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            VideoLibrary(0, 10.0)
+            VideoLibrary(0, 10.0, BLOCK)
 
 
 def small_config(terminals):
@@ -128,12 +146,12 @@ class TestScheduleMemo:
     """One schedule per (memoised sequence, block size), shared process-wide."""
 
     def test_libraries_share_one_schedule(self):
-        a = VideoLibrary(2, 10.0, seed=9)
-        b = VideoLibrary(2, 10.0, seed=9)
+        a = VideoLibrary(2, 10.0, BLOCK, seed=9)
+        b = VideoLibrary(2, 10.0, BLOCK, seed=9)
         assert a[1].schedule(BLOCK) is b[1].schedule(BLOCK)
 
     def test_cache_clear_releases_schedules(self):
-        library = VideoLibrary(1, 10.0, seed=4242)
+        library = VideoLibrary(1, 10.0, BLOCK, seed=4242)
         schedule = weakref.ref(library[0].schedule(BLOCK))
         sequence = weakref.ref(library[0].sequence)
         del library
@@ -165,6 +183,87 @@ class TestScheduleMemo:
         assert {id(schedule) for schedule in earlier} <= {
             id(schedule) for schedule in memoised_schedules()
         }
+
+
+def proxy_config():
+    return SpiffiConfig(
+        nodes=2,
+        disks_per_node=2,
+        videos_per_disk=2,
+        video_length_s=120.0,
+        server_memory_bytes=64 * MB,
+        start_spread_s=2.0,
+        warmup_grace_s=3.0,
+        measure_s=10.0,
+        seed=7,
+        workload=ArrivalSpec(process="poisson", rate_per_s=0.5, mean_view_duration_s=20.0),
+        proxy=ProxySpec(prefix_s=20.0, memory_bytes=16 * MB),
+    )
+
+
+def self_heal_config():
+    """Three members, two copies of each title; node 1 fails and its
+    titles are rebuilt onto the survivors."""
+    member = SpiffiConfig(
+        nodes=2,
+        disks_per_node=2,
+        videos_per_disk=2,
+        video_length_s=4.0,
+        server_memory_bytes=64 * MB,
+        start_spread_s=2.0,
+        warmup_grace_s=4.0,
+        measure_s=12.0,
+    )
+    return ClusterConfig(
+        node=member,
+        nodes=3,
+        placement=PlacementSpec("chained-declustered", replicas=2),
+        routing=RouterSpec("locality"),
+        workload=ArrivalSpec(process="poisson", rate_per_s=4.0, mean_view_duration_s=30.0),
+        faults=FaultSpec(fail_node_ids=(1,), fail_nodes_at_s=8.0),
+        self_heal=SelfHealSpec(rebuild=True),
+    )
+
+
+class TestGenerationCount:
+    """A process generates each title's frame offsets exactly once: the
+    library schedules the stripe size as it builds, and every consumer
+    (terminals, servers, proxy, rebuild copies) reads those tables.  A
+    repeated run reuses them."""
+
+    @pytest.fixture()
+    def generations(self, monkeypatch):
+        clear_sequence_cache()
+        counts = collections.Counter()
+        generate = FrameSequence._generate
+
+        def counting(sequence, workspace):
+            counts[sequence.profile, sequence.duration_s, sequence.seed] += 1
+            return generate(sequence, workspace)
+
+        monkeypatch.setattr(FrameSequence, "_generate", counting)
+        yield counts
+        clear_sequence_cache()
+
+    def test_closed_run(self, generations):
+        for _ in range(2):
+            run(small_config(terminals=8))
+        assert len(generations) == 8
+        assert set(generations.values()) == {1}
+
+    def test_proxy_run(self, generations):
+        for _ in range(2):
+            metrics = run(proxy_config())
+        assert metrics.proxy_requests > 0
+        assert len(generations) == 8
+        assert set(generations.values()) == {1}
+
+    def test_self_heal_run(self, generations):
+        for _ in range(2):
+            metrics = run_cluster(self_heal_config())
+        assert metrics.node_rebuild_bytes > 0
+        assert len(generations) == len(_SEQUENCE_CACHE) >= 8
+        assert set(generations.values()) == {1}
 
 
 class TestAccessModels:

@@ -2,7 +2,6 @@
 hit/miss accounting invariants, budget discipline, tracing, startup
 improvement, and determinism."""
 
-import numpy as np
 import pytest
 
 from repro.bufferpool.pool import BufferPool
@@ -49,24 +48,25 @@ def proxied(prefix_s=20.0, memory_bytes=48 * MB, **spec_over):
 
 class TestPrefixBlockCount:
     class Sequence:
-        def __init__(self, frame_count, fps, cumulative):
+        def __init__(self, frame_count, fps):
             self.frame_count = frame_count
             self.fps = fps
-            self.cumulative = cumulative
 
     class Schedule:
-        def __init__(self, sequence, block_size, block_count):
+        def __init__(self, sequence, block_size, first_frame):
             self.sequence = sequence
             self.block_size = block_size
-            self.block_count = block_count
+            self.first_frame = first_frame
+            self.block_count = len(first_frame)
 
     def schedule(self, frames=10, fps=2.0, bytes_per_frame=100):
-        cumulative = np.arange(frames + 1, dtype=np.int64) * bytes_per_frame
-        return self.Schedule(
-            self.Sequence(frames, fps, cumulative),
-            block_size=250,
-            block_count=4,
-        )
+        # Blocks of 250 bytes start inside frames 0, 2, 5 and 7.
+        block_size = 250
+        first_frame = [
+            start // bytes_per_frame
+            for start in range(0, frames * bytes_per_frame, block_size)
+        ]
+        return self.Schedule(self.Sequence(frames, fps), block_size, first_frame)
 
     def test_zero_prefix_is_zero_blocks(self):
         assert prefix_block_count(self.schedule(), 0.0) == 0

@@ -2,6 +2,7 @@
 registry/plans — the pure-value layer of the proxy tier."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -35,6 +36,13 @@ class TestProxySpec:
     def test_negative_prefix_is_rejected(self):
         with pytest.raises(ValueError, match="prefix_s"):
             ProxySpec(prefix_s=-1.0)
+
+    @pytest.mark.parametrize("prefix_s", [math.nan, math.inf])
+    def test_non_finite_prefix_is_rejected(self, prefix_s):
+        # Anchored: the error must name the field itself, not merely
+        # mention it (NaN used to fall through to the memory check).
+        with pytest.raises(ValueError, match="^prefix_s"):
+            ProxySpec(prefix_s=prefix_s, memory_bytes=16 * MB)
 
     def test_unknown_policy_is_rejected(self):
         with pytest.raises(ValueError, match="unknown prefix policy"):

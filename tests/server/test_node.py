@@ -17,7 +17,7 @@ BLOCK = 64 * 1024
 
 
 def make_node(env, prefetch_mode="standard", depth=1, pool_pages=64):
-    library = VideoLibrary(1, 4.0, seed=2)
+    library = VideoLibrary(1, 4.0, BLOCK, seed=2)
     counts = [video.sequence.block_count(BLOCK) for video in library]
     layout = StripedLayout(counts, 1, 2, BLOCK)
     drive_params = DriveParameters()

@@ -140,7 +140,7 @@ class TestVersionSearch:
         from repro.media import VideoLibrary
 
         with pytest.raises(ValueError):
-            VideoLibrary(2, 60.0, seed=1, search_speedup=1)
+            VideoLibrary(2, 60.0, 64 * 1024, seed=1, search_speedup=1)
 
     def test_search_version_of_bounds(self):
         system = make_system(search_speedup=10)

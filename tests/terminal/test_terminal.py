@@ -38,7 +38,7 @@ class FakeNode:
 
 class FakeFabric:
     def __init__(self, env, duration_s=4.0, service_time=0.001, **node_kwargs):
-        self.library = VideoLibrary(1, duration_s, seed=7)
+        self.library = VideoLibrary(1, duration_s, BLOCK, seed=7)
         self.block_size = BLOCK
         counts = [video.sequence.block_count(BLOCK) for video in self.library]
         self.layout = StripedLayout(counts, 1, 1, BLOCK)
@@ -125,7 +125,7 @@ class TestSmoothPlayback:
         assert env.now == pytest.approx(2.0, abs=0.5)
         # Only the second half's blocks were requested.
         first_block = min(b for _, b, _ in fabric._node.requests)
-        expected = int(video.sequence.cumulative[half]) // BLOCK
+        expected = int(video.sequence.offsets()[half]) // BLOCK
         assert first_block == expected
 
 
@@ -245,7 +245,7 @@ class TestSeek:
 def reference_session(video, start_frame):
     """The session state the old per-block loop built for a start frame."""
     schedule = video.schedule(BLOCK)
-    start_byte = int(video.sequence.cumulative[start_frame])
+    start_byte = int(video.sequence.offsets()[start_frame])
     start_block = min(start_byte // BLOCK, schedule.block_count - 1)
     delivered = bytearray(schedule.block_count)
     for early in range(start_block):
@@ -307,6 +307,19 @@ class TestSessionBitmap:
             assert type(terminal._delivered) is bytearray
             assert session_state(terminal) == (delivered, block, block, block, block)
             assert terminal._next_frame == frame
+
+    def test_every_frame_starts_in_the_block_of_its_first_byte(self):
+        env = Environment()
+        fabric = FakeFabric(env, duration_s=4.0)
+        terminal = make_terminal(env, fabric)
+        video = fabric.library[0]
+        offsets = video.sequence.offsets().tolist()
+        for frame in range(video.frame_count):
+            terminal._begin_session(video, frame)
+            assert terminal._next_request == offsets[frame] // BLOCK, frame
+            terminal.seek(video.frame_count - 1 - frame)
+            seek_block = offsets[video.frame_count - 1 - frame] // BLOCK
+            assert terminal._next_request == seek_block, frame
 
 
 class TestConstruction:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.media import FrameSequence, MpegProfile
-from repro.media.video import BlockSchedule
 
 
 @given(
@@ -14,8 +13,8 @@ from repro.media.video import BlockSchedule
 )
 @settings(max_examples=25, deadline=None)
 def test_property_block_schedule_covers_video_exactly(seed, duration, block_kb):
-    sequence = FrameSequence(MpegProfile(), duration, seed)
-    schedule = BlockSchedule(sequence, block_kb * 1024)
+    sequence = FrameSequence(MpegProfile(), duration, seed, block_kb * 1024)
+    schedule = sequence.schedules[block_kb * 1024]
     # Delivering all blocks makes every frame displayable.
     assert (
         sequence.frames_displayable(schedule.delivered_bytes(schedule.block_count))
@@ -32,8 +31,8 @@ def test_property_block_schedule_covers_video_exactly(seed, duration, block_kb):
 )
 @settings(max_examples=40, deadline=None)
 def test_property_displayable_monotone_in_delivery(seed, block_kb, prefix):
-    sequence = FrameSequence(MpegProfile(), 5.0, seed)
-    schedule = BlockSchedule(sequence, block_kb * 1024)
+    sequence = FrameSequence(MpegProfile(), 5.0, seed, block_kb * 1024)
+    schedule = sequence.schedules[block_kb * 1024]
     prefix = min(prefix, schedule.block_count)
     shorter = sequence.frames_displayable(schedule.delivered_bytes(prefix))
     if prefix < schedule.block_count:
@@ -41,7 +40,7 @@ def test_property_displayable_monotone_in_delivery(seed, block_kb, prefix):
         assert longer >= shorter
     # A displayable frame's bytes are inside the delivered prefix.
     if shorter > 0:
-        assert sequence.cumulative[shorter] <= schedule.delivered_bytes(prefix)
+        assert sequence.offsets()[shorter] <= schedule.delivered_bytes(prefix)
 
 
 @given(seed=st.integers(0, 300), block_kb=st.sampled_from([32, 128]))
@@ -49,9 +48,8 @@ def test_property_displayable_monotone_in_delivery(seed, block_kb, prefix):
 def test_property_first_frame_deadline_monotone(seed, block_kb):
     """Deadlines assigned in block order never decrease (the terminal
     sends the disk a nondecreasing deadline sequence)."""
-    sequence = FrameSequence(MpegProfile(), 5.0, seed)
-    schedule = BlockSchedule(sequence, block_kb * 1024)
-    first = schedule.first_frame
+    sequence = FrameSequence(MpegProfile(), 5.0, seed, block_kb * 1024)
+    first = sequence.schedules[block_kb * 1024].first_frame
     assert all(first[i] <= first[i + 1] for i in range(len(first) - 1))
 
 
@@ -59,9 +57,10 @@ def test_property_first_frame_deadline_monotone(seed, block_kb):
 @settings(max_examples=20, deadline=None)
 def test_property_frame_span_at_least_one_block_each(seed):
     """Every frame's bytes lie within consecutive blocks (span >= 1)."""
-    sequence = FrameSequence(MpegProfile(), 3.0, seed)
     block = 64 * 1024
+    sequence = FrameSequence(MpegProfile(), 3.0, seed, block)
+    offsets = sequence.offsets()
     for frame in range(0, sequence.frame_count, 37):
-        first = int(sequence.cumulative[frame]) // block
-        last = (int(sequence.cumulative[frame + 1]) - 1) // block
+        first = int(offsets[frame]) // block
+        last = (int(offsets[frame + 1]) - 1) // block
         assert last >= first
