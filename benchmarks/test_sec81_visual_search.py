@@ -51,7 +51,6 @@ def run_search_load(searching_terminals):
         terminal.start(system._rng.spawn(f"start-{terminal.terminal_id}").uniform(
             0.0, config.start_spread_s
         ))
-    system._started = True
     env.run(until=config.warmup_s)
     system.reset_stats()
     env.run(until=config.warmup_s + config.measure_s)

@@ -81,7 +81,7 @@ def run(faults: FaultSpec, self_heal: SelfHealSpec, trace: bool = False):
             self_heal=self_heal,
         )
     )
-    recorder = cluster.enable_cluster_tracing() if trace else None
+    recorder = cluster.enable_tracing() if trace else None
     metrics = cluster.run()
     return cluster, metrics, recorder
 

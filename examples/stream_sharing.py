@@ -68,7 +68,7 @@ def main() -> None:
     for label, spec in POLICIES:
         system = SpiffiSystem(config_with(spec))
         if spec.enabled:
-            recorder = system.enable_sharing_tracing()
+            recorder = system.enable_tracing()
         metrics = system.run()
         if spec.enabled:
             trace = recorder  # keep the last (batch+chain) run's trace

@@ -89,6 +89,9 @@ class ClusterRebuildManager:
         if self.trace is not None:
             self.trace.record(kind, **fields)
 
+    def reset_stats(self) -> None:
+        """Progress is live state; its counters live in ``ClusterStats``."""
+
     # ------------------------------------------------------------------
     # Re-replication after an outage
     # ------------------------------------------------------------------

@@ -3,9 +3,12 @@
 ``SpiffiCluster`` builds N :class:`~repro.core.node.SpiffiNode` members
 onto **one** shared simulation environment, joined by a dedicated
 interconnect :class:`~repro.netsim.bus.NetworkBus` and fronted by the
-placement/routing layers of this package.  The cluster is the front door
-that :class:`~repro.workload.generator.SessionGenerator` drives, the same
-session lifecycle a standalone server runs.  Cross-node health is
+placement/routing layers of this package.  It is a
+:class:`~repro.core.door.FrontDoor`, like a standalone server: the base
+owns the run sequence, the component registry (its own plus every
+member's) and tracing, and the cluster overrides only what N members
+behind a router change — routing, outage events, spill and the
+interconnect cost of placing a session.  Cross-node health is
 tracked by reusing :class:`repro.replication.health.HealthMonitor` —
 it is generic over indices, so the same SUSPECT/DOWN ranking that
 routes replica reads around sick disks routes sessions around sick
@@ -50,18 +53,16 @@ import math
 from repro.cluster.config import ClusterConfig
 from repro.cluster.rebuild import ClusterRebuildManager
 from repro.cluster.selfheal import RebuildPlan
-from repro.core.metrics import RunMetrics, collect_metrics
+from repro.core.door import FrontDoor
+from repro.core.metrics import RunMetrics
 from repro.core.node import SpiffiNode
 from repro.faults.schedule import FaultEvent
 from repro.faults.spec import DISK_OUTAGE
-from repro.media.access import make_access_model
 from repro.netsim.bus import NetworkBus
-from repro.proxy.runtime import ProxyRuntime, ProxyView
 from repro.replication.health import HealthMonitor
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.rng import RandomSource
-from repro.workload.generator import SessionGenerator
 from repro.workload.qos import QosMonitor
 
 
@@ -70,9 +71,9 @@ class ClusterStats:
 
     def __init__(self, nodes: int = 1) -> None:
         self._nodes = nodes
-        self.reset()
+        self.reset_stats()
 
-    def reset(self) -> None:
+    def reset_stats(self) -> None:
         #: Node outages applied (scripted fault driver).
         self.node_outages = 0
         #: Nodes brought back by the recovery script.
@@ -93,15 +94,11 @@ class ClusterStats:
         self.rebuild_bytes_out = [0] * self._nodes
 
 
-class SpiffiCluster:
+class SpiffiCluster(FrontDoor):
     """N SPIFFI nodes, one environment, one front door."""
 
-    #: Sessions draw their title on arrival: routing needs it.
-    select_on_arrival = True
-
     def __init__(self, config: ClusterConfig) -> None:
-        self.config = config
-        self.env = Environment()
+        super().__init__(config, Environment())
         base = config.node
         self.placement = config.placement.build(config.nodes, base.video_count)
         self.catalog_size = self.placement.catalog_size
@@ -155,101 +152,44 @@ class SpiffiCluster:
                 self, config.self_heal, self.heal_plan
             )
         self.router = config.routing.build(self)
-        #: The edge proxy tier: one prefix cache at the front door,
-        #: shared by every member's terminals over the global catalog.
-        self.proxy_runtime: ProxyRuntime | None = None
+        # The edge proxy tier: one prefix cache at the front door,
+        # shared by every member's terminals over the global catalog.
         if config.proxy.enabled:
-            self._build_proxy()
-        self.workload: SessionGenerator | None = None
-        if config.workload.enabled:
-            self.workload = SessionGenerator(
-                self.env,
-                self,
-                config.workload,
-                RandomSource(config.seed).spawn("cluster-workload"),
-            )
-        self._started = False
-
-    def _build_proxy(self) -> None:
-        """Assemble the edge prefix cache over the global catalog.
-
-        Per-title schedules come from the primary member's copy (every
-        replica is byte-identical, so the choice is cosmetic), weights
-        from the same popularity model the session generator selects
-        with.  Every member gets a :class:`ProxyView` translating its
-        local title ids, so terminals spawned on any member consult the
-        one shared front-door cache.  Misses forward over the
-        interconnect; construction draws no randomness and schedules no
-        events.
-        """
-        config = self.config
-        base = config.node
-        catalog = self.placement.catalog_size
-        weights = make_access_model(
-            base.access_model, catalog, base.zipf_skew
-        ).weights()
-        schedules = []
-        for title in range(catalog):
-            primary = self.placement.primary(title)
-            local = self.placement.local_id(title, primary)
-            schedules.append(
-                self.members[primary].library[local].schedule(base.stripe_bytes)
-            )
-        self.proxy_runtime = ProxyRuntime(
-            self.env,
-            config.proxy,
-            schedules=schedules,
-            weights=weights,
-            block_size=base.stripe_bytes,
-            forward_bus=self.interconnect,
-            control_message_bytes=base.control_message_bytes,
+            self._build_proxy(self.interconnect, self._to_global())
+        self.register(
+            self.interconnect, self.qos, self.stats, self.health, self.rebuild_manager
         )
-        for index, member in enumerate(self.members):
-            # Sized to the member's whole library — including any spare
-            # re-replication slots — so a rebuilt title streams through
-            # the proxy with its global id like any construction copy.
-            to_global = [0] * member.library.title_count
-            for title in range(catalog):
-                if index in self.placement.nodes_for(title):
-                    to_global[self.placement.local_id(title, index)] = title
-            if self.heal_plan is not None:
-                for work in self.heal_plan.per_dead.values():
-                    for item in work:
-                        if item.dest == index:
-                            to_global[item.dest_local] = item.title
-            member.proxy = ProxyView(self.proxy_runtime, member, to_global)
+        self._build_workload(RandomSource(config.seed).spawn("cluster-workload"))
 
-    def enable_proxy_tracing(self, capacity: int = 100_000):
-        """Attach a trace recorder to the edge proxy (``proxy.*`` kinds)."""
-        if self.proxy_runtime is None:
-            raise ValueError("config enables no proxy; nothing to trace")
-        from repro.telemetry.trace import TraceRecorder
-
-        recorder = TraceRecorder(self.env, capacity)
-        self.proxy_runtime.trace = recorder
-        return recorder
-
-    def enable_cluster_tracing(self, capacity: int = 100_000):
-        """Attach a trace recorder to the self-healing layer
-        (``cluster.rebuild.*`` / ``cluster.rejoin.*`` plus member
-        ``health.change`` transitions); self-healing must be active."""
-        if self.rebuild_manager is None:
-            raise ValueError(
-                "config enables no self-healing rebuild; nothing to trace"
-            )
-        from repro.telemetry.trace import TraceRecorder
-
-        recorder = TraceRecorder(self.env, capacity)
-        self.rebuild_manager.trace = recorder
-        self.health.trace = recorder
-        return recorder
+    def _to_global(self) -> list[list[int]]:
+        """Each member's local → global title map, sized to its whole
+        library — spare re-replication slots included — so a rebuilt
+        title streams through the proxy with its global id like any
+        construction copy."""
+        maps = [[0] * member.library.title_count for member in self.members]
+        for title in range(self.catalog_size):
+            for node in self.placement.nodes_for(title):
+                maps[node][self.placement.local_id(title, node)] = title
+        if self.heal_plan is not None:
+            for work in self.heal_plan.per_dead.values():
+                for item in work:
+                    maps[item.dest][item.dest_local] = item.title
+        return maps
 
     # ------------------------------------------------------------------
     # The front door the session generator drives
     # ------------------------------------------------------------------
+    #: Sessions draw their title on arrival: routing needs it.
+    select_on_arrival = True
+
     def route(self, title: int) -> int | None:
         """The member to place a session for *title* on, or None."""
         return self.router.route(title)
+
+    def primary(self, title: int) -> int:
+        """The member whose copy of *title* the edge proxy caches
+        (members are seeded apart, so copies may differ in frame sizes)."""
+        return self.placement.primary(title)
 
     def local_id(self, title: int, node: int) -> int:
         return self.placement.local_id(title, node)
@@ -366,27 +306,13 @@ class SpiffiCluster:
     # ------------------------------------------------------------------
     # Execution (the paper's methodology, cluster-wide)
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Launch the workload and the outage script."""
-        if self._started:
-            raise RuntimeError("cluster already started")
-        self._started = True
+    def _launch(self) -> None:
+        """Start the outage script, then every member's own terminals
+        (a closed cluster's; an open one's arrive through the door)."""
         if self.config.faults.node_outages_enabled:
             self.env.process(self._fault_driver(), name="cluster-faults")
-        if self.workload is not None:
-            self.workload.start()
-            return
         for member in self.members:
             member.start()
-
-    def run(self) -> RunMetrics:
-        """Warm up, measure, and collect across every member."""
-        config = self.config
-        self.start()
-        self.env.run(until=config.warmup_s)
-        self.reset_stats()
-        self.env.run(until=config.warmup_s + config.measure_s)
-        return self.collect_metrics(config.measure_s)
 
     def collect_metrics(self, measure_s: float) -> RunMetrics:
         """The shared aggregate over the members plus what only a
@@ -394,7 +320,7 @@ class SpiffiCluster:
         sum of per-bus peaks, an upper bound — buses peak at different
         instants), the self-healing counters, and the diagnostic
         ``per_node`` rows (excluded from digests and equality)."""
-        metrics = collect_metrics(self, measure_s)
+        metrics = super().collect_metrics(measure_s)
         stats = self.stats
         routed = [0] * len(self.members)
         if self.workload is not None:
@@ -438,18 +364,6 @@ class SpiffiCluster:
             rejoin_resync_bytes=stats.rejoin_resync_bytes,
             per_node=tuple(per_node),
         )
-
-    def reset_stats(self) -> None:
-        """Begin the measurement window: zero every statistic."""
-        for member in self.members:
-            member.reset_stats()
-        self.interconnect.reset_stats()
-        self.qos.reset()
-        self.stats.reset()
-        if self.proxy_runtime is not None:
-            self.proxy_runtime.reset_stats()
-        if self.workload is not None:
-            self.workload.reset_stats()
 
 
 def run_cluster(config: ClusterConfig) -> RunMetrics:

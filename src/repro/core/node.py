@@ -9,6 +9,11 @@ closed terminal population when a cluster-level session generator owns
 the workload.  The defaults reproduce the historical single-system
 behaviour bit-for-bit (pinned by the golden-digest tests), and
 ``SpiffiSystem`` remains an alias in :mod:`repro.core.system`.
+
+Standalone, a node is a :class:`~repro.core.door.FrontDoor` on the
+base's one-member defaults: its own sole member, registering every
+component it builds, and running, resetting and tracing through the
+base.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import typing
 
 from repro.bufferpool.pool import BufferPool
 from repro.core.config import SpiffiConfig
-from repro.core.metrics import RunMetrics, collect_metrics
+from repro.core.door import FrontDoor
 from repro.cpu.processor import Processor
 from repro.faults.injector import FaultInjector, FaultRuntime
 from repro.faults.schedule import build_schedule
@@ -27,7 +32,7 @@ from repro.media.mpeg import MpegProfile
 from repro.analytic.capacity import StreamParameters
 from repro.netsim.bus import NetworkBus
 from repro.prefetch.prefetcher import DiskPrefetcher
-from repro.proxy.runtime import ProxyRuntime, ProxyView
+from repro.proxy.runtime import ProxyView
 from repro.replication.health import HealthMonitor
 from repro.replication.rebuild import RebuildManager
 from repro.replication.runtime import ReplicationRuntime
@@ -40,11 +45,7 @@ from repro.sim.rng import RandomSource
 from repro.storage.drive import DiskDrive
 from repro.storage.geometry import DiskGeometry
 from repro.terminal.terminal import Terminal
-from repro.workload.generator import SessionGenerator, SingleServer
 from repro.workload.qos import QosMonitor
-
-if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.telemetry.trace import TraceRecorder
 
 
 class ServerFabric(typing.Protocol):  # pragma: no cover - typing helper
@@ -61,13 +62,16 @@ class ServerFabric(typing.Protocol):  # pragma: no cover - typing helper
     def request_start(self, video_id: int) -> Event | None: ...
 
 
-class SpiffiNode:
+class SpiffiNode(FrontDoor):
     """One fully wired simulated video-on-demand server.
 
-    Construction builds every component; :meth:`run` executes the
-    paper's methodology — staggered starts, warmup until all terminals
-    are active, statistics reset, a fixed measurement window, abrupt
-    termination — and returns the collected :class:`RunMetrics`.
+    Construction builds and registers every component;
+    :meth:`~repro.core.door.FrontDoor.run` executes the paper's
+    methodology — staggered starts, warmup until all terminals are
+    active, statistics reset, a fixed measurement window, abrupt
+    termination — and returns the collected
+    :class:`~repro.core.metrics.RunMetrics`.  As a front door it is
+    its own sole member, with the one-member defaults.
 
     Cluster-membership knobs (all default to the historical standalone
     behaviour):
@@ -88,8 +92,10 @@ class SpiffiNode:
         local_videos: int | None = None,
         closed_terminals: bool = True,
     ) -> None:
-        self.config = config
-        self.env = env if env is not None else Environment()
+        super().__init__(config, env if env is not None else Environment())
+        #: A standalone server is its own sole member, for the session
+        #: door and :func:`~repro.core.metrics.collect_metrics` alike.
+        self.members = (self,)
         rng = RandomSource(config.seed)
         self._rng = rng
         video_count = (
@@ -97,6 +103,7 @@ class SpiffiNode:
         )
         if video_count < 1:
             raise ValueError(f"need at least one local video, got {video_count}")
+        self.catalog_size = video_count
 
         profile = MpegProfile(
             bit_rate_bps=config.video_bit_rate_bps,
@@ -181,23 +188,23 @@ class SpiffiNode:
                 DiskPrefetcher(self.env, config.prefetch, drive, pool, cpu, config.cpu)
                 for drive in drives
             ]
-            self.nodes.append(
-                VideoServerNode(
-                    env=self.env,
-                    node_id=node_id,
-                    cpu=cpu,
-                    cpu_params=config.cpu,
-                    drives=drives,
-                    pool=pool,
-                    bus=self.bus,
-                    library=self.library,
-                    layout=self.layout,
-                    block_size=config.stripe_bytes,
-                    prefetch_spec=config.prefetch,
-                    prefetchers=prefetchers,
-                    faults=self.faults,
-                )
+            server = VideoServerNode(
+                env=self.env,
+                node_id=node_id,
+                cpu=cpu,
+                cpu_params=config.cpu,
+                drives=drives,
+                pool=pool,
+                bus=self.bus,
+                library=self.library,
+                layout=self.layout,
+                block_size=config.stripe_bytes,
+                prefetch_spec=config.prefetch,
+                prefetchers=prefetchers,
+                faults=self.faults,
             )
+            self.nodes.append(server)
+            self.register(server, pool, cpu, *drives, *prefetchers)
 
         all_drives = [drive for node in self.nodes for drive in node.drives]
 
@@ -214,6 +221,7 @@ class SpiffiNode:
             )
             for node in self.nodes:
                 node.replication = self.replication
+            self.register(self.replication, health)
             if config.replication.rebuild and config.faults.enabled:
                 self.rebuild = RebuildManager(
                     self.env, self.replication, self.library, self.block_size
@@ -249,21 +257,9 @@ class SpiffiNode:
         # resolve ``fabric.proxy`` once at construction and a None adds
         # no events and draws no randomness.  Built before the
         # terminals, which capture the handle.
-        self.proxy_runtime: ProxyRuntime | None = None
         self.proxy: ProxyView | None = None
         if config.proxy.enabled:
-            self.proxy_runtime = ProxyRuntime(
-                self.env,
-                config.proxy,
-                schedules=[
-                    video.schedule(config.stripe_bytes) for video in self.library
-                ],
-                weights=self.access.model.weights(),
-                block_size=config.stripe_bytes,
-                forward_bus=self.bus,
-                control_message_bytes=config.control_message_bytes,
-            )
-            self.proxy = ProxyView(self.proxy_runtime, self)
+            self._build_proxy(self.bus)
 
         # Stream sharing exists only when the config names a policy, so
         # the default spec leaves every fast path intact: terminals and
@@ -273,48 +269,38 @@ class SpiffiNode:
         # handle; server nodes get the block hook only when the policy
         # chains buffers.
         self.sharing: SharingRuntime | None = None
+        #: The sharing runtime when it batches launches, else None.
+        self.batcher: SharingRuntime | None = None
         if config.sharing.enabled:
             self.sharing = config.sharing.build(self.env)
+            if self.sharing.batching:
+                self.batcher = self.sharing
             if self.sharing.chaining:
                 for node in self.nodes:
                     node.sharing = self.sharing
 
+        self.register(self.bus, self.admission, self.qos, self.faults, self.sharing)
         # Open-system workload: a session generator replaces the fixed
         # terminal population.  Closed (the default) builds the paper's
         # looping terminals and spawns no workload streams at all; a
         # cluster member (closed_terminals=False) builds neither — the
         # cluster's session generator adopts terminals onto the node.
-        self.workload: SessionGenerator | None = None
-        if config.workload.enabled:
-            self.terminals: list[Terminal] = []
-            self.workload = SessionGenerator(
-                self.env, SingleServer(self), config.workload, rng.spawn("workload")
-            )
-        elif closed_terminals:
-            self.terminals = [
-                Terminal(
-                    env=self.env,
-                    terminal_id=terminal_id,
-                    fabric=self,
-                    access=self.access,
-                    rng=rng.spawn(f"terminal-{terminal_id}"),
-                    memory_bytes=config.terminal_memory_bytes,
-                    pause_model=config.pause_model,
-                    initial_position_fraction=config.initial_position_fraction,
+        self.terminals: list[Terminal] = []
+        if closed_terminals and not config.workload.enabled:
+            for terminal_id in range(config.terminals):
+                self.adopt_terminal(
+                    Terminal(
+                        env=self.env,
+                        terminal_id=terminal_id,
+                        fabric=self,
+                        access=self.access,
+                        rng=rng.spawn(f"terminal-{terminal_id}"),
+                        memory_bytes=config.terminal_memory_bytes,
+                        pause_model=config.pause_model,
+                        initial_position_fraction=config.initial_position_fraction,
+                    )
                 )
-                for terminal_id in range(config.terminals)
-            ]
-            for terminal in self.terminals:
-                terminal.qos = self.qos
-        else:
-            self.terminals = []
-        self._started = False
-
-    @property
-    def members(self) -> tuple["SpiffiNode"]:
-        """A standalone server is its own sole member, for the session
-        door and :func:`~repro.core.metrics.collect_metrics` alike."""
-        return (self,)
+        self._build_workload(rng.spawn("workload"))
 
     # ------------------------------------------------------------------
     # ServerFabric interface (used by terminals)
@@ -332,9 +318,9 @@ class SpiffiNode:
     def request_start(self, video_id: int) -> Event | None:
         """The launch event of a closed terminal's §8.2 start batch, or
         None (start now) when the sharing policy does not batch."""
-        if self.sharing is None or not self.sharing.batching:
+        if self.batcher is None:
             return None
-        return self.sharing.request_start(video_id)
+        return self.batcher.request_start(video_id)
 
     def request_admission(self) -> Event:
         return self.admission.request_slot()
@@ -347,112 +333,20 @@ class SpiffiNode:
         return self.faults is not None and self.faults.attributable()
 
     def adopt_terminal(self, terminal: Terminal) -> None:
-        """Register a session-spawned terminal with the system so its
-        statistics are collected and reset with everything else."""
+        """Register a terminal (closed, or spawned by a session) with the
+        system so its statistics are collected and reset with everything
+        else."""
         terminal.qos = self.qos
         self.terminals.append(terminal)
+        self.register(terminal)
 
-    def enable_fault_tracing(self, capacity: int = 100_000) -> "TraceRecorder":
-        """Attach a trace recorder to the fault runtime (faults must be
-        configured); returns the recorder for inspection after the run."""
-        if self.faults is None:
-            raise ValueError("config schedules no faults; nothing to trace")
-        from repro.telemetry.trace import TraceRecorder
-
-        recorder = TraceRecorder(self.env, capacity=capacity)
-        self.faults.trace = recorder
-        if self.replication is not None:
-            self.replication.trace = recorder
-            self.replication.health.trace = recorder
-        return recorder
-
-    def enable_proxy_tracing(self, capacity: int = 100_000) -> "TraceRecorder":
-        """Attach a trace recorder to the proxy tier (a proxy must be
-        configured); returns the recorder for inspection after the run."""
-        if self.proxy_runtime is None:
-            raise ValueError("config enables no proxy; nothing to trace")
-        from repro.telemetry.trace import TraceRecorder
-
-        recorder = TraceRecorder(self.env, capacity=capacity)
-        self.proxy_runtime.trace = recorder
-        return recorder
-
-    def enable_sharing_tracing(self, capacity: int = 100_000) -> "TraceRecorder":
-        """Attach a trace recorder to the sharing runtime (a sharing
-        policy must be configured); returns the recorder for inspection
-        after the run (``batch.*``/``merge.*``/``chain.*`` kinds)."""
-        if self.sharing is None:
-            raise ValueError("config enables no sharing policy; nothing to trace")
-        from repro.telemetry.trace import TraceRecorder
-
-        recorder = TraceRecorder(self.env, capacity=capacity)
-        self.sharing.trace = recorder
-        return recorder
-
-    def enable_session_tracing(self, capacity: int = 100_000) -> "TraceRecorder":
-        """Attach a trace recorder to the session generator (an open
-        workload must be configured); returns the recorder for
-        inspection after the run."""
-        if self.workload is None:
-            raise ValueError("closed workload; no sessions to trace")
-        from repro.telemetry.trace import TraceRecorder
-
-        recorder = TraceRecorder(self.env, capacity=capacity)
-        self.workload.trace = recorder
-        return recorder
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Launch the workload: the arrival process (open system) or
-        every terminal at a random instant in the start spread (closed)."""
-        if self._started:
-            raise RuntimeError("system already started")
-        self._started = True
-        if self.workload is not None:
-            self.workload.start()
-            return
-        if not self.terminals:
-            return  # cluster member: the cluster's generator drives load
+    def _launch(self) -> None:
+        """Start every closed terminal at a random instant in the start
+        spread (none for an open workload or a cluster member, whose
+        load arrives through a session generator)."""
         start_rng = self._rng.spawn("starts")
         for terminal in self.terminals:
             terminal.start(start_rng.uniform(0.0, self.config.start_spread_s))
-
-    def run(self) -> RunMetrics:
-        """Warm up, measure, and collect (the paper's methodology)."""
-        config = self.config
-        self.start()
-        self.env.run(until=config.warmup_s)
-        self.reset_stats()
-        self.env.run(until=config.warmup_s + config.measure_s)
-        return collect_metrics(self, config.measure_s)
-
-    def reset_stats(self) -> None:
-        """Begin the measurement window: zero every statistic."""
-        for terminal in self.terminals:
-            terminal.reset_stats()
-        for node in self.nodes:
-            node.reset_stats()
-            node.pool.reset_stats()
-            node.cpu.reset_stats()
-            for drive in node.drives:
-                drive.reset_stats()
-            for prefetcher in node.prefetchers:
-                prefetcher.reset_stats()
-        self.bus.reset_stats()
-        self.admission.reset_stats()
-        self.qos.reset()
-        if self.workload is not None:
-            self.workload.reset_stats()
-        if self.faults is not None:
-            self.faults.reset_stats()
-        if self.replication is not None:
-            self.replication.reset_stats()
-        if self.proxy_runtime is not None:
-            self.proxy_runtime.reset_stats()
-        if self.sharing is not None:
-            self.sharing.reset_stats()
 
     # ------------------------------------------------------------------
     # Extra probes used by figures

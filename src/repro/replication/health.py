@@ -55,6 +55,9 @@ class HealthMonitor:
         self._on_outage: list[typing.Callable[[int], None]] = []
         self._on_restored: list[typing.Callable[[int], None]] = []
 
+    def reset_stats(self) -> None:
+        """Health is live state, not a statistic: nothing to zero."""
+
     # ------------------------------------------------------------------
     # State queries (used by the read router)
     # ------------------------------------------------------------------

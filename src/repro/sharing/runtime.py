@@ -160,7 +160,7 @@ class SharingRuntime:
         #: Whether terminals should report playback lifecycle events.
         self.tracks_streams = self.merging or self.chaining
         self.stats = SharingStats()
-        #: Optional structured trace (see ``enable_sharing_tracing``).
+        #: Optional structured trace (see ``FrontDoor.enable_tracing``).
         self.trace: "TraceRecorder | None" = None
         # Batch coordinator state.
         self._batches: dict[int, StreamBatch] = {}

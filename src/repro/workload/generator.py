@@ -9,10 +9,11 @@ session runs as its own process through the full customer lifecycle:
     arrive → route → (balk | queue → (renege | admit)) → [batch window]
     → stream → (watch to the end | depart early) → release slot
 
-The generator drives a *front door*: the set of members that can serve
-a title.  :class:`~repro.cluster.system.SpiffiCluster` is the multi-node
-door; :class:`SingleServer` is the standalone server as a one-member
-door that never fails.  The door supplies ``members``, ``qos``,
+The generator drives a *front door* (:class:`~repro.core.door.
+FrontDoor`): the set of members that can serve a title.
+:class:`~repro.cluster.system.SpiffiCluster` is the multi-node door; a
+standalone :class:`~repro.core.node.SpiffiNode` is a one-member door
+that never fails.  The door supplies ``members``, ``qos``,
 ``catalog_size``, ``route``/``local_id``/``spill_target``, the
 per-member ``down_event`` (None when the member can never fail), the
 per-placement control message ``place()``, and ``select_on_arrival``.
@@ -51,7 +52,6 @@ from repro.workload.popularity import RotatingPopularity
 from repro.workload.spec import ArrivalSpec
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.core.node import SpiffiNode
     from repro.telemetry.trace import TraceRecorder
 
 
@@ -87,34 +87,6 @@ class SessionStats:
         self.spilled = 0
 
 
-class SingleServer:
-    """The standalone server as a one-member front door that never fails."""
-
-    def __init__(self, node: "SpiffiNode") -> None:
-        self.members = node.members
-        self.qos = node.qos
-        self.catalog_size = node.library.title_count
-        #: A batching session must know its title on arrival to find an
-        #: open window; otherwise the title is drawn after admission.
-        sharing = node.sharing
-        self.select_on_arrival = sharing is not None and sharing.batching
-
-    def route(self, title: int | None) -> int:
-        return 0
-
-    def local_id(self, title: int | None, node: int) -> int | None:
-        return title
-
-    def spill_target(self, title: int | None, node: int, limit: int) -> None:
-        return None
-
-    def down_event(self, node: int) -> None:
-        return None
-
-    def place(self) -> tuple:
-        return ()  # no interconnect: placing costs nothing
-
-
 class SessionGenerator:
     """Spawns and retires terminals according to an arrival process."""
 
@@ -140,7 +112,7 @@ class SessionGenerator:
         #: in admission order.  Never reset — the determinism tests
         #: compare whole-run logs across fresh builds.
         self.assignments: list[tuple[int, int, int]] = []
-        #: Optional structured trace (see ``enable_session_tracing``).
+        #: Optional structured trace (see ``FrontDoor.enable_tracing``).
         self.trace: "TraceRecorder | None" = None
 
     # ------------------------------------------------------------------
@@ -201,7 +173,7 @@ class SessionGenerator:
             # Batches form per member, so only arrivals routed to the
             # same member share a launch.  Failed-over sessions resume
             # on a slot of their own instead of waiting out a window.
-            sharing = self._batching(member) if attempt == 0 else None
+            sharing = member.batcher if attempt == 0 else None
             batch = None
             patience = None
             if sharing is not None:
@@ -223,7 +195,7 @@ class SessionGenerator:
                         admission = member.admission
                         down = door.down_event(node)
                         local = door.local_id(title, node)
-                        sharing = self._batching(member)
+                        sharing = member.batcher
                         yield from door.place()  # the redirect's message
                     if node is None or (
                         admission.would_queue
@@ -402,12 +374,6 @@ class SessionGenerator:
         """Wait for the first of *waits*.  A lone wait is yielded bare:
         wrapping it in a condition would add one kernel event."""
         return waits[0] if len(waits) == 1 else self.env.any_of(waits)
-
-    @staticmethod
-    def _batching(member):
-        """The member's sharing runtime when it batches launches, else None."""
-        sharing = member.sharing
-        return sharing if sharing is not None and sharing.batching else None
 
     def _renege(self, session: int, arrived: float) -> None:
         self.stats.reneged += 1

@@ -23,9 +23,9 @@ class QosMonitor:
                 f"startup_slo_s must be positive, got {startup_slo_s}"
             )
         self.startup_slo_s = startup_slo_s
-        self.reset()
+        self.reset_stats()
 
-    def reset(self, now: float | None = None) -> None:
+    def reset_stats(self) -> None:
         self.starts = 0
         self.within_slo = 0
         self._quantiles = {

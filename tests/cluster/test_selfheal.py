@@ -11,6 +11,7 @@ the rebuild window, so healing decides whether the second failure loses
 titles.
 """
 
+import dataclasses
 import functools
 
 import pytest
@@ -247,13 +248,6 @@ class TestInertDefault:
         assert load == 0 and isinstance(load, int)
         assert cluster.spill_target(0, 0, 4) is None
 
-    def test_tracing_without_a_manager_raises(self):
-        cluster = SpiffiCluster(
-            heal_config(faults=SINGLE, self_heal=SelfHealSpec())
-        )
-        with pytest.raises(ValueError, match="no self-healing rebuild"):
-            cluster.enable_cluster_tracing()
-
 
 class TestRebuildRestoresDegree:
     def test_every_title_regains_two_surviving_hosts(self):
@@ -369,7 +363,7 @@ class TestSpill:
 class TestTracing:
     def test_rebuild_and_rejoin_events_are_recorded(self):
         cluster = SpiffiCluster(heal_config(faults=RECOVERING))
-        recorder = cluster.enable_cluster_tracing()
+        recorder = cluster.enable_tracing()
         cluster.run()
         kinds = {event.kind for event in recorder.events()}
         assert trace_events.CLUSTER_REBUILD_START in kinds
@@ -377,6 +371,29 @@ class TestTracing:
         assert trace_events.CLUSTER_REBUILD_END in kinds
         assert trace_events.CLUSTER_REJOIN_START in kinds
         assert trace_events.CLUSTER_REJOIN_END in kinds
+
+    def test_one_recorder_covers_the_door_and_every_member(self):
+        member_faults = FaultSpec(
+            disk_fault_rate_per_hour=720.0,
+            slow_weight=1.0,
+            outage_weight=0.0,
+            fail_weight=0.0,
+        )
+        config = dataclasses.replace(
+            heal_config(faults=RECOVERING), node=short_member(faults=member_faults)
+        )
+        cluster = SpiffiCluster(config)
+        recorder = cluster.enable_tracing()
+        traced = [c for c in cluster.components() if hasattr(c, "trace")]
+        assert all(c.trace is recorder for c in traced)
+        assert {cluster.workload, cluster.health, cluster.rebuild_manager} <= set(traced)
+        assert all(member.faults in traced for member in cluster.members)
+        cluster.run()
+        kinds = set(recorder.counts)
+        assert {trace_events.SESSION_ARRIVE, trace_events.SESSION_ADMIT} <= kinds
+        assert trace_events.HEALTH_CHANGE in kinds
+        assert trace_events.CLUSTER_REBUILD_START in kinds
+        assert trace_events.FAULT_START in kinds  # from the members' disks
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 from repro import LayoutSpec, MB, ReplacementSpec, SpiffiConfig, SpiffiSystem, run_simulation
+from repro.cluster import ClusterConfig, SpiffiCluster
 from repro.prefetch import PrefetchSpec
 from repro.sched import SchedulerSpec
 from repro.sharing import SharingSpec
@@ -69,11 +70,21 @@ class TestEndToEnd:
         metrics = run_simulation(tiny_config())
         assert metrics.cpu_utilization_mean < 0.2
 
-    def test_run_twice_rejected(self):
-        system = SpiffiSystem(tiny_config())
-        system.run()
-        with pytest.raises(RuntimeError):
-            system.start()
+    @pytest.mark.parametrize("second", ["start_after_run", "run_after_start"])
+    @pytest.mark.parametrize("kind", ["standalone", "cluster"])
+    def test_run_twice_rejected(self, kind, second):
+        if kind == "standalone":
+            system = SpiffiSystem(tiny_config(measure_s=5.0))
+        else:
+            system = SpiffiCluster(ClusterConfig(node=tiny_config(measure_s=5.0)))
+        first, again = (
+            (system.run, system.start)
+            if second == "start_after_run"
+            else (system.start, system.run)
+        )
+        first()
+        with pytest.raises(RuntimeError, match=type(system).__name__):
+            again()
 
     def test_disk_utilizations_per_disk(self):
         system = SpiffiSystem(tiny_config())

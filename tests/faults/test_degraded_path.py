@@ -59,7 +59,7 @@ def storm_config(seed):
 
 def traced_run(seed):
     system = SpiffiSystem(storm_config(seed))
-    recorder = system.enable_fault_tracing()
+    recorder = system.enable_tracing()
     system.start()
     system.env.run(until=system.config.total_sim_time_s)
     return recorder

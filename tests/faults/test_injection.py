@@ -153,7 +153,7 @@ class TestFaultyRuns:
 class TestFaultTracing:
     def test_trace_records_fault_lifecycle(self):
         system = SpiffiSystem(golden_config(faults=faulty_spec()))
-        recorder = system.enable_fault_tracing()
+        recorder = system.enable_tracing()
         system.start()
         system.env.run(until=system.config.total_sim_time_s)
         kinds = {event.kind for event in recorder.events()}
@@ -162,6 +162,7 @@ class TestFaultTracing:
         assert trace_events.FAULT_RETRY in kinds
 
     def test_tracing_requires_faults(self):
+        # Closed, fault-free, unreplicated: nothing to trace.
         system = SpiffiSystem(golden_config())
-        with pytest.raises(ValueError):
-            system.enable_fault_tracing()
+        with pytest.raises(ValueError, match="SpiffiNode"):
+            system.enable_tracing()

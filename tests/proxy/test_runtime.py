@@ -213,17 +213,12 @@ class TestAccountingInvariants:
 class TestTracing:
     def test_proxy_events_are_recorded(self):
         system = SpiffiSystem(proxied(memory_bytes=4 * MB))
-        recorder = system.enable_proxy_tracing()
+        recorder = system.enable_tracing()
         system.run()
         kinds = {event.kind for event in recorder.events()}
         assert trace_events.PROXY_HIT in kinds
         assert trace_events.PROXY_MISS in kinds
         assert trace_events.PROXY_FILL in kinds
-
-    def test_tracing_without_a_proxy_raises(self):
-        system = SpiffiSystem(open_config())
-        with pytest.raises(ValueError, match="no proxy"):
-            system.enable_proxy_tracing()
 
 
 class TestBehaviour:

@@ -79,7 +79,7 @@ class TestDeterminism:
 class TestFailoverTracing:
     def test_trace_records_failover_and_health(self):
         system = SpiffiSystem(failover_config("mirrored"))
-        recorder = system.enable_fault_tracing()
+        recorder = system.enable_tracing()
         system.start()
         system.env.run(until=system.config.total_sim_time_s)
         kinds = {event.kind for event in recorder.events()}

@@ -40,7 +40,7 @@ def rebuild_config(**overrides):
 
 def run_system(config):
     system = SpiffiSystem(config)
-    recorder = system.enable_fault_tracing()
+    recorder = system.enable_tracing()
     system.start()
     system.env.run(until=config.total_sim_time_s)
     return system, recorder

@@ -114,18 +114,11 @@ class TestTraces:
         assert runtime.trace.counts["chain.form"] == 1
         assert runtime.trace.counts["chain.break"] == 1
 
-    def test_node_hook_requires_a_sharing_policy(self):
-        from repro import SpiffiSystem
-
-        system = SpiffiSystem(batch_config(sharing=SharingSpec()))
-        with pytest.raises(ValueError, match="no sharing policy"):
-            system.enable_sharing_tracing()
-
     def test_node_hook_attaches_the_recorder(self):
         from repro import SpiffiSystem
 
         system = SpiffiSystem(batch_config())
-        recorder = system.enable_sharing_tracing()
+        recorder = system.enable_tracing()
         assert system.sharing.trace is recorder
         system.start()
         system.env.run(until=40.0)

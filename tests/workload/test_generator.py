@@ -134,7 +134,7 @@ class TestSessionTracing:
         system = SpiffiSystem(
             open_config(admission=AdmissionSpec("fixed", max_streams=4))
         )
-        recorder = system.enable_session_tracing()
+        recorder = system.enable_tracing()
         system.run()
         assert recorder.counts[trace_events.SESSION_ARRIVE] > 0
         assert recorder.counts[trace_events.SESSION_ADMIT] > 0
@@ -153,7 +153,7 @@ class TestSessionTracing:
             ),
         )
         system = SpiffiSystem(config)
-        recorder = system.enable_session_tracing()
+        recorder = system.enable_tracing()
         system.run()
         assert recorder.counts[trace_events.QUEUE_ENTER] > 0
         assert recorder.counts[trace_events.SESSION_BALK] > 0
@@ -161,8 +161,8 @@ class TestSessionTracing:
 
     def test_closed_system_has_no_sessions_to_trace(self):
         system = SpiffiSystem(SpiffiConfig(terminals=2, measure_s=5.0))
-        with pytest.raises(ValueError):
-            system.enable_session_tracing()
+        with pytest.raises(ValueError, match="SpiffiNode"):
+            system.enable_tracing()
 
 
 class TestHotsetRotation:
