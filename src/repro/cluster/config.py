@@ -25,7 +25,8 @@ from repro.cluster.routing import RouterSpec
 from repro.cluster.selfheal import SelfHealSpec
 from repro.core.config import SpiffiConfig
 from repro.faults.spec import FaultSpec
-from repro.proxy.spec import ProxySpec, proxy_cache_dict
+from repro.proxy.spec import ProxySpec
+from repro import schema
 from repro.runnable import register_runnable
 from repro.workload.spec import ArrivalSpec
 
@@ -41,7 +42,15 @@ class ClusterConfig:
     by *routing* within the constraints of *placement*.  *faults* may
     script **node-level** outages only (``fail_node_ids`` et al.);
     per-disk and network faults belong on ``node.faults`` as always.
+
+    The canonical form digests *workload* and *faults* always, but the
+    *proxy* and *self_heal* tiers only while enabled.
     """
+
+    #: Versions cluster semantics independently of the global run-cache
+    #: version; schema 2 charges front-door routing control messages to
+    #: the interconnect.
+    schema_constants = {"schema": 2}
 
     node: SpiffiConfig = dataclasses.field(default_factory=SpiffiConfig)
     nodes: int = 1
@@ -60,38 +69,21 @@ class ClusterConfig:
     #: router is consulted.  Disabled by default; requires an open
     #: cluster workload (the closed 1-node population never routes
     #: through the front door).
-    proxy: ProxySpec = dataclasses.field(default_factory=ProxySpec)
+    proxy: ProxySpec = schema.field(factory=ProxySpec, digest=schema.OMIT_WHEN_DEFAULT)
     #: Self-healing around node outages: catalog re-replication onto
     #: survivors, rejoin resync, and placement-aware (spill) admission.
     #: The default spec is inert — runs are bit-identical to a build
     #: without the self-healing layer at all.
-    self_heal: SelfHealSpec = dataclasses.field(default_factory=SelfHealSpec)
+    self_heal: SelfHealSpec = schema.field(
+        factory=SelfHealSpec, digest=schema.OMIT_WHEN_DEFAULT
+    )
     #: Cluster seed; None adopts ``node.seed``.  Member *i* runs with
     #: ``seed + i``; the cluster session generator draws from the
     #: ``"cluster-workload"`` child stream of ``seed``.
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.node, SpiffiConfig):
-            raise TypeError(f"node must be a SpiffiConfig, got {self.node!r}")
-        if not isinstance(self.placement, PlacementSpec):
-            raise TypeError(
-                f"placement must be a PlacementSpec, got {self.placement!r}"
-            )
-        if not isinstance(self.routing, RouterSpec):
-            raise TypeError(f"routing must be a RouterSpec, got {self.routing!r}")
-        if not isinstance(self.workload, ArrivalSpec):
-            raise TypeError(
-                f"workload must be an ArrivalSpec, got {self.workload!r}"
-            )
-        if not isinstance(self.faults, FaultSpec):
-            raise TypeError(f"faults must be a FaultSpec, got {self.faults!r}")
-        if not isinstance(self.proxy, ProxySpec):
-            raise TypeError(f"proxy must be a ProxySpec, got {self.proxy!r}")
-        if not isinstance(self.self_heal, SelfHealSpec):
-            raise TypeError(
-                f"self_heal must be a SelfHealSpec, got {self.self_heal!r}"
-            )
+        schema.check_types(self)
         if self.nodes < 1:
             raise ValueError(f"need at least one node, got {self.nodes}")
         if self.seed is None:
@@ -193,51 +185,6 @@ class ClusterConfig:
     def label(self) -> str:
         return f"{self.nodes}n/{self.placement.label()}/{self.routing.label()}"
 
-    def to_cache_dict(self) -> dict:
-        """Canonical dict for the run cache's config digest (see
-        :func:`cluster_cache_dict`)."""
-        return cluster_cache_dict(self)
-
-
-def cluster_cache_dict(config: ClusterConfig) -> dict:
-    """Canonical cache form of a :class:`ClusterConfig`.
-
-    Namespaced under ``"cluster"`` so no cluster digest can ever collide
-    with a single-system digest of similar shape.  The embedded
-    ``"schema"`` marker versions *cluster* semantics independently of
-    the global :data:`~repro.experiments.results.CACHE_SCHEMA_VERSION`:
-    bumping it invalidates cached cluster runs without disturbing the
-    (unchanged) standalone entries.  Schema 2 charges front-door routing
-    control messages to the interconnect.  A default (disabled) proxy is
-    omitted, so pre-proxy cluster configs keep their digests; likewise a
-    default ``self_heal``, a zero ``fail_node_stagger_s``, and a zero
-    placement ``replicas`` are omitted, so pre-self-healing configs keep
-    theirs.
-    """
-    from repro.core.config import config_cache_dict
-
-    placement = dataclasses.asdict(config.placement)
-    if config.placement.replicas == 0:
-        del placement["replicas"]
-    faults = dataclasses.asdict(config.faults)
-    if config.faults.fail_node_stagger_s == 0.0:
-        del faults["fail_node_stagger_s"]
-    payload = {
-        "schema": 2,
-        "nodes": config.nodes,
-        "seed": config.seed,
-        "placement": placement,
-        "routing": dataclasses.asdict(config.routing),
-        "workload": dataclasses.asdict(config.workload),
-        "faults": faults,
-        "node": config_cache_dict(config.node),
-    }
-    if config.proxy != ProxySpec():
-        payload["proxy"] = proxy_cache_dict(config.proxy)
-    if config.self_heal != SelfHealSpec():
-        payload["self_heal"] = dataclasses.asdict(config.self_heal)
-    return {"cluster": payload}
-
 
 def _run_cluster_config(config: ClusterConfig):
     """The registered executor behind ``run(ClusterConfig)``."""
@@ -251,5 +198,7 @@ register_runnable(
     ClusterConfig,
     kind="cluster",
     run=_run_cluster_config,
-    cache_dict=cluster_cache_dict,
+    # Namespaced so no cluster digest can collide with a single-system
+    # digest of similar shape.
+    cache_dict=lambda config: {"cluster": schema.canonical_form(config)},
 )

@@ -31,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro import schema
+
 
 class CatalogPlacement:
     """The built placement: titles -> hosting nodes -> local video ids.
@@ -135,8 +137,9 @@ class PlacementSpec:
     #: ``hybrid-hot-replicated``: leading titles replicated everywhere.
     hot_titles: int = 0
     #: ``chained-declustered``: copies per title (0 elsewhere, where the
-    #: scheme itself fixes the replication degree).
-    replicas: int = 0
+    #: scheme itself fixes the replication degree; digested only when
+    #: set).
+    replicas: int = schema.field(0, digest=schema.OMIT_WHEN_DEFAULT)
 
     def __post_init__(self) -> None:
         if self.name not in _REGISTRY:

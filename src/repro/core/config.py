@@ -22,12 +22,13 @@ from repro.layout.registry import (
 from repro.media.access import access_model_names
 from repro.netsim.bus import NetworkParameters
 from repro.prefetch.spec import PrefetchSpec
-from repro.proxy.spec import ProxySpec, proxy_cache_dict
+from repro.proxy.spec import ProxySpec
 from repro.replication.spec import ReplicationSpec
+from repro import schema
 from repro.runnable import register_runnable
 from repro.sched.registry import SchedulerSpec
 from repro.server.admission import AdmissionSpec
-from repro.sharing.spec import SharingSpec, sharing_cache_dict
+from repro.sharing.spec import SharingSpec
 from repro.storage.drive import DriveParameters
 from repro.terminal.pauses import PauseModel
 from repro.workload.spec import ArrivalSpec
@@ -36,18 +37,14 @@ KB = 1024
 MB = 1024 * 1024
 GB = 1024 * 1024 * 1024
 
-#: Built-in component names.  Retained for backward compatibility; the
-#: authoritative lists live in the component registries and grow as
-#: plugins register (see :func:`repro.layout.layout_names`,
-#: :func:`repro.bufferpool.replacement_names`,
-#: :func:`repro.media.access_model_names`).
-LAYOUTS = ("striped", "nonstriped")
-REPLACEMENT_POLICIES = ("global_lru", "love_prefetch")
-ACCESS_MODELS = ("zipf", "uniform")
-
 
 @dataclasses.dataclass(frozen=True)
 class SpiffiConfig:
+    #: §8.2 piggybacking is now ``SharingSpec("batch")``.  The retired
+    #: field's zero value stays in the canonical form so every existing
+    #: config digest and run-cache key stays valid.
+    schema_constants = {"piggyback_window_s": 0.0}
+
     # --- hardware shape -------------------------------------------------
     nodes: int = 4
     disks_per_node: int = 4
@@ -85,17 +82,19 @@ class SpiffiConfig:
     #: (see :mod:`repro.workload`).  With an arrival process named,
     #: ``terminals`` is ignored and sessions arrive, queue, and churn
     #: according to the spec.
-    workload: ArrivalSpec = dataclasses.field(default_factory=ArrivalSpec)
+    workload: ArrivalSpec = schema.field(
+        factory=ArrivalSpec, digest=schema.OMIT_WHEN_DEFAULT
+    )
 
     # --- algorithms -------------------------------------------------------
     stripe_bytes: int = 512 * KB
     #: A :class:`~repro.layout.registry.LayoutSpec` naming the
     #: registered layout.
-    layout: LayoutSpec = dataclasses.field(default_factory=LayoutSpec)
+    layout: LayoutSpec = schema.field(factory=LayoutSpec, digest=schema.AS_NAME)
     #: A :class:`~repro.bufferpool.registry.ReplacementSpec` naming the
     #: registered replacement policy.
-    replacement_policy: ReplacementSpec = dataclasses.field(
-        default_factory=ReplacementSpec
+    replacement_policy: ReplacementSpec = schema.field(
+        factory=ReplacementSpec, digest=schema.AS_NAME
     )
     scheduler: SchedulerSpec = dataclasses.field(default_factory=SchedulerSpec)
     prefetch: PrefetchSpec = dataclasses.field(default_factory=PrefetchSpec)
@@ -103,20 +102,22 @@ class SpiffiConfig:
     # --- fault injection ---------------------------------------------------
     #: Empty by default: no faults, and runs are bit-identical to a
     #: build without the fault subsystem (see :mod:`repro.faults`).
-    faults: FaultSpec = dataclasses.field(default_factory=FaultSpec)
+    faults: FaultSpec = schema.field(factory=FaultSpec, digest=schema.OMIT_WHEN_DEFAULT)
 
     # --- replication & recovery --------------------------------------------
     #: Single copy by default: no replica machinery is built, and runs
     #: are bit-identical to a build without the replication subsystem
     #: (see :mod:`repro.replication`).
-    replication: ReplicationSpec = dataclasses.field(default_factory=ReplicationSpec)
+    replication: ReplicationSpec = schema.field(
+        factory=ReplicationSpec, digest=schema.OMIT_WHEN_DEFAULT
+    )
 
     # --- proxy/edge tier ---------------------------------------------------
     #: Disabled by default: no proxy node is built, and runs are
     #: bit-identical to a build without the proxy subsystem (see
     #: :mod:`repro.proxy`).  When enabled, a prefix-cache proxy sits
     #: between the terminals and this system's server nodes.
-    proxy: ProxySpec = dataclasses.field(default_factory=ProxySpec)
+    proxy: ProxySpec = schema.field(factory=ProxySpec, digest=schema.OMIT_WHEN_DEFAULT)
 
     # --- stream sharing ----------------------------------------------------
     #: Inert by default: no sharing runtime is built, and runs are
@@ -125,7 +126,7 @@ class SpiffiConfig:
     #: paper's §8.2 piggybacking for closed terminals), merge trailing
     #: streams onto leaders, and/or chain later sessions off earlier
     #: sessions' buffer pages.
-    sharing: SharingSpec = dataclasses.field(default_factory=SharingSpec)
+    sharing: SharingSpec = schema.field(factory=SharingSpec, digest=schema.OMIT_WHEN_DEFAULT)
 
     # --- messaging --------------------------------------------------------
     control_message_bytes: int = 128
@@ -143,41 +144,7 @@ class SpiffiConfig:
     initial_position_fraction: float = 0.9
 
     def __post_init__(self) -> None:
-        # Component choices are uniformly spec-valued; the legacy
-        # name-string coercions (deprecated since the registries landed)
-        # are gone.  Spec construction validates the name against the
-        # live registry.
-        if not isinstance(self.layout, LayoutSpec):
-            raise TypeError(
-                f"layout must be a LayoutSpec (name strings are no longer "
-                f"coerced), got {self.layout!r}"
-            )
-        if not isinstance(self.replacement_policy, ReplacementSpec):
-            raise TypeError(
-                f"replacement_policy must be a ReplacementSpec (name strings "
-                f"are no longer coerced), got {self.replacement_policy!r}"
-            )
-        if not isinstance(self.admission, AdmissionSpec):
-            raise TypeError(
-                f"admission must be an AdmissionSpec (policy name strings "
-                f"are no longer coerced), got {self.admission!r}"
-            )
-        if not isinstance(self.workload, ArrivalSpec):
-            raise TypeError(
-                f"workload must be an ArrivalSpec, got {self.workload!r}"
-            )
-        if not isinstance(self.faults, FaultSpec):
-            raise TypeError(f"faults must be a FaultSpec, got {self.faults!r}")
-        if not isinstance(self.replication, ReplicationSpec):
-            raise TypeError(
-                f"replication must be a ReplicationSpec, got {self.replication!r}"
-            )
-        if not isinstance(self.proxy, ProxySpec):
-            raise TypeError(f"proxy must be a ProxySpec, got {self.proxy!r}")
-        if not isinstance(self.sharing, SharingSpec):
-            raise TypeError(
-                f"sharing must be a SharingSpec, got {self.sharing!r}"
-            )
+        schema.check_types(self)
         if self.proxy.enabled and self.proxy.memory_bytes < self.stripe_bytes:
             raise ValueError(
                 f"proxy memory of {self.proxy.memory_bytes} bytes holds no "
@@ -303,49 +270,6 @@ class SpiffiConfig:
         return text
 
 
-# ---------------------------------------------------------------------------
-# The runnable registration: how a SpiffiConfig executes and hashes
-# ---------------------------------------------------------------------------
-
-def config_cache_dict(config: SpiffiConfig) -> dict:
-    """The full configuration as canonical JSON-serializable values.
-
-    Component specs that carry only a name (layout, replacement policy)
-    serialize as the bare name string, and default (inert) fault,
-    replication, workload, and proxy specs are omitted entirely — so a
-    config expressible before those subsystems existed serializes, and
-    therefore hashes, exactly as it always did.  Cached runs stay valid
-    across every spec-field addition.
-    """
-    data = dataclasses.asdict(config)
-    # §8.2 piggybacking is now ``SharingSpec("batch")``.  The retired
-    # field's zero default stays in the canonical form so every existing
-    # config digest and run-cache key stays valid, until ROADMAP item
-    # 3's declarative schema retires the key.
-    data["piggyback_window_s"] = 0.0
-    data["layout"] = config.layout.name
-    data["replacement_policy"] = config.replacement_policy.name
-    if config.faults == FaultSpec():
-        del data["faults"]
-    elif config.faults.fail_node_stagger_s == 0.0:
-        # Default stagger is omitted so pre-stagger fault configs keep
-        # their digests (a node cannot stagger on a single system).
-        del data["faults"]["fail_node_stagger_s"]
-    if config.replication == ReplicationSpec():
-        del data["replication"]
-    if config.workload == ArrivalSpec():
-        del data["workload"]
-    if config.proxy == ProxySpec():
-        del data["proxy"]
-    else:
-        data["proxy"] = proxy_cache_dict(config.proxy)
-    if config.sharing == SharingSpec():
-        del data["sharing"]
-    else:
-        data["sharing"] = sharing_cache_dict(config.sharing)
-    return data
-
-
 def _run_spiffi_config(config: SpiffiConfig):
     # Lazy: repro.core.system imports this module, so the system class
     # can only be resolved at call time.
@@ -362,5 +286,5 @@ register_runnable(
     SpiffiConfig,
     kind="system",
     run=_run_spiffi_config,
-    cache_dict=config_cache_dict,
+    cache_dict=schema.canonical_form,
 )

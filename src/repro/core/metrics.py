@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro import schema
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.system import SpiffiCluster
     from repro.core.node import SpiffiNode
@@ -90,41 +92,37 @@ class RunMetrics:
     rebuilds_completed: int = 0
     mean_time_to_rebuild_s: float = 0.0
     # Proxy/edge prefix-cache tier (all zero unless the config enables
-    # a proxy; defaulted for cached-metrics compatibility, and an
-    # all-zero group is dropped from :meth:`deterministic_dict` so
-    # proxy-less digests match the pre-proxy schema exactly).
-    proxy_requests: int = 0
-    proxy_hits: int = 0
-    proxy_misses: int = 0
-    proxy_served_bytes: int = 0
-    proxy_origin_bytes: int = 0
-    # Stream sharing (all zero unless a sharing policy engages; the
-    # whole group is dropped from :meth:`deterministic_dict` while
-    # inert, same discipline as the proxy group).  ``shared_streams``
-    # is every session served without a disk stream of its own: batch
-    # followers (closed §8.2 starts included) plus completed merges.
-    batches_launched: int = 0
-    shared_streams: int = 0
-    merged_sessions: int = 0
-    chain_reads: int = 0
-    chain_breaks: int = 0
-    sharing_fraction: float = 0.0
+    # a proxy).  Each declared ``group`` below is left out of
+    # :meth:`deterministic_dict` while all of its fields are zero.
+    proxy_requests: int = schema.field(0, group="proxy")
+    proxy_hits: int = schema.field(0, group="proxy")
+    proxy_misses: int = schema.field(0, group="proxy")
+    proxy_served_bytes: int = schema.field(0, group="proxy")
+    proxy_origin_bytes: int = schema.field(0, group="proxy")
+    # Stream sharing (all zero unless a sharing policy engages).
+    # ``shared_streams`` is every session served without a disk stream
+    # of its own: batch followers (closed §8.2 starts included) plus
+    # completed merges.
+    batches_launched: int = schema.field(0, group="sharing")
+    shared_streams: int = schema.field(0, group="sharing")
+    merged_sessions: int = schema.field(0, group="sharing")
+    chain_reads: int = schema.field(0, group="sharing")
+    chain_breaks: int = schema.field(0, group="sharing")
+    sharing_fraction: float = schema.field(0.0, group="sharing")
     # Cluster failover & self-healing (all zero unless the cluster
-    # scripts node outages or enables self_heal; the whole group is
-    # dropped from :meth:`deterministic_dict` while inert so earlier
-    # digests survive, same discipline as the proxy group).
-    failed_over_sessions: int = 0
-    lost_sessions: int = 0
-    spilled_sessions: int = 0
-    node_titles_rebuilt: int = 0
-    node_titles_unrecoverable: int = 0
-    node_rebuild_bytes: int = 0
+    # scripts node outages or enables self_heal).
+    failed_over_sessions: int = schema.field(0, group="self_heal")
+    lost_sessions: int = schema.field(0, group="self_heal")
+    spilled_sessions: int = schema.field(0, group="self_heal")
+    node_titles_rebuilt: int = schema.field(0, group="self_heal")
+    node_titles_unrecoverable: int = schema.field(0, group="self_heal")
+    node_rebuild_bytes: int = schema.field(0, group="self_heal")
     #: Simulated seconds from the first scripted outage to the instant
     #: the last planned re-replication went live (0.0 when rebuild is
     #: off or never finished).
-    replication_restore_s: float = 0.0
-    rejoin_resyncs: int = 0
-    rejoin_resync_bytes: int = 0
+    replication_restore_s: float = schema.field(0.0, group="self_heal")
+    rejoin_resyncs: int = schema.field(0, group="self_heal")
+    rejoin_resync_bytes: int = schema.field(0, group="self_heal")
     #: Per-member breakdown for multi-node runs: one mapping per node
     #: (routed sessions, queue depth, disk utilization, rebuild traffic
     #: ...).  Diagnostic only — excluded from equality and from
@@ -135,7 +133,8 @@ class RunMetrics:
     # ``repro.telemetry.runstats``; zero when a system is run directly).
     # Wall time is host-dependent, so it does not participate in
     # equality: two runs of the same config compare equal.  The event
-    # count is deterministic and does participate.
+    # count is deterministic and does participate (see DESIGN.md on
+    # why it stays in the metrics digest for now).
     wall_time_s: float = dataclasses.field(default=0.0, compare=False)
     events_processed: int = 0
 
@@ -189,57 +188,18 @@ class RunMetrics:
         """Fraction of proxy requests served from proxy memory."""
         return self.proxy_hits / self.proxy_requests if self.proxy_requests else 0.0
 
-    #: Field groups dropped from :meth:`deterministic_dict` while inert.
-    _PROXY_FIELDS = (
-        "proxy_requests",
-        "proxy_hits",
-        "proxy_misses",
-        "proxy_served_bytes",
-        "proxy_origin_bytes",
-    )
-    _SHARING_FIELDS = (
-        "batches_launched",
-        "shared_streams",
-        "merged_sessions",
-        "chain_reads",
-        "chain_breaks",
-        "sharing_fraction",
-    )
-    _SELF_HEAL_FIELDS = (
-        "failed_over_sessions",
-        "lost_sessions",
-        "spilled_sessions",
-        "node_titles_rebuilt",
-        "node_titles_unrecoverable",
-        "node_rebuild_bytes",
-        "replication_restore_s",
-        "rejoin_resyncs",
-        "rejoin_resync_bytes",
-    )
-
     def deterministic_dict(self) -> dict:
-        """All fields except host-dependent wall time, for comparing
+        """Every field that takes part in equality (so not the host's
+        wall time nor the diagnostic per-node breakdown), for comparing
         runs across executors, job counts, and submission orders.
 
-        Mirroring the config canonicalisation, a field group that is
-        entirely inert (the proxy counters of a proxy-less run, the
-        failover/self-heal counters of an outage-free run) is omitted,
-        so digests of pre-existing scenarios survive schema growth
-        unchanged.  The per-node breakdown is always omitted: it is a
-        diagnostic view of numbers the aggregate fields already pin.
+        Mirroring the config canonical form, a declared metric group
+        that is entirely inert (the proxy counters of a proxy-less run,
+        the failover/self-heal counters of an outage-free run) is
+        omitted, so digests of pre-existing scenarios survive schema
+        growth unchanged.
         """
-        values = dataclasses.asdict(self)
-        values.pop("wall_time_s")
-        values.pop("per_node")
-        for group in (
-            self._PROXY_FIELDS,
-            self._SHARING_FIELDS,
-            self._SELF_HEAL_FIELDS,
-        ):
-            if not any(values[field] for field in group):
-                for field in group:
-                    del values[field]
-        return values
+        return schema.canonical_form(self)
 
     def summary(self) -> str:
         text = (

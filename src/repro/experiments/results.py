@@ -25,7 +25,7 @@ import typing
 from repro.core.config import SpiffiConfig
 from repro.core.metrics import RunMetrics
 from repro.experiments.report import format_table, results_dir
-from repro.runnable import runnable_cache_dict
+from repro.runnable import runnable_entry
 
 #: Bump when the meaning of cached entries changes (config or metrics
 #: schema, simulator semantics) to invalidate every existing entry.
@@ -87,17 +87,11 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def config_to_dict(config) -> dict:
-    """The full configuration as plain JSON-serializable values.
-
-    Delegates to the canonical form each config type declared when it
-    registered with :func:`repro.runnable.register_runnable`: component
-    specs that carry only a name serialize as the bare name string, and
-    default (inert) subsystem specs are omitted entirely — so a config
-    expressible before a subsystem existed serializes, and therefore
-    hashes, exactly as it always did.  Cluster configs namespace their
-    form so cluster and single-system digests can never collide.
-    """
-    return runnable_cache_dict(config)
+    """The canonical form *config*'s type declared when it registered
+    with :func:`repro.runnable.register_runnable`: the field
+    declarations of :mod:`repro.schema` applied, so a config
+    expressible before a subsystem existed hashes as it always did."""
+    return runnable_entry(config).cache_dict(config)
 
 
 def config_digest(config: SpiffiConfig) -> str:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro import schema
+
 #: Fault kinds produced by the schedule generator.
 DISK_SLOW = "disk_slow"
 DISK_OUTAGE = "disk_outage"
@@ -101,8 +103,9 @@ class FaultSpec:
     #: ``fail_node_ids[k]`` drops at ``fail_nodes_at_s + k * stagger``
     #: (0 = all listed nodes fail simultaneously, the historical
     #: semantics).  Each node's recovery, when scripted, follows its
-    #: own failure by ``node_recover_after_s``.
-    fail_node_stagger_s: float = 0.0
+    #: own failure by ``node_recover_after_s``.  Digested only when set,
+    #: so unstaggered fault configs keep their pre-stagger digests.
+    fail_node_stagger_s: float = schema.field(0.0, digest=schema.OMIT_WHEN_DEFAULT)
 
     # --- network degradation schedule ----------------------------------
     network_fault_rate_per_hour: float = 0.0

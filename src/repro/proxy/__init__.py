@@ -22,7 +22,7 @@ from repro.proxy.runtime import (
     ProxyView,
     prefix_block_count,
 )
-from repro.proxy.spec import ProxySpec, proxy_cache_dict
+from repro.proxy.spec import ProxySpec
 
 __all__ = [
     "BreadthFirst",
@@ -35,6 +35,5 @@ __all__ = [
     "make_prefix_policy",
     "prefix_block_count",
     "prefix_policy_names",
-    "proxy_cache_dict",
     "register_prefix_policy",
 ]

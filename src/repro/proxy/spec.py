@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro import schema
 from repro.bufferpool.registry import ReplacementSpec
 from repro.proxy.policies import make_prefix_policy, prefix_policy_names
 
@@ -32,19 +33,15 @@ class ProxySpec:
     memory_bytes: int = 0
     #: Replacement policy for the proxy's bufferpool (same registry as
     #: the server pools — love-prefetch vs LRU is a free ablation).
-    replacement: ReplacementSpec = dataclasses.field(
-        default_factory=ReplacementSpec
+    replacement: ReplacementSpec = schema.field(
+        factory=ReplacementSpec, digest=schema.AS_NAME
     )
     #: Registered prefix policy choosing which blocks to pre-load
     #: under the memory budget (see :mod:`repro.proxy.policies`).
     policy: str = "hottest"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.replacement, ReplacementSpec):
-            raise TypeError(
-                f"replacement must be a ReplacementSpec, "
-                f"got {self.replacement!r}"
-            )
+        schema.check_types(self)
         # Also rejects NaN, which compares false to everything.
         if not (self.prefix_s >= 0 and math.isfinite(self.prefix_s)):
             raise ValueError(
@@ -84,13 +81,3 @@ class ProxySpec:
             f"proxy {self.prefix_s:g}s/{mb:g}MB "
             f"{self.replacement.label()}/{self.policy}"
         )
-
-
-def proxy_cache_dict(spec: ProxySpec) -> dict:
-    """Canonical cache/digest form (component specs collapse to names)."""
-    return {
-        "prefix_s": spec.prefix_s,
-        "memory_bytes": spec.memory_bytes,
-        "replacement": spec.replacement.name,
-        "policy": spec.policy,
-    }

@@ -1,21 +1,18 @@
 """The runnable-config registry: one ``run()`` for every config type.
 
-``run_simulation`` takes a :class:`~repro.core.config.SpiffiConfig`,
-``run_cluster`` a :class:`~repro.cluster.config.ClusterConfig`, and the
-experiment runner used to pick between them with ``isinstance`` checks
-while the cache layer duck-typed a ``to_cache_dict`` hook — three
-different dispatch mechanisms for two config types, none of them open
-to a third.  This module replaces all of them with a single registry:
+``run_simulation`` takes a :class:`~repro.core.config.SpiffiConfig`
+and ``run_cluster`` a :class:`~repro.cluster.config.ClusterConfig`;
+the experiment runner and the run cache drive both, and any third
+config type, through a single registry:
 
 * :func:`register_runnable` — declare how a config type executes and
-  how it canonicalises for the run cache.  Called once, at import time,
+  how it canonicalises for the run cache (usually
+  :func:`repro.schema.canonical_form`).  Called once, at import time,
   in the module that *defines* the config class, so any context that
   can unpickle a config (notably process-pool workers) has its entry
   registered as a side effect of the unpickle import.
 * :func:`run` — the one public entry point: ``run(config)`` executes
   any registered config and returns its :class:`RunMetrics`.
-* :func:`runnable_cache_dict` — the canonical cache dictionary used by
-  ``config_digest`` for any registered config.
 
 The registry maps *exact* types (then falls back to subclass matches)
 so a registered subclass can override its parent's executor.
@@ -115,8 +112,3 @@ def run(config: RunnableConfig) -> "RunMetrics":
     user-registered config to its declared executor.
     """
     return runnable_entry(config).run(config)
-
-
-def runnable_cache_dict(config: RunnableConfig) -> dict:
-    """Canonical cache dictionary for any registered config."""
-    return runnable_entry(config).cache_dict(config)

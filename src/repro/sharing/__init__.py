@@ -8,7 +8,6 @@ from repro.sharing.runtime import BufferChain, SharingRuntime, StreamBatch
 from repro.sharing.spec import (
     SharingSpec,
     register_sharing_policy,
-    sharing_cache_dict,
     sharing_policy_names,
 )
 
@@ -18,6 +17,5 @@ __all__ = [
     "SharingSpec",
     "StreamBatch",
     "register_sharing_policy",
-    "sharing_cache_dict",
     "sharing_policy_names",
 ]

@@ -187,15 +187,3 @@ class SharingSpec:
             text += f"({self.window_s:g}s)"
         return text
 
-
-def sharing_cache_dict(spec: SharingSpec) -> dict:
-    """Canonical cache/digest form of a (non-default) spec."""
-    return {
-        "policy": spec.policy,
-        "window_s": spec.window_s,
-        "max_batch": spec.max_batch,
-        "rate_delta": spec.rate_delta,
-        "merge_max_lag_s": spec.merge_max_lag_s,
-        "chain_max_lag_s": spec.chain_max_lag_s,
-        "chain_pin_limit_blocks": spec.chain_pin_limit_blocks,
-    }

@@ -8,13 +8,12 @@ import pytest
 
 from repro.cluster import ClusterConfig, run_cluster
 from repro.core.system import run_simulation
-from repro.experiments.results import RunCache, config_digest
+from repro.experiments.results import RunCache, config_digest, config_to_dict
 from repro.experiments.runner import Runner, RunRequest, SerialExecutor
 from repro.runnable import (
     RunnableConfig,
     register_runnable,
     run,
-    runnable_cache_dict,
     runnable_entry,
     runnable_kinds,
 )
@@ -119,7 +118,7 @@ class TestThirdPartyRegistration:
 
     def test_cache_dict_and_digest_flow_through(self, echo_registered):
         config = EchoConfig(seed=5)
-        assert runnable_cache_dict(config) == _echo_cache_dict(config)
+        assert config_to_dict(config) == _echo_cache_dict(config)
         assert config_digest(config) != config_digest(EchoConfig(seed=6))
 
     def test_the_runner_and_cache_drive_it(self, echo_registered, tmp_path):

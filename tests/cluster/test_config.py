@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import ClusterConfig, PlacementSpec, RouterSpec
 from repro.core.config import SpiffiConfig
-from repro.experiments.results import config_digest
+from repro.experiments.results import config_digest, config_to_dict
 from repro.faults.spec import FaultSpec
 from repro.workload.spec import ArrivalSpec
 from tests.cluster.conftest import open_workload, small_cluster, small_node
@@ -101,7 +101,7 @@ class TestDerived:
 
 class TestCacheIdentity:
     def test_cache_dict_is_namespaced(self):
-        payload = small_cluster().to_cache_dict()
+        payload = config_to_dict(small_cluster())
         assert set(payload) == {"cluster"}
         assert payload["cluster"]["nodes"] == 2
 

@@ -25,9 +25,8 @@ from repro.cluster import (
     SpiffiCluster,
     run_cluster,
 )
-from repro.cluster.config import cluster_cache_dict
 from repro.core.config import MB, SpiffiConfig
-from repro.experiments.results import config_digest
+from repro.experiments.results import config_digest, config_to_dict
 from repro.faults.spec import FaultSpec
 from repro.server.admission import AdmissionSpec
 from repro.telemetry import trace as trace_events
@@ -211,7 +210,7 @@ class TestConfigValidation:
 
 class TestCacheCanonicalisation:
     def test_default_spec_leaves_the_cache_dict_untouched(self):
-        payload = cluster_cache_dict(
+        payload = config_to_dict(
             heal_config(self_heal=SelfHealSpec())
         )["cluster"]
         assert "self_heal" not in payload
@@ -221,19 +220,19 @@ class TestCacheCanonicalisation:
         config = ClusterConfig(
             node=short_member(), nodes=2, workload=heal_workload()
         )
-        payload = cluster_cache_dict(config)["cluster"]
+        payload = config_to_dict(config)["cluster"]
         assert "replicas" not in payload["placement"]
-        replicated = cluster_cache_dict(heal_config())["cluster"]
+        replicated = config_to_dict(heal_config())["cluster"]
         assert replicated["placement"]["replicas"] == 2
 
     def test_stagger_appears_only_when_nonzero(self):
-        payload = cluster_cache_dict(heal_config(faults=DOUBLE))["cluster"]
+        payload = config_to_dict(heal_config(faults=DOUBLE))["cluster"]
         assert payload["faults"]["fail_node_stagger_s"] == STAGGER
 
     def test_enabled_spec_changes_the_digest(self):
         inert = heal_config(faults=SINGLE, self_heal=SelfHealSpec())
         healing = heal_config(faults=SINGLE)
-        assert "self_heal" in cluster_cache_dict(healing)["cluster"]
+        assert "self_heal" in config_to_dict(healing)["cluster"]
         assert config_digest(inert) != config_digest(healing)
 
 

@@ -14,9 +14,9 @@ from repro.proxy import (
     ProxySpec,
     make_prefix_policy,
     prefix_policy_names,
-    proxy_cache_dict,
     register_prefix_policy,
 )
+from repro.schema import canonical_form
 
 
 class TestProxySpec:
@@ -71,7 +71,7 @@ class TestCacheDict:
             replacement=ReplacementSpec("love_prefetch"),
             policy="breadth",
         )
-        assert proxy_cache_dict(spec) == {
+        assert canonical_form(spec) == {
             "prefix_s": 30.0,
             "memory_bytes": 16 * MB,
             "replacement": "love_prefetch",

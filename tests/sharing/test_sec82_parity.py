@@ -16,6 +16,7 @@ that straddles the warmup reset now shows up in the measured counters
 run stops does not (``small-window``: 20 -> 16).
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -74,8 +75,9 @@ def sec82_config(name: str) -> SpiffiConfig:
 def behaviour_digest(metrics: RunMetrics) -> str:
     """sha256 of the deterministic metrics minus the sharing counters."""
     values = metrics.deterministic_dict()
-    for field in RunMetrics._SHARING_FIELDS:
-        values.pop(field, None)
+    for field in dataclasses.fields(RunMetrics):
+        if field.metadata.get("group") == "sharing":
+            values.pop(field.name, None)
     return hashlib.sha256(json.dumps(values, sort_keys=True).encode()).hexdigest()
 
 

@@ -1,14 +1,17 @@
 """SharingSpec: validation, the policy registry, and config wiring."""
 
+import dataclasses
+
 import pytest
 
-from repro.core.config import SpiffiConfig, config_cache_dict
+from repro.core.config import SpiffiConfig
+from repro.experiments.results import config_to_dict
 from repro.sharing import (
     SharingSpec,
     register_sharing_policy,
     sharing_policy_names,
 )
-from repro.sharing.spec import BATCH, CHAIN, MERGE, sharing_cache_dict
+from repro.sharing.spec import BATCH, CHAIN, MERGE
 
 
 class TestValidation:
@@ -90,15 +93,15 @@ class TestConfigWiring:
             SpiffiConfig(sharing="batch")
 
     def test_inert_spec_omitted_from_cache_dict(self):
-        data = config_cache_dict(SpiffiConfig())
+        data = config_to_dict(SpiffiConfig())
         assert "sharing" not in data
-        explicit = config_cache_dict(SpiffiConfig(sharing=SharingSpec()))
+        explicit = config_to_dict(SpiffiConfig(sharing=SharingSpec()))
         assert explicit == data
 
     def test_active_spec_serializes_every_field(self):
         spec = SharingSpec(policy="batch+chain", window_s=3.0, max_batch=8)
-        data = config_cache_dict(SpiffiConfig(sharing=spec))
-        assert data["sharing"] == sharing_cache_dict(spec)
+        data = config_to_dict(SpiffiConfig(sharing=spec))
+        assert data["sharing"] == dataclasses.asdict(spec)
         assert data["sharing"]["policy"] == "batch+chain"
         assert data["sharing"]["window_s"] == 3.0
         assert data["sharing"]["max_batch"] == 8
