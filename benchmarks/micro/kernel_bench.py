@@ -3,7 +3,7 @@
 Measures raw kernel throughput (events per second, derived from the
 environment's ``events_processed`` counter and the wall time of the
 run phase alone — building thousands of generators is setup, not
-kernel hot path) over four canned, fully deterministic scenarios:
+kernel hot path) over five canned, fully deterministic scenarios:
 
 * ``timer_storm``      — thousands of interleaved timeouts; pure
   event-queue churn with no resource or condition machinery.
@@ -15,6 +15,8 @@ kernel hot path) over four canned, fully deterministic scenarios:
   exercises ``Request``/``succeed``/condition scheduling.
 * ``spiffi_small``     — one complete small SPIFFI system run
   (build + warmup + measure), the end-to-end number every figure pays.
+* ``pool_pressure``    — one short open-workload run that keeps the
+  buffer pool full and pinned: allocation waits and the victim path.
 
 Each scenario reports its best-of-N run, timed with the garbage
 collector disabled.
@@ -141,11 +143,47 @@ def spiffi_small(seed: int = 3):
     return system.env, system.run
 
 
+def pool_pressure(seed: int = 5):
+    """Poisson arrivals at 24 sessions/s on the 2x2-disk, 64 MB array.
+
+    Sessions outnumber the 64 pages per node, so allocations keep
+    finding every page pinned: node 0 waits ~9,700 times for ~3,600
+    block references.
+    """
+    from repro import MB, SpiffiConfig
+    from repro.core.system import SpiffiSystem
+    from repro.workload.spec import ArrivalSpec
+
+    config = SpiffiConfig(
+        nodes=2,
+        disks_per_node=2,
+        terminals=1,
+        videos_per_disk=2,
+        video_length_s=600.0,
+        server_memory_bytes=64 * MB,
+        zipf_skew=1.0,
+        workload=ArrivalSpec(
+            process="poisson",
+            rate_per_s=24.0,
+            mean_view_duration_s=30.0,
+            queue_limit=16,
+            mean_patience_s=10.0,
+        ),
+        start_spread_s=4.0,
+        warmup_grace_s=4.0,
+        measure_s=20.0,
+        seed=seed,
+    )
+    system = SpiffiSystem(config)
+    return system.env, system.run
+
+
 SCENARIOS = {
     "timer_storm": timer_storm,
     "timer_storm_xl": timer_storm_xl,
     "resource_contention": resource_contention,
     "spiffi_small": spiffi_small,
+    "pool_pressure": pool_pressure,
 }
 
 

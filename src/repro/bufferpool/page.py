@@ -31,7 +31,8 @@ class Page:
         "deadline_hint",
         "is_prefetched",
         "loaded_by_prefetch",
-        "referenced_terminals",
+        "first_referrer",
+        "shared",
     )
 
     def __init__(self, key: PageKey, size: int) -> None:
@@ -50,8 +51,10 @@ class Page:
         self.is_prefetched = False
         #: How the page entered the pool (for wasted-prefetch stats).
         self.loaded_by_prefetch = False
-        #: Terminal ids that have referenced this page while resident.
-        self.referenced_terminals: set[int] = set()
+        #: The first terminal to reference this page while resident, and
+        #: whether any other terminal has referenced it since.
+        self.first_referrer: int | None = None
+        self.shared = False
 
     @property
     def in_flight(self) -> bool:

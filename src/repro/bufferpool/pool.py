@@ -80,6 +80,9 @@ class BufferPool:
         self.prefetch_unconstrained = prefetch_pool_share >= 1.0
         self.pages: dict[PageKey, Page] = {}
         self.prefetched_resident = 0
+        #: Resident pages with no pin: while zero, no page is evictable
+        #: and the victim search is skipped.
+        self.unpinned_pages = 0
         self.stats = PoolStats()
         self._page_freed = Gate(env)
 
@@ -99,13 +102,18 @@ class BufferPool:
         """
         if self.pages.get(page.key) is not page:
             raise ValueError(f"pin of page not in this pool: {page!r}")
+        if page.pins == 0:
+            self.unpinned_pages -= 1
         page.pins += 1
 
     def unpin(self, page: Page) -> None:
+        if self.pages.get(page.key) is not page:
+            raise ValueError(f"unpin of page not in this pool: {page!r}")
         if page.pins <= 0:
             raise ValueError(f"unpin of unpinned page {page!r}")
         page.pins -= 1
         if page.pins == 0:
+            self.unpinned_pages += 1
             self._page_freed.open()
 
     # ------------------------------------------------------------------
@@ -138,7 +146,7 @@ class BufferPool:
                 return self._join(page, terminal_id)
             if len(self.pages) < self.capacity_pages:
                 break
-            victim = self.policy.victim()
+            victim = self.policy.victim() if self.unpinned_pages else None
             if victim is not None:
                 # Evict and re-loop; no simulated time passes, so the
                 # frame cannot be stolen before we insert.
@@ -157,8 +165,7 @@ class BufferPool:
         page.pins = 1
         page.loaded_by_prefetch = for_prefetch
         page.io_event = self.env.event()
-        if terminal_id is not None:
-            page.referenced_terminals.add(terminal_id)
+        page.first_referrer = terminal_id
         self.pages[key] = page
         self.policy.on_insert(page, prefetched=for_prefetch)
         return page, MISS
@@ -182,8 +189,10 @@ class BufferPool:
             self.stats.dropped_prefetches += 1
             return None
         if len(self.pages) >= self.capacity_pages:
-            victim = self.policy.victim(
-                exclude_prefetched=not self.prefetch_unconstrained
+            victim = (
+                self.policy.victim(exclude_prefetched=not self.prefetch_unconstrained)
+                if self.unpinned_pages
+                else None
             )
             if victim is None:
                 self.stats.dropped_prefetches += 1
@@ -217,6 +226,7 @@ class BufferPool:
         page = Page(key, size)
         page.loaded_by_prefetch = prefetched
         self.pages[key] = page
+        self.unpinned_pages += 1
         if prefetched:
             self.prefetched_resident += 1
         self.policy.on_insert(page, prefetched=prefetched)
@@ -224,11 +234,15 @@ class BufferPool:
 
     def _join(self, page: Page, terminal_id: int | None) -> tuple[Page, str]:
         """Pin an already-resident (or loading) page."""
+        if page.pins == 0:
+            self.unpinned_pages -= 1
         page.pins += 1
         if terminal_id is not None:
-            if page.referenced_terminals - {terminal_id}:
+            if page.first_referrer is None:
+                page.first_referrer = terminal_id
+            elif page.shared or page.first_referrer != terminal_id:
+                page.shared = True
                 self.stats.rereferences += 1
-            page.referenced_terminals.add(terminal_id)
             if page.is_prefetched:
                 self.prefetched_resident -= 1
             self.policy.on_reference(page)
@@ -243,7 +257,10 @@ class BufferPool:
         event, page.io_event = page.io_event, None
         page.disk_request = None
         event.succeed(page)
-        # Loaded unpinned pages become evictable.
+        # Every caller still pins the page, so this frees no frame:
+        # woken allocation waiters re-check and, unless their own block
+        # became resident, wait again.  Kept because dropping it would
+        # reorder those waiters and change the pinned event counts.
         self._page_freed.open()
 
     def discard_failed(self, page: Page) -> None:
@@ -259,12 +276,13 @@ class BufferPool:
         """
         self.finish_io(page)
         self.unpin(page)
-        if page.evictable and self.pages.get(page.key) is page:
+        if page.evictable:
             self._evict(page)
 
     def _evict(self, victim: Page) -> None:
         if not victim.evictable:
             raise ValueError(f"evicting non-evictable page {victim!r}")
+        self.unpinned_pages -= 1
         if victim.is_prefetched:
             self.prefetched_resident -= 1
         if victim.is_prefetched and victim.loaded_by_prefetch:

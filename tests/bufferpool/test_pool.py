@@ -60,6 +60,21 @@ class TestAcquire:
         acquire_now(env, pool, ("v", 0), terminal_id=2)
         assert pool.stats.rereferences == 1  # different terminal
 
+    def test_rereference_after_another_terminal(self):
+        env = Environment()
+        pool = make_pool(env)
+        page = pool.try_acquire_for_prefetch(("v", 0), 1024)
+        pool.finish_io(page)
+        pool.unpin(page)
+        for terminal in (3, 3):  # first references come from a prefetch
+            page, _ = acquire_now(env, pool, ("v", 0), terminal_id=terminal)
+            pool.unpin(page)
+        assert pool.stats.rereferences == 0
+        for terminal in (4, 3, 3):  # once shared, every reference counts
+            page, _ = acquire_now(env, pool, ("v", 0), terminal_id=terminal)
+            pool.unpin(page)
+        assert pool.stats.rereferences == 3
+
     def test_eviction_when_full(self):
         env = Environment()
         pool = make_pool(env, capacity=2)
@@ -138,6 +153,53 @@ class TestAcquire:
         pool.unpin(page)
         with pytest.raises(ValueError):
             pool.unpin(page)
+
+    def test_unpin_of_foreign_page_rejected(self):
+        env = Environment()
+        pool, other = make_pool(env), make_pool(env)
+        page, _ = acquire_now(env, other, ("v", 0), terminal_id=1)
+        acquire_now(env, pool, ("v", 0), terminal_id=1)
+        with pytest.raises(ValueError, match="unpin of page not in this pool"):
+            pool.unpin(page)
+        assert page.pins == 1
+        assert pool.unpinned_pages == 0
+
+    def test_unpin_of_evicted_page_rejected(self):
+        env = Environment()
+        pool = make_pool(env, capacity=1)
+        page, _ = acquire_now(env, pool, ("v", 0), terminal_id=1)
+        pool.finish_io(page)
+        pool.unpin(page)
+        acquire_now(env, pool, ("v", 1), terminal_id=1)  # evicts ("v", 0)
+        assert pool.lookup(("v", 0)) is None
+        with pytest.raises(ValueError, match="unpin of page not in this pool"):
+            pool.unpin(page)
+        assert pool.unpinned_pages == 0
+
+    @pytest.mark.parametrize("policy", ["global_lru", "love_prefetch"])
+    def test_no_victim_search_while_every_page_is_pinned(self, policy):
+        env = Environment()
+        pool = make_pool(env, capacity=2, policy=policy)
+        calls = []
+        search = pool.policy.victim
+        pool.policy.victim = lambda **kw: calls.append(kw) or search(**kw)
+        holders = [acquire_now(env, pool, ("v", b), terminal_id=1)[0] for b in range(2)]
+        for page in holders:
+            pool.finish_io(page)
+        assert pool.unpinned_pages == 0
+        assert pool.try_acquire_for_prefetch(("v", 2), 1024) is None
+
+        def blocked(env):
+            yield from pool.acquire(("v", 3), 1024, 2, False)
+
+        env.process(blocked(env))
+        env.run()
+        assert pool.stats.allocation_waits == 1
+        assert calls == []
+        pool.unpin(holders[0])  # a frame frees: the waiter now searches
+        env.run()
+        assert calls == [{}]
+        assert pool.lookup(("v", 3)) is not None
 
 
 class TestPrefetchAllocation:
