@@ -5,9 +5,9 @@ server to a *cluster member* (:class:`~repro.core.node.SpiffiNode`) and
 adds the installation-level layers around it:
 
 * :mod:`~repro.cluster.placement` — which node stores which title
-  (``partitioned`` / ``replicated`` / ``hybrid-hot-replicated``);
+  (``partitioned`` / ``replicated`` / ``chained-declustered``);
 * :mod:`~repro.cluster.routing` — which replica host serves a session
-  (``least-loaded`` / ``consistent-hash`` / ``locality``);
+  (``least-loaded`` / ``locality``);
 * :mod:`~repro.cluster.selfheal` / :mod:`~repro.cluster.rebuild` — the
   self-healing layer: catalog re-replication onto survivors, node
   rejoin resync, and placement-aware (spill) admission;

@@ -41,7 +41,7 @@ class ClusterConfig:
     *workload* is the cluster-wide arrival process, routed to members
     by *routing* within the constraints of *placement*.  *faults* may
     script **node-level** outages only (``fail_node_ids`` et al.);
-    per-disk and network faults belong on ``node.faults`` as always.
+    per-disk faults belong on ``node.faults`` as always.
 
     The canonical form digests *workload* and *faults* always, but the
     *proxy* and *self_heal* tiers only while enabled.
@@ -61,7 +61,7 @@ class ClusterConfig:
     #: terminal population exactly as a standalone system would.
     workload: ArrivalSpec = dataclasses.field(default_factory=ArrivalSpec)
     #: Node-outage script (``fail_node_ids``/``fail_nodes_at_s``/
-    #: ``node_recover_after_s``); disk and network faults are per-node
+    #: ``node_recover_after_s``); disk faults are per-node
     #: concerns and are rejected here.
     faults: FaultSpec = dataclasses.field(default_factory=FaultSpec)
     #: Cluster-edge proxy tier: one prefix cache at the front door,
@@ -118,8 +118,8 @@ class ClusterConfig:
             )
         if self.faults.enabled:
             raise ValueError(
-                "cluster faults may only script node outages; put disk and "
-                "network fault schedules on node.faults"
+                "cluster faults may only script node outages; put disk "
+                "fault schedules on node.faults"
             )
         bad = [n for n in self.faults.fail_node_ids if n >= self.nodes]
         if bad:
@@ -144,8 +144,9 @@ class ClusterConfig:
                 "self_heal.placement_aware_admission) needs a multi-node "
                 f"cluster, got nodes={self.nodes}"
             )
-        # Build the placement once for validation: bad shapes (e.g. an
-        # oversized hybrid hotset) fail at config time, not run time.
+        # Build the placement once for validation: bad shapes (e.g.
+        # more chained replicas than nodes) fail at config time, not run
+        # time.
         self.placement.build(self.nodes, self.node.video_count)
 
     # --- derived quantities --------------------------------------------

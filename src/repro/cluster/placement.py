@@ -16,10 +16,8 @@ Built-in schemes:
 * ``replicated`` — every node stores the full catalog (global catalog =
   the per-node capacity); primaries rotate round-robin so load spreads,
   and any node can serve any title;
-* ``hybrid-hot-replicated`` — the partitioned catalog, with the first
-  ``hot_titles`` titles additionally replicated to every node: hot
-  content survives node outages and spreads load, the long tail keeps
-  the partitioned breadth.
+* ``chained-declustered`` — each title on ``replicas`` cyclically
+  consecutive nodes.
 
 Third-party schemes plug in via :func:`register_placement` without
 touching the cluster assembly, mirroring every other registry in the
@@ -133,9 +131,12 @@ def placement_names() -> tuple[str, ...]:
 class PlacementSpec:
     """Which placement scheme the cluster uses, with its parameters."""
 
+    #: The retired ``hybrid-hot-replicated`` scheme's knob; its old
+    #: default stays in the canonical form so every existing config
+    #: digest and run-cache key stays valid.
+    schema_constants = {"hot_titles": 0}
+
     name: str = "partitioned"
-    #: ``hybrid-hot-replicated``: leading titles replicated everywhere.
-    hot_titles: int = 0
     #: ``chained-declustered``: copies per title (0 elsewhere, where the
     #: scheme itself fixes the replication degree; digested only when
     #: set).
@@ -146,15 +147,6 @@ class PlacementSpec:
             raise ValueError(
                 f"unknown placement {self.name!r}; "
                 f"choose from {placement_names()}"
-            )
-        if self.hot_titles < 0:
-            raise ValueError(f"hot_titles must be >= 0, got {self.hot_titles}")
-        if self.name == "hybrid-hot-replicated" and self.hot_titles == 0:
-            raise ValueError("hybrid-hot-replicated needs hot_titles > 0")
-        if self.name != "hybrid-hot-replicated" and self.hot_titles != 0:
-            raise ValueError(
-                f"placement {self.name!r} takes no hot_titles "
-                f"(got {self.hot_titles})"
             )
         if self.name == "chained-declustered" and self.replicas < 2:
             raise ValueError(
@@ -176,8 +168,6 @@ class PlacementSpec:
         return _REGISTRY[self.name](self, nodes, videos_per_node)
 
     def label(self) -> str:
-        if self.hot_titles:
-            return f"{self.name}({self.hot_titles})"
         if self.replicas:
             return f"{self.name}({self.replicas})"
         return self.name
@@ -195,24 +185,6 @@ def _replicated(spec: PlacementSpec, nodes: int, per: int) -> CatalogPlacement:
         tuple((title + shift) % nodes for shift in range(nodes))
         for title in range(per)
     ]
-    return CatalogPlacement(nodes, hosts)
-
-
-def _hybrid(spec: PlacementSpec, nodes: int, per: int) -> CatalogPlacement:
-    catalog = nodes * per
-    if spec.hot_titles > catalog:
-        raise ValueError(
-            f"hot_titles {spec.hot_titles} exceeds the {catalog}-title catalog"
-        )
-    hosts: list[tuple[int, ...]] = []
-    for title in range(catalog):
-        primary = title // per
-        if title < spec.hot_titles:
-            hosts.append(
-                tuple((primary + shift) % nodes for shift in range(nodes))
-            )
-        else:
-            hosts.append((primary,))
     return CatalogPlacement(nodes, hosts)
 
 
@@ -247,5 +219,4 @@ def _chained(spec: PlacementSpec, nodes: int, per: int) -> CatalogPlacement:
 
 register_placement("partitioned", _partitioned)
 register_placement("replicated", _replicated)
-register_placement("hybrid-hot-replicated", _hybrid)
 register_placement("chained-declustered", _chained)

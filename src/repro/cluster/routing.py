@@ -11,24 +11,17 @@ Built-in policies:
 
 * ``least-loaded`` — the healthiest candidate with the fewest active
   plus queued streams (join-the-shortest-queue across replicas);
-* ``consistent-hash`` — a static hash ring over the member nodes
-  (``virtual_points`` virtual nodes each); a title walks the ring from
-  its own hash to the first hosting candidate, so assignments are
-  sticky under membership churn;
 * ``locality`` — the title's placement primary whenever it is up,
   falling back to least-loaded among the surviving replicas.
 
-Determinism: routers draw no randomness.  ``consistent-hash`` uses
-SHA-256 (not the per-process-salted builtin ``hash``), and every
-tie-break is by node index, so the session->node assignment is a pure
-function of the config and the simulated history.
+Determinism: routers draw no randomness, and every tie-break is by
+node index, so the session->node assignment is a pure function of the
+config and the simulated history.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
-import hashlib
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -56,18 +49,17 @@ def router_names() -> tuple[str, ...]:
 class RouterSpec:
     """Which routing policy the cluster front end runs."""
 
+    #: The retired ``consistent-hash`` router's knob; its old default
+    #: stays in the canonical form so every existing config digest and
+    #: run-cache key stays valid.
+    schema_constants = {"virtual_points": 64}
+
     name: str = "least-loaded"
-    #: ``consistent-hash``: virtual nodes per member on the ring.
-    virtual_points: int = 64
 
     def __post_init__(self) -> None:
         if self.name not in _REGISTRY:
             raise ValueError(
                 f"unknown router {self.name!r}; choose from {router_names()}"
-            )
-        if self.virtual_points < 1:
-            raise ValueError(
-                f"virtual_points must be >= 1, got {self.virtual_points}"
             )
 
     def build(self, cluster: "SpiffiCluster") -> "RequestRouter":
@@ -75,11 +67,6 @@ class RouterSpec:
 
     def label(self) -> str:
         return self.name
-
-
-def _stable_hash(key: str) -> int:
-    """A process-independent 64-bit hash (builtin ``hash`` is salted)."""
-    return int.from_bytes(hashlib.sha256(key.encode()).digest()[:8], "little")
 
 
 class RequestRouter:
@@ -146,31 +133,6 @@ class LeastLoadedRouter(RequestRouter):
         return self._least_loaded(candidates)
 
 
-class ConsistentHashRouter(RequestRouter):
-    def __init__(self, spec: RouterSpec, cluster: "SpiffiCluster") -> None:
-        super().__init__(spec, cluster)
-        ring = []
-        for node in range(len(cluster.members)):
-            for point in range(spec.virtual_points):
-                ring.append((_stable_hash(f"node-{node}-{point}"), node))
-        ring.sort()
-        self._ring_keys = [key for key, _ in ring]
-        self._ring_nodes = [node for _, node in ring]
-
-    def route(self, title: int) -> int | None:
-        candidates = self.candidates(title)
-        if not candidates:
-            return None
-        eligible = set(candidates)
-        start = bisect.bisect_left(self._ring_keys, _stable_hash(f"title-{title}"))
-        size = len(self._ring_nodes)
-        for step in range(size):
-            node = self._ring_nodes[(start + step) % size]
-            if node in eligible:
-                return node
-        return None  # pragma: no cover - candidates guarantee a hit
-
-
 class LocalityRouter(RequestRouter):
     def route(self, title: int) -> int | None:
         candidates = self.candidates(title)
@@ -183,5 +145,4 @@ class LocalityRouter(RequestRouter):
 
 
 register_router("least-loaded", LeastLoadedRouter)
-register_router("consistent-hash", ConsistentHashRouter)
 register_router("locality", LocalityRouter)

@@ -123,9 +123,8 @@ class SpiffiConfig:
     #: Inert by default: no sharing runtime is built, and runs are
     #: bit-identical to a build without the sharing subsystem (see
     #: :mod:`repro.sharing`).  Policies batch same-title starts (the
-    #: paper's §8.2 piggybacking for closed terminals), merge trailing
-    #: streams onto leaders, and/or chain later sessions off earlier
-    #: sessions' buffer pages.
+    #: paper's §8.2 piggybacking for closed terminals) and/or chain
+    #: later sessions off earlier sessions' buffer pages.
     sharing: SharingSpec = schema.field(factory=SharingSpec, digest=schema.OMIT_WHEN_DEFAULT)
 
     # --- messaging --------------------------------------------------------

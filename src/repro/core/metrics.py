@@ -101,8 +101,10 @@ class RunMetrics:
     proxy_origin_bytes: int = schema.field(0, group="proxy")
     # Stream sharing (all zero unless a sharing policy engages).
     # ``shared_streams`` is every session served without a disk stream
-    # of its own: batch followers (closed §8.2 starts included) plus
-    # completed merges.
+    # of its own: batch followers (closed §8.2 starts included).
+    # ``merged_sessions`` is always 0 since adaptive merging was
+    # retired; pinned metrics digests contain it (see DESIGN.md,
+    # *Retired fields*).
     batches_launched: int = schema.field(0, group="sharing")
     shared_streams: int = schema.field(0, group="sharing")
     merged_sessions: int = schema.field(0, group="sharing")
@@ -236,8 +238,6 @@ class RunMetrics:
                 f" shared={self.shared_streams}"
                 f" ({self.sharing_fraction:.2f} of launches)"
             )
-            if self.merged_sessions:
-                text += f" merged={self.merged_sessions}"
             if self.chain_reads:
                 text += f" chain_reads={self.chain_reads}"
         if self.failed_over_sessions or self.lost_sessions or self.spilled_sessions:
@@ -305,7 +305,7 @@ def collect_metrics(
     )
     disk_utils = [drive.busy.utilization(now) for drive in drives]
     share_leaders = sum(s.batches_launched for s in sharing)
-    shared_streams = sum(s.batch_followers + s.merged_sessions for s in sharing)
+    shared_streams = sum(s.batch_followers for s in sharing)
 
     return RunMetrics(
         terminals=len(terminals),
@@ -376,7 +376,6 @@ def collect_metrics(
         proxy_origin_bytes=proxy.origin_bytes if proxy else 0,
         batches_launched=share_leaders,
         shared_streams=shared_streams,
-        merged_sessions=sum(s.merged_sessions for s in sharing),
         chain_reads=sum(s.chain_reads for s in sharing),
         chain_breaks=sum(s.chain_breaks for s in sharing),
         sharing_fraction=(

@@ -240,7 +240,6 @@ class SpiffiNode(FrontDoor):
                 self.faults,
                 schedule,
                 drives=all_drives,
-                bus=self.bus,
                 admission=self.admission,
                 health=(
                     self.replication.health if self.replication is not None else None

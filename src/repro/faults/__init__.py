@@ -6,13 +6,12 @@ bit-identical to a build without this package.
 """
 
 from repro.faults.injector import FaultInjector, FaultRuntime, FaultStats
-from repro.faults.schedule import NETWORK_TARGET, FaultEvent, build_schedule
+from repro.faults.schedule import FaultEvent, build_schedule
 from repro.faults.spec import (
     DISK_FAIL,
     DISK_OUTAGE,
     DISK_SLOW,
     FAULT_KINDS,
-    NET_DEGRADE,
     FaultSpec,
 )
 
@@ -26,7 +25,5 @@ __all__ = [
     "FaultRuntime",
     "FaultSpec",
     "FaultStats",
-    "NETWORK_TARGET",
-    "NET_DEGRADE",
     "build_schedule",
 ]

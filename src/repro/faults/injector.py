@@ -15,18 +15,11 @@ import math
 import typing
 
 from repro.faults.schedule import FaultEvent
-from repro.faults.spec import (
-    DISK_FAIL,
-    DISK_OUTAGE,
-    DISK_SLOW,
-    NET_DEGRADE,
-    FaultSpec,
-)
+from repro.faults.spec import DISK_FAIL, DISK_OUTAGE, DISK_SLOW, FaultSpec
 from repro.sim.environment import Environment
 from repro.telemetry.trace import FAULT_END, FAULT_RETRY, FAULT_START
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.netsim.bus import NetworkBus
     from repro.replication.health import HealthMonitor
     from repro.server.admission import AdmissionController
     from repro.storage.drive import DiskDrive
@@ -120,7 +113,6 @@ class FaultInjector:
         runtime: FaultRuntime,
         schedule: typing.Sequence[FaultEvent],
         drives: typing.Sequence["DiskDrive"],
-        bus: "NetworkBus",
         admission: "AdmissionController",
         health: "HealthMonitor | None" = None,
     ) -> None:
@@ -128,7 +120,6 @@ class FaultInjector:
         self.runtime = runtime
         self.schedule = tuple(schedule)
         self.drives = list(drives)
-        self.bus = bus
         self.admission = admission
         #: Optional per-disk health model (replication configured); told
         #: about every disk fault as it is applied and reverted.
@@ -159,8 +150,6 @@ class FaultInjector:
             shed = spec.shed_during_outage
         elif event.kind == DISK_FAIL:
             self.drives[event.target].fail_permanently()
-        elif event.kind == NET_DEGRADE:
-            self.bus.degrade(event.magnitude)
         else:
             raise ValueError(f"unknown fault kind {event.kind!r}")
         if self.health is not None:
@@ -178,8 +167,6 @@ class FaultInjector:
             self.drives[event.target].remove_slowdown(event.magnitude)
         elif event.kind == DISK_OUTAGE:
             self.drives[event.target].end_outage()
-        elif event.kind == NET_DEGRADE:
-            self.bus.restore(event.magnitude)
         if self.health is not None:
             self.health.fault_reverted(event)
         if shed:

@@ -6,10 +6,9 @@ the :class:`~repro.faults.spec.FaultSpec`, the hardware shape, and one
 the run's identity: the same config produces the same faults at the
 same instants on any executor or job count.
 
-Each disk gets its own child stream (``disk-<n>``), so adding disks or
-changing the network schedule never perturbs another disk's faults —
-the same stream-per-component discipline the rest of the simulator
-uses.
+Each disk gets its own child stream (``disk-<n>``), so adding disks
+never perturbs another disk's faults — the same stream-per-component
+discipline the rest of the simulator uses.
 """
 
 from __future__ import annotations
@@ -17,17 +16,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.faults.spec import (
-    DISK_FAIL,
-    DISK_OUTAGE,
-    DISK_SLOW,
-    NET_DEGRADE,
-    FaultSpec,
-)
+from repro.faults.spec import DISK_FAIL, DISK_OUTAGE, DISK_SLOW, FaultSpec
 from repro.sim.rng import RandomSource
-
-#: ``target`` value for bus-wide (non-disk) events.
-NETWORK_TARGET = -1
 
 
 @dataclasses.dataclass(frozen=True)
@@ -36,11 +26,11 @@ class FaultEvent:
 
     start_s: float
     kind: str
-    #: Global disk index, or :data:`NETWORK_TARGET` for the bus.
+    #: Global disk index.
     target: int
     #: ``inf`` for permanent failures.
     duration_s: float
-    #: Latency multiplier for slow-I/O / network events; 0 otherwise.
+    #: Latency multiplier for slow-I/O events; 0 otherwise.
     magnitude: float
 
     @property
@@ -71,8 +61,6 @@ def build_schedule(
             events.extend(
                 _disk_events(spec, disk, horizon_s, rng.spawn(f"disk-{disk}"))
             )
-    if spec.network_fault_rate_per_hour > 0:
-        events.extend(_network_events(spec, horizon_s, rng.spawn("network")))
     # Explicit permanent failures: scripted, no randomness consumed.
     for disk in spec.fail_disk_ids:
         if disk >= disk_count:
@@ -136,22 +124,3 @@ def _disk_events(
         at += rng.exponential(mean_interval)
     return events
 
-
-def _network_events(
-    spec: FaultSpec, horizon_s: float, rng: RandomSource
-) -> list[FaultEvent]:
-    mean_interval = 3600.0 / spec.network_fault_rate_per_hour
-    events: list[FaultEvent] = []
-    at = rng.exponential(mean_interval)
-    while at < horizon_s:
-        events.append(
-            FaultEvent(
-                start_s=at,
-                kind=NET_DEGRADE,
-                target=NETWORK_TARGET,
-                duration_s=rng.exponential(spec.mean_network_fault_duration_s),
-                magnitude=spec.network_latency_multiplier,
-            )
-        )
-        at += rng.exponential(mean_interval)
-    return events

@@ -22,12 +22,11 @@ from repro import schema
 DISK_SLOW = "disk_slow"
 DISK_OUTAGE = "disk_outage"
 DISK_FAIL = "disk_fail"
-NET_DEGRADE = "net_degrade"
 #: Cluster-level kind: a whole server node drops out (see
 #: :mod:`repro.cluster`; never produced by the per-node schedule).
 NODE_OUTAGE = "node_outage"
 
-FAULT_KINDS = (DISK_SLOW, DISK_OUTAGE, DISK_FAIL, NET_DEGRADE, NODE_OUTAGE)
+FAULT_KINDS = (DISK_SLOW, DISK_OUTAGE, DISK_FAIL, NODE_OUTAGE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,9 +46,7 @@ class FaultSpec:
       read over (see below) instead of waiting.
 
     The three kinds are drawn with probability proportional to their
-    ``*_weight``.  Network degradation events arrive bus-wide at
-    ``network_fault_rate_per_hour`` and multiply every transit time by
-    ``network_latency_multiplier`` for an exponential duration.
+    ``*_weight``.
 
     Degraded-mode server behaviour (active only when the spec is
     non-empty):
@@ -69,6 +66,15 @@ class FaultSpec:
     active or within ``attribution_grace_s`` of one ending; metrics
     report fault-attributed and scheduling glitches separately.
     """
+
+    #: The network-degradation knobs were retired; their old defaults
+    #: stay in the canonical form so every existing config digest and
+    #: run-cache key stays valid.
+    schema_constants = {
+        "network_fault_rate_per_hour": 0.0,
+        "network_latency_multiplier": 8.0,
+        "mean_network_fault_duration_s": 10.0,
+    }
 
     # --- disk fault schedule -------------------------------------------
     disk_fault_rate_per_hour: float = 0.0
@@ -107,11 +113,6 @@ class FaultSpec:
     #: so unstaggered fault configs keep their pre-stagger digests.
     fail_node_stagger_s: float = schema.field(0.0, digest=schema.OMIT_WHEN_DEFAULT)
 
-    # --- network degradation schedule ----------------------------------
-    network_fault_rate_per_hour: float = 0.0
-    network_latency_multiplier: float = 8.0
-    mean_network_fault_duration_s: float = 10.0
-
     # --- degraded-mode server behaviour --------------------------------
     request_timeout_s: float = 2.0
     max_retries: int = 2
@@ -125,11 +126,6 @@ class FaultSpec:
         if self.disk_fault_rate_per_hour < 0:
             raise ValueError(
                 f"disk fault rate must be >= 0, got {self.disk_fault_rate_per_hour}"
-            )
-        if self.network_fault_rate_per_hour < 0:
-            raise ValueError(
-                f"network fault rate must be >= 0, "
-                f"got {self.network_fault_rate_per_hour}"
             )
         for label, weight in (
             ("slow_weight", self.slow_weight),
@@ -147,15 +143,9 @@ class FaultSpec:
                 f"slow_latency_multiplier must be >= 1, "
                 f"got {self.slow_latency_multiplier}"
             )
-        if self.network_latency_multiplier < 1.0:
-            raise ValueError(
-                f"network_latency_multiplier must be >= 1, "
-                f"got {self.network_latency_multiplier}"
-            )
         for label, duration in (
             ("mean_slow_duration_s", self.mean_slow_duration_s),
             ("mean_outage_duration_s", self.mean_outage_duration_s),
-            ("mean_network_fault_duration_s", self.mean_network_fault_duration_s),
         ):
             if duration <= 0:
                 raise ValueError(f"{label} must be positive, got {duration}")
@@ -259,14 +249,10 @@ class FaultSpec:
 
     @property
     def enabled(self) -> bool:
-        """Whether any *node-internal* fault (disk or network) can ever
-        be injected under this spec.  Node-level outages are driven by
-        the cluster, not the per-node injector, and do not count."""
-        return (
-            self.disk_fault_rate_per_hour > 0
-            or self.network_fault_rate_per_hour > 0
-            or bool(self.fail_disk_ids)
-        )
+        """Whether any *node-internal* (disk) fault can ever be injected
+        under this spec.  Node-level outages are driven by the cluster,
+        not the per-node injector, and do not count."""
+        return self.disk_fault_rate_per_hour > 0 or bool(self.fail_disk_ids)
 
     @property
     def node_outages_enabled(self) -> bool:
@@ -280,8 +266,6 @@ class FaultSpec:
         parts = []
         if self.disk_fault_rate_per_hour > 0:
             parts.append(f"disk {self.disk_fault_rate_per_hour:g}/h")
-        if self.network_fault_rate_per_hour > 0:
-            parts.append(f"net {self.network_fault_rate_per_hour:g}/h")
         if self.fail_disk_ids:
             parts.append(f"fail {len(self.fail_disk_ids)} disk(s)")
         if self.fail_node_ids:

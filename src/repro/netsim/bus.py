@@ -43,26 +43,11 @@ class NetworkBus:
         #: Bytes carried per traffic class (only tagged transfers are
         #: accounted; untagged foreground traffic stays out).
         self.kind_bytes: dict[str, int] = {}
-        # Fault-injection state (see repro.faults); empty by default.
-        self._degrade_multipliers: list[float] = []
-        # Undegraded transit seconds by message size (see transit_time).
+        # Transit seconds by message size (see transit_time).
         self._transit: dict[int, float] = {}
 
-    def degrade(self, multiplier: float) -> None:
-        """Stretch every transit time by *multiplier* until restored."""
-        if multiplier < 1.0:
-            raise ValueError(f"degrade multiplier must be >= 1, got {multiplier}")
-        self._degrade_multipliers.append(multiplier)
-
-    def restore(self, multiplier: float) -> None:
-        self._degrade_multipliers.remove(multiplier)
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self._degrade_multipliers)
-
     def transit_time(self, size_bytes: int) -> float:
-        """Undegraded wire delay of a *size_bytes* message.
+        """Wire delay of a *size_bytes* message.
 
         ``params.transit_time`` is evaluated once per size, so every
         message of that size gets the same float; a negative size
@@ -84,10 +69,7 @@ class NetworkBus:
         if kind is not None:
             self.kind_bytes[kind] = self.kind_bytes.get(kind, 0) + size_bytes
         self.traffic.record(self.env.now, size_bytes)
-        transit = self.transit_time(size_bytes)
-        for multiplier in self._degrade_multipliers:
-            transit *= multiplier
-        yield Timeout(self.env, transit)
+        yield Timeout(self.env, self.transit_time(size_bytes))
         return None
 
     @property

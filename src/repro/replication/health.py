@@ -99,8 +99,6 @@ class HealthMonitor:
 
     def fault_applied(self, event: "FaultEvent") -> None:
         disk = event.target
-        if disk < 0:  # network-wide events carry no disk health signal
-            return
         before = self.state(disk)
         if event.kind == DISK_SLOW:
             self._slow[disk] += 1
@@ -125,8 +123,6 @@ class HealthMonitor:
 
     def fault_reverted(self, event: "FaultEvent") -> None:
         disk = event.target
-        if disk < 0:
-            return
         before = self.state(disk)
         if event.kind == DISK_SLOW:
             self._slow[disk] -= 1

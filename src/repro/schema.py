@@ -19,7 +19,9 @@ cluster digests its workload and node faults always, a member only
 while they are active.  A field that does not take part in equality
 (``compare=False``) is never digested, and a class may name keys with
 no field behind them in ``schema_constants`` (a retired field whose
-old value every existing digest contains).
+old value every existing digest contains).  A field may not reuse a
+retired key's name: that would silently change what the key means in
+every digest, so :func:`canonical_form` raises instead.
 
 :func:`check_types`, :func:`canonical_form` and
 :func:`drop_inert_groups` apply the declarations to any dataclass.
@@ -72,8 +74,14 @@ def canonical_form(obj) -> dict:
     applied: nested dataclasses become dicts in their own canonical
     form, ``compare=False`` fields are skipped, and inert metric groups
     are dropped (:func:`drop_inert_groups`)."""
-    data = dict(getattr(obj, "schema_constants", {}))
+    constants = getattr(obj, "schema_constants", {})
+    data = dict(constants)
     for spec in dataclasses.fields(obj):
+        if spec.name in constants:
+            raise TypeError(
+                f"{type(obj).__name__}.{spec.name} reuses the name of a "
+                f"retired schema_constants key"
+            )
         if not spec.compare:
             continue
         value = getattr(obj, spec.name)

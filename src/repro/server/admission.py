@@ -11,8 +11,6 @@ the built-ins are
 * ``fixed`` — a hard cap on concurrent streams;
 * ``bandwidth`` — reserve each stream's bit rate against a headroom
   fraction of the server's aggregate disk transfer bandwidth;
-* ``analytic`` — cap at the elevator-scan analytical capacity bound
-  (see :mod:`repro.analytic`), the classical conservative design;
 
 and third-party policies plug in via :func:`register_admission_policy`
 without touching the assembly code in ``repro.core.system``::
@@ -35,18 +33,13 @@ import dataclasses
 import typing
 from collections import deque
 
-from repro.analytic.capacity import StreamParameters, estimate_capacity
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.stats import Tally, TimeWeighted
 
 if typing.TYPE_CHECKING:  # pragma: no cover
+    from repro.analytic.capacity import StreamParameters
     from repro.storage.drive import DriveParameters
-
-#: Built-in policy names.  Retained for backward compatibility; the
-#: authoritative list lives in the registry and grows as plugins
-#: register (see :func:`admission_policy_names`).
-ADMISSION_POLICIES = ("none", "fixed", "bandwidth", "analytic")
 
 #: ``limit(spec, disks, drive, stream, disk_capacity_bytes) -> int | None``
 #: — the concurrent-stream cap a policy imposes (None = unlimited).
@@ -100,7 +93,7 @@ class AdmissionSpec:
         self,
         disks: int,
         drive: "DriveParameters",
-        stream: StreamParameters,
+        stream: "StreamParameters",
         disk_capacity_bytes: int,
     ) -> int | None:
         """Concurrent-stream cap implied by the policy (None = no cap)."""
@@ -121,15 +114,9 @@ def _bandwidth_limit(spec, disks, drive, stream, disk_capacity_bytes):
     return max(1, int(aggregate / stream.bytes_per_second))
 
 
-def _analytic_limit(spec, disks, drive, stream, disk_capacity_bytes):
-    estimates = estimate_capacity(drive, stream, disks, disk_capacity_bytes)
-    return max(1, estimates.scan)
-
-
 register_admission_policy("none", lambda spec, *context: None)
 register_admission_policy("fixed", lambda spec, *context: spec.max_streams)
 register_admission_policy("bandwidth", _bandwidth_limit)
-register_admission_policy("analytic", _analytic_limit)
 
 
 class AdmissionController:

@@ -1,4 +1,4 @@
-"""Stream sharing: batched admission, adaptive merging, buffer chains.
+"""Stream sharing: batched admission and buffer chains.
 
 See :class:`~repro.sharing.spec.SharingSpec` for the policy surface and
 :class:`~repro.sharing.runtime.SharingRuntime` for the mechanisms.

@@ -1,7 +1,7 @@
-"""The stream-sharing runtime: batches, merge chases, buffer chains.
+"""The stream-sharing runtime: batches and buffer chains.
 
 One :class:`SharingRuntime` per system (or per cluster member) carries
-the three mechanisms a :class:`~repro.sharing.spec.SharingSpec` policy
+the two mechanisms a :class:`~repro.sharing.spec.SharingSpec` policy
 composes:
 
 * a **batch coordinator** (paper §8.2 piggybacking): the first start
@@ -11,15 +11,12 @@ composes:
   keep a slot each (:meth:`SharingRuntime.request_start`); in the open
   workload the batch holds its leader's slot, joiners (queued requests
   included) ride it, and the *last* member to depart releases it.
-* a **merge controller**: terminals report playback starts; a new
-  stream with a leader close ahead displays fast (``1 + rate_delta``)
-  until the positions meet, then snaps back to nominal rate — from
-  there its requests land on the leader's prefetched pages.
-* a **chain registry**: a new stream close behind a predecessor forms
-  a :class:`BufferChain`; the server nodes report every block
-  reference, the registry pins the predecessor's recently fetched pages
-  (bounded by ``chain_pin_limit_blocks``) and the successor unpins them
-  as it consumes them.  A predecessor pause/seek/abandon — or a MISS on
+* a **chain registry**: terminals report playback starts, and a new
+  stream close behind a predecessor forms a :class:`BufferChain`; the
+  server nodes report every block reference, the registry pins the
+  predecessor's recently fetched pages (bounded by
+  ``chain_pin_limit_blocks``) and the successor unpins them as it
+  consumes them.  A predecessor pause/seek/abandon — or a MISS on
   a block the predecessor had fetched (the page was evicted anyway) —
   *breaks* the chain and releases every held pin.
 
@@ -34,7 +31,6 @@ import typing
 from repro.bufferpool.pool import MISS
 from repro.sim.environment import Environment
 from repro.sim.events import Event
-from repro.sim.stats import Tally
 from repro.telemetry import trace as trace_events
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -62,14 +58,6 @@ class SharingStats:
         #: Of the follower launches, how many had first queued for an
         #: admission slot and converted to the batch instead.
         self.queue_converts = 0
-        #: Merge chases started / finished / given up.
-        self.merges_started = 0
-        self.merged_sessions = 0
-        self.merge_aborts = 0
-        #: Initial leader-trailer gap of every chase (seconds of video).
-        self.merge_lag_s = Tally()
-        #: Wall (simulated) seconds each successful chase took.
-        self.merge_catchup_s = Tally()
         #: Chains formed / block reads served off a predecessor's
         #: fetches / chains broken mid-flight.
         self.chains_formed = 0
@@ -155,10 +143,9 @@ class SharingRuntime:
         self.env = env
         self.spec = spec
         self.batching = spec.batching
-        self.merging = spec.merging
+        #: Whether chains form; only then do terminals report playback
+        #: lifecycle events and nodes report block references.
         self.chaining = spec.chaining
-        #: Whether terminals should report playback lifecycle events.
-        self.tracks_streams = self.merging or self.chaining
         self.stats = SharingStats()
         #: Optional structured trace (see ``FrontDoor.enable_tracing``).
         self.trace: "TraceRecorder | None" = None
@@ -248,38 +235,16 @@ class SharingRuntime:
         batch.launch.succeed()
 
     # ------------------------------------------------------------------
-    # Playback lifecycle (reported by terminals when tracks_streams)
+    # Playback lifecycle (reported by terminals when chaining)
     # ------------------------------------------------------------------
     def note_play_start(self, terminal: "Terminal", video_id: int) -> None:
         """A terminal begins (or rejoins) playback of *video_id*."""
         streams = self._streams.setdefault(video_id, {})
         fps = terminal._video.fps
         position = terminal._next_frame
-        if self.merging:
-            leader = self._nearest_ahead(
-                streams, position, self.spec.merge_max_lag_s * fps, terminal
-            )
-            if leader is not None:
-                self.stats.merges_started += 1
-                if self.trace is not None:
-                    self.trace.record(
-                        trace_events.MERGE_START,
-                        video=video_id,
-                        trailer=terminal.terminal_id,
-                        leader=leader.terminal_id,
-                        lag_s=(leader._next_frame - position) / fps,
-                    )
-                self.env.process(
-                    self._chase(terminal, leader, video_id, leader._epoch),
-                    name=f"sharing-merge-{terminal.terminal_id}",
-                )
-        if self.chaining and terminal not in self._chains_by_succ:
+        if terminal not in self._chains_by_succ:
             predecessor = self._nearest_ahead(
-                streams,
-                position,
-                self.spec.chain_max_lag_s * fps,
-                terminal,
-                without_successor=True,
+                streams, position, self.spec.chain_max_lag_s * fps, terminal
             )
             if predecessor is not None:
                 chain = BufferChain(video_id, predecessor, terminal)
@@ -303,16 +268,16 @@ class SharingRuntime:
         position: int,
         max_lag_frames: float,
         newcomer: "Terminal",
-        without_successor: bool = False,
     ) -> "Terminal | None":
         """The closest live stream ahead of *position* within the lag
-        bound (skipping stale entries whose session already changed)."""
+        bound that has no successor yet (skipping stale entries whose
+        session already changed)."""
         best: "Terminal | None" = None
         best_lag = 0
         for other, epoch in streams.items():
             if other is newcomer or other._epoch != epoch:
                 continue
-            if without_successor and other in self._chains_by_pred:
+            if other in self._chains_by_pred:
                 continue
             lag = other._next_frame - position
             if lag <= 0 or lag > max_lag_frames:
@@ -364,61 +329,6 @@ class SharingRuntime:
         chain = self._chains_by_succ.get(terminal)
         if chain is not None:
             self._dissolve_chain(chain)
-
-    # ------------------------------------------------------------------
-    # Adaptive merging
-    # ------------------------------------------------------------------
-    def _chase(
-        self,
-        trailer: "Terminal",
-        leader: "Terminal",
-        video_id: int,
-        leader_epoch: int,
-    ):
-        env = self.env
-        fps = trailer._video.fps
-        delta = self.spec.rate_delta
-        epoch = trailer._epoch
-        started = env.now
-        self.stats.merge_lag_s.record(
-            (leader._next_frame - trailer._next_frame) / fps
-        )
-        trailer.set_display_rate(1.0 + delta)
-        while True:
-            if trailer._epoch != epoch:
-                # The trailer seeked/abandoned/moved on; its own session
-                # machinery reset the display clock.
-                return None
-            if self._streams.get(video_id, {}).get(leader) != leader_epoch:
-                # The leader completed, abandoned, or seeked away.
-                trailer.set_display_rate(1.0)
-                self.stats.merge_aborts += 1
-                if self.trace is not None:
-                    self.trace.record(
-                        trace_events.MERGE_ABORT,
-                        video=video_id,
-                        trailer=trailer.terminal_id,
-                        leader=leader.terminal_id,
-                    )
-                return None
-            lag = leader._next_frame - trailer._next_frame
-            if lag <= 0:
-                trailer.set_display_rate(1.0)
-                self.stats.merged_sessions += 1
-                self.stats.merge_catchup_s.record(env.now - started)
-                if self.trace is not None:
-                    self.trace.record(
-                        trace_events.MERGE_DONE,
-                        video=video_id,
-                        trailer=trailer.terminal_id,
-                        leader=leader.terminal_id,
-                        chased_s=env.now - started,
-                    )
-                return None
-            # Both streams advance nominally; the trailer closes at
-            # delta * fps frames per second.  Re-check at the projected
-            # catch-up instant (glitches/pauses shift it, so loop).
-            yield env.timeout(max(lag / (fps * delta), 0.25))
 
     # ------------------------------------------------------------------
     # Buffer chaining (reported by the server nodes per block reference)

@@ -2,7 +2,7 @@
 
 ``SharingSpec`` selects how concurrent sessions of the same title share
 disk streams and buffer pages.  A *policy* names a registered set of
-sharing components; the built-ins compose three mechanisms:
+sharing components; the built-ins compose two mechanisms:
 
 * **batch** — *batched launches*: the paper's §8.2 piggybacking.  The
   first start of a title opens a ``window_s`` window; same-title starts
@@ -12,11 +12,6 @@ sharing components; the built-ins compose three mechanisms:
   leader's single admission slot, and a queued request whose title
   opens a batch leaves the admission queue and joins the batch instead
   of consuming a slot.
-* **merge** — *adaptive piggyback merging*: a session starting shortly
-  behind an existing stream of the same title displays slightly fast
-  (``1 + rate_delta`` over the frame schedule) until it catches the
-  leader, then merges onto the leader's buffer pages and returns to
-  nominal rate.
 * **chain** — *buffer chaining* (after the INRIA chaining algorithms):
   a later session reads blocks from an earlier session's still-resident
   bufferpool pages; the chain registry pins the predecessor's recent
@@ -38,9 +33,8 @@ import typing
 
 #: Component names a policy may compose.
 BATCH = "batch"
-MERGE = "merge"
 CHAIN = "chain"
-_COMPONENTS = (BATCH, MERGE, CHAIN)
+_COMPONENTS = (BATCH, CHAIN)
 
 _REGISTRY: dict[str, frozenset[str]] = {}
 
@@ -50,7 +44,7 @@ def register_sharing_policy(
 ) -> None:
     """Make *name* selectable via ``SharingSpec(name)``.
 
-    *components* is any subset of ``("batch", "merge", "chain")``; the
+    *components* is any subset of ``("batch", "chain")``; the
     named policy enables exactly those mechanisms.  An empty set is the
     inert policy (only ``"none"`` ships with it, but a plugin may alias
     it).
@@ -76,15 +70,18 @@ def sharing_policy_names() -> tuple[str, ...]:
 
 register_sharing_policy("none", ())
 register_sharing_policy("batch", (BATCH,))
-register_sharing_policy("merge", (MERGE,))
 register_sharing_policy("chain", (CHAIN,))
 register_sharing_policy("batch+chain", (BATCH, CHAIN))
-register_sharing_policy("batch+merge+chain", (BATCH, MERGE, CHAIN))
 
 
 @dataclasses.dataclass(frozen=True)
 class SharingSpec:
     """Which stream-sharing policy the system runs, with its knobs."""
+
+    #: The adaptive-merging knobs were retired with the ``merge``
+    #: component; their old defaults stay in the canonical form so every
+    #: existing config digest and run-cache key stays valid.
+    schema_constants = {"rate_delta": 0.05, "merge_max_lag_s": 60.0}
 
     #: Registered policy name (see :func:`register_sharing_policy`).
     policy: str = "none"
@@ -95,13 +92,6 @@ class SharingSpec:
     window_s: float = 2.0
     #: Largest batch (leader included); 0 = unbounded.
     max_batch: int = 0
-
-    # --- adaptive merging -------------------------------------------------
-    #: Bounded display-rate speedup of a trailing session while it
-    #: chases a leader (0.05 = 5% fast, imperceptible in practice).
-    rate_delta: float = 0.05
-    #: A new session only chases a leader at most this far ahead.
-    merge_max_lag_s: float = 60.0
 
     # --- buffer chaining --------------------------------------------------
     #: A new session only chains to a predecessor at most this far
@@ -117,7 +107,7 @@ class SharingSpec:
                 f"unknown sharing policy {self.policy!r}; "
                 f"choose from {sharing_policy_names()}"
             )
-        for name in ("window_s", "merge_max_lag_s", "chain_max_lag_s"):
+        for name in ("window_s", "chain_max_lag_s"):
             value = getattr(self, name)
             # Non-finite knobs would only fail at run time: a nan
             # window raises in env.timeout, an inf one never launches.
@@ -132,14 +122,6 @@ class SharingSpec:
             )
         if self.max_batch < 0:
             raise ValueError(f"max_batch must be >= 0, got {self.max_batch}")
-        if not 0.0 < self.rate_delta <= 0.5:
-            raise ValueError(
-                f"rate_delta must be in (0, 0.5], got {self.rate_delta}"
-            )
-        if self.merge_max_lag_s <= 0:
-            raise ValueError(
-                f"merge_max_lag_s must be positive, got {self.merge_max_lag_s}"
-            )
         if self.chain_max_lag_s <= 0:
             raise ValueError(
                 f"chain_max_lag_s must be positive, got {self.chain_max_lag_s}"
@@ -163,10 +145,6 @@ class SharingSpec:
     @property
     def batching(self) -> bool:
         return BATCH in self.components
-
-    @property
-    def merging(self) -> bool:
-        return MERGE in self.components
 
     @property
     def chaining(self) -> bool:

@@ -6,15 +6,14 @@ generators that yield :class:`Event` objects to an :class:`Environment`.
 """
 
 from repro.sim.environment import Environment, NORMAL, URGENT
-from repro.sim.errors import EventLifecycleError, Interrupt, SimError, StopSimulation
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.errors import EventLifecycleError, SimError, StopSimulation
+from repro.sim.events import AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Gate, PriorityStore, Resource, Store
 from repro.sim.rng import DiscreteSampler, RandomSource, zipf_weights
 from repro.sim.stats import BusyTracker, Quantile, Tally, TimeWeighted, WindowedRate
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "BusyTracker",
     "DiscreteSampler",
@@ -22,7 +21,6 @@ __all__ = [
     "Event",
     "EventLifecycleError",
     "Gate",
-    "Interrupt",
     "NORMAL",
     "PriorityStore",
     "Process",

@@ -12,7 +12,7 @@ from functools import partial
 from heapq import heappop, heappush
 
 from repro.sim.errors import SimError, StopSimulation
-from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, URGENT, AnyOf, Event, Timeout
 from repro.sim.process import Process
 
 __all__ = ["Environment", "NORMAL", "URGENT"]
@@ -33,7 +33,6 @@ class Environment:
         "_queue",
         "_push",
         "_seq",
-        "_active_process",
         "events_processed",
     )
 
@@ -46,7 +45,6 @@ class Environment:
         # measures within noise of an inline ``heappush`` call.
         self._push = partial(heappush, self._queue)
         self._seq = 0
-        self._active_process: Process | None = None
         #: Lifetime count of events executed — the simulator's work
         #: measure, read by ``repro.telemetry.runstats``.  Inside
         #: :meth:`run` the count is accumulated in a local and flushed
@@ -58,11 +56,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
-
-    @property
-    def active_process(self) -> Process | None:
-        """The process currently being resumed, if any."""
-        return self._active_process
 
     # ------------------------------------------------------------------
     # Event creation helpers
@@ -82,9 +75,6 @@ class Environment:
     def any_of(self, events: typing.Sequence[Event]) -> AnyOf:
         return AnyOf(self, events)
 
-    def all_of(self, events: typing.Sequence[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # ------------------------------------------------------------------
     # Scheduling and the run loop
     # ------------------------------------------------------------------
@@ -93,10 +83,10 @@ class Environment:
 
         Hot constructors (``Timeout``, ``Event.succeed``/``fail``, the
         condition events, the process bootstrap, resource grants) inline
-        this push; rare paths (interrupt delivery, resuming on an
-        already-processed event) still come through here.  Both
-        produce identical ``(time, priority, seq)`` tuples from the
-        shared counter, so ordering is unaffected by which path is used.
+        this push; the rare path (resuming on an already-processed
+        event) still comes through here.  Both produce identical
+        ``(time, priority, seq)`` tuples from the shared counter, so
+        ordering is unaffected by which path is used.
         """
         self._seq += 1
         self._push((self._now + delay, priority, self._seq, event))

@@ -11,22 +11,6 @@ class EventLifecycleError(SimError):
     """An event was succeeded/failed twice, or misused after processing."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The interrupted process receives this exception at its current yield
-    point and may catch it to handle the interruption (e.g. a video
-    terminal being told to pause mid-playback).
-    """
-
-    def __init__(self, cause: object = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Interrupt(cause={self.cause!r})"
-
-
 class StopSimulation(Exception):
     """Raised internally to end :meth:`Environment.run` early."""
 

@@ -27,9 +27,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
 
 #: Scheduling priorities: URGENT events at the same timestamp are
-#: processed before NORMAL ones.  Used for interrupt delivery.  Defined
-#: here (and re-exported by ``repro.sim.environment``) so the inlined
-#: scheduling below needs no import cycle.
+#: processed before NORMAL ones.  Used to resume a process that yielded
+#: an already-processed event.  Defined here (and re-exported by
+#: ``repro.sim.environment``) so the inlined scheduling below needs no
+#: import cycle.
 URGENT = 0
 NORMAL = 1
 
@@ -113,10 +114,6 @@ class Event:
         env._push((env._now, NORMAL, env._seq, self))
         return self
 
-    def defuse(self) -> None:
-        """Mark a failed event as handled so it will not crash the run."""
-        self._defused = True
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (
             "processed" if self.processed else "triggered" if self.triggered else "pending"
@@ -147,14 +144,18 @@ class Timeout(Event):
         env._push((env._now + delay, NORMAL, env._seq, self))
 
 
-class Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`.
+class AnyOf(Event):
+    """Fires when the first of several events fires.
 
-    The value dict over the constituent events is *not* built when the
-    condition triggers: most waiters (``yield env.any_of([...])`` racing
-    a grant against a timeout) never look at it.  Triggering records
-    which events to include — membership is decided at trigger time, so
-    semantics match the old eager build exactly — and the dict is
+    The value is a dict mapping the fired events (so far) to their values.
+    An event that was already processed when the condition is composed
+    counts as fired — including a processed *failure*, which fails the
+    condition just as a post-composition failure would.
+
+    The value dict is *not* built when the condition triggers: most
+    waiters (``yield env.any_of([...])`` racing a grant against a
+    timeout) never look at it.  Triggering records which events to
+    include — membership is decided at trigger time — and the dict is
     materialised on first :attr:`value` access.
     """
 
@@ -164,38 +165,6 @@ class Condition(Event):
         super().__init__(env)
         self._events = list(events)
         self._fired: list | None = None
-
-    @property
-    def value(self) -> object:
-        if self._value is _UNRESOLVED:
-            self._value = {e: e._value for e in self._fired}
-        if self._value is _PENDING:
-            raise EventLifecycleError(f"value of {self!r} is not yet available")
-        return self._value
-
-    def _trigger(self, fired: list) -> None:
-        """Succeed with the lazily-built dict over *fired*."""
-        self._ok = True
-        self._value = _UNRESOLVED
-        self._fired = fired
-        env = self.env
-        env._seq += 1
-        env._push((env._now, NORMAL, env._seq, self))
-
-
-class AnyOf(Condition):
-    """Fires when the first of several events fires.
-
-    The value is a dict mapping the fired events (so far) to their values.
-    An event that was already processed when the condition is composed
-    counts as fired — including a processed *failure*, which fails the
-    condition just as a post-composition failure would.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env: "Environment", events: typing.Sequence[Event]) -> None:
-        super().__init__(env, events)
         if not self._events:
             self.succeed({})
             return
@@ -205,41 +174,13 @@ class AnyOf(Condition):
                 break
             event.callbacks.append(self._on_fire)
 
-    def _on_fire(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._trigger([e for e in self._events if e.callbacks is None and e._ok])
-
-
-class AllOf(Condition):
-    """Fires when every one of several events has fired.
-
-    The value is a dict mapping each event to its value.  If any
-    constituent fails — even one that was already processed-and-failed
-    when the condition was composed — the condition fails with that
-    exception instead of succeeding.
-    """
-
-    __slots__ = ("_remaining",)
-
-    def __init__(self, env: "Environment", events: typing.Sequence[Event]) -> None:
-        super().__init__(env, events)
-        self._remaining = 0
-        for event in self._events:
-            if event.callbacks is None:  # already processed
-                if not event._ok:
-                    event._defused = True
-                    self.fail(event._value)
-                    return
-            else:
-                self._remaining += 1
-                event.callbacks.append(self._on_fire)
-        if self._remaining == 0:
-            self._trigger(self._events)
+    @property
+    def value(self) -> object:
+        if self._value is _UNRESOLVED:
+            self._value = {e: e._value for e in self._fired}
+        if self._value is _PENDING:
+            raise EventLifecycleError(f"value of {self!r} is not yet available")
+        return self._value
 
     def _on_fire(self, event: Event) -> None:
         if self._value is not _PENDING:
@@ -248,6 +189,10 @@ class AllOf(Condition):
             event._defused = True
             self.fail(event._value)
             return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self._trigger(self._events)
+        # Succeed with the lazily-built dict over the fired events.
+        self._ok = True
+        self._value = _UNRESOLVED
+        self._fired = [e for e in self._events if e.callbacks is None and e._ok]
+        env = self.env
+        env._seq += 1
+        env._push((env._now, NORMAL, env._seq, self))

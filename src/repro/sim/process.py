@@ -5,8 +5,8 @@ from __future__ import annotations
 import types
 import typing
 
-from repro.sim.errors import Interrupt, SimError
-from repro.sim.events import _PENDING, _UNRESOLVED, NORMAL, Event
+from repro.sim.errors import SimError
+from repro.sim.events import _PENDING, _UNRESOLVED, NORMAL, URGENT, Event
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.environment import Environment
@@ -24,7 +24,7 @@ class Process(Event):
     each other simply by yielding them.
     """
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(
         self,
@@ -50,39 +50,11 @@ class Process(Event):
         bootstrap._value = None
         env._seq += 1
         env._push((env._now, NORMAL, env._seq, bootstrap))
-        #: The event this process is currently waiting on (None if not
-        #: started or already finished).
-        self._target: Event | None = bootstrap
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
-
-    def interrupt(self, cause: object = None) -> None:
-        """Throw :class:`Interrupt` into the process at its yield point.
-
-        The interrupt is delivered immediately (before any further
-        simulated time passes).  Interrupting a finished process is an
-        error; interrupting a process waiting on an event removes it
-        from that event's callbacks.
-        """
-        if self.triggered:
-            raise SimError(f"cannot interrupt finished process {self.name!r}")
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        # Deliver via an immediate event carrying the Interrupt.
-        delivery = Event(self.env)
-        delivery._ok = False
-        delivery._value = Interrupt(cause)
-        delivery._defused = True
-        delivery.callbacks.append(self._resume)
-        self.env._schedule(delivery, priority=0)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the fired event's outcome.
@@ -92,15 +64,6 @@ class Process(Event):
         rather than properties; only lazily-valued condition events pay
         the :attr:`Event.value` materialisation.
         """
-        if self._value is not _PENDING:
-            # The process already finished: the only way a callback can
-            # still reach it is a stale interrupt delivery scheduled in
-            # the same timestep the generator completed.  Dropping it
-            # here keeps concurrent interrupt+finish from throwing into
-            # an exhausted generator.
-            return
-        env = self.env
-        env._active_process = self
         try:
             if event._ok:
                 value = event._value
@@ -113,18 +76,13 @@ class Process(Event):
                 event._defused = True
                 result = self._generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
-            self._target = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            env._active_process = None
-            self._target = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
             return
-        env._active_process = None
 
         if not isinstance(result, Event):
             exc = SimError(
@@ -134,18 +92,17 @@ class Process(Event):
             return
         if result.callbacks is not None:
             result.callbacks.append(self._resume)
-            self._target = result
         else:
             # Already processed: resume immediately with its final value
             # (via the property, which materialises lazy condition dicts).
+            env = self.env
             immediate = Event(env)
             immediate._ok = result._ok
             immediate._value = result.value
             if not result._ok:
                 immediate._defused = True
             immediate.callbacks.append(self._resume)
-            env._schedule(immediate, priority=0)
-            self._target = immediate
+            env._schedule(immediate, priority=URGENT)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} at {id(self):#x}>"

@@ -1,14 +1,10 @@
-"""Observation layer: event tracing, periodic state sampling, and
-per-run execution accounting."""
+"""Observation layer: event tracing and per-run execution accounting."""
 
 from repro.telemetry.runstats import RunStopwatch
-from repro.telemetry.sampler import PeriodicSampler, standard_probes
 from repro.telemetry.trace import TraceEvent, TraceRecorder
 
 __all__ = [
-    "PeriodicSampler",
     "RunStopwatch",
     "TraceEvent",
     "TraceRecorder",
-    "standard_probes",
 ]

@@ -45,9 +45,6 @@ PROXY_FILL = "proxy.fill"
 BATCH_OPEN = "batch.open"
 BATCH_JOIN = "batch.join"
 BATCH_LAUNCH = "batch.launch"
-MERGE_START = "merge.start"
-MERGE_DONE = "merge.done"
-MERGE_ABORT = "merge.abort"
 CHAIN_FORM = "chain.form"
 CHAIN_BREAK = "chain.break"
 

@@ -76,12 +76,10 @@ class Terminal:
         # title's head; None (the default) keeps the direct path.
         self._proxy = getattr(fabric, "proxy", None)
         # Stream-sharing fabrics expose a sharing runtime; the terminal
-        # reports playback lifecycle events only when the policy merges
-        # or chains streams, so everything else keeps the direct path.
+        # reports playback lifecycle events only when the policy chains
+        # streams, so everything else keeps the direct path.
         sharing = getattr(fabric, "sharing", None)
-        self._sharing = (
-            sharing if sharing is not None and sharing.tracks_streams else None
-        )
+        self._sharing = sharing if sharing is not None and sharing.chaining else None
         self.access = access
         self.rng = rng
         self.memory_bytes = memory_bytes
@@ -122,10 +120,7 @@ class Terminal:
         self._next_request = 0
         self._next_frame = 0
         self._anchor = 0.0
-        #: The display clock's effective frame rate.  Exactly
-        #: ``video.fps`` except while an adaptive merge chases a leader
-        #: (see :meth:`set_display_rate`), so the default arithmetic is
-        #: bit-identical to reading ``video.fps`` directly.
+        #: The session video's ``fps``, cached for the display hot path.
         self._display_fps = 0.0
         self._playing = False
 
@@ -429,28 +424,6 @@ class Terminal:
         self._slot_gate.open()
         self._data_gate.open()
 
-    def set_display_rate(self, scale: float) -> None:
-        """Scale the display clock (adaptive piggyback merging).
-
-        A trailing session chasing a leader displays at ``1 + delta``
-        times nominal rate; on merge the rate snaps back to 1.  The
-        clock is re-anchored so the current (continuous) position is
-        preserved and only *future* frames come due at the new rate.
-        The change takes effect at the display loop's next wakeup — a
-        block-granular approximation, like the rest of playback.
-        """
-        if self._video is None:
-            raise ValueError("set_display_rate() with no active video")
-        nominal = self._video.fps
-        # At scale 1.0 assign the video's fps *object* directly (never
-        # multiply) so an unmerged run's float arithmetic stays
-        # bit-identical to a build without the sharing subsystem.
-        fps = nominal if scale == 1.0 else nominal * scale
-        position = (self.env.now - self._anchor) * self._display_fps
-        self._display_fps = fps
-        if self._playing:
-            self._anchor = self.env.now - position / fps
-
     # ------------------------------------------------------------------
     # Interactive controls (§8.1)
     # ------------------------------------------------------------------
@@ -474,9 +447,6 @@ class Terminal:
         epoch = self._epoch
         if self._sharing is not None:
             self._sharing.note_seek(self)
-        # A pending merge chase retires on the epoch change; the display
-        # clock returns to nominal rate at the new position.
-        self._display_fps = self._video.fps
         block = schedule.block_of_frame(frame)
         self._outstanding = 0
         # Treat everything before the seek point as already displayed so

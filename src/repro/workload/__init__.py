@@ -18,7 +18,6 @@ from repro.workload.arrivals import (
     register_arrival_process,
 )
 from repro.workload.generator import SessionGenerator, SessionStats
-from repro.workload.popularity import RotatingPopularity
 from repro.workload.qos import QosMonitor
 from repro.workload.saturation import (
     RateProbe,
@@ -37,7 +36,6 @@ __all__ = [
     "PoissonArrivals",
     "QosMonitor",
     "RateProbe",
-    "RotatingPopularity",
     "SaturationResult",
     "SessionGenerator",
     "SessionStats",

@@ -48,7 +48,6 @@ from repro.sim.rng import RandomSource
 from repro.telemetry import trace as trace_events
 from repro.terminal.terminal import Terminal
 from repro.workload.arrivals import make_arrival_process
-from repro.workload.popularity import RotatingPopularity
 from repro.workload.spec import ArrivalSpec
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -96,12 +95,9 @@ class SessionGenerator:
         self.spec = spec
         self.process = make_arrival_process(spec)
         config = door.members[0].config
-        self.popularity = RotatingPopularity(
-            make_access_model(config.access_model, door.catalog_size, config.zipf_skew),
-            spec,
-            rng.spawn("select"),
-            rng,
-        )
+        self.titles = make_access_model(
+            config.access_model, door.catalog_size, config.zipf_skew
+        ).bind(rng.spawn("select"))
         self._arrival_rng = rng.spawn("arrivals")
         self._patience_rng = rng.spawn("patience")
         self._view_rng = rng.spawn("views")
@@ -145,7 +141,7 @@ class SessionGenerator:
         stats.offered += 1
         if self.trace is not None:  # skip building fields when untraced
             self._record(trace_events.SESSION_ARRIVE, session=session)
-        title = self.popularity.select(env.now) if door.select_on_arrival else None
+        title = self.titles.select() if door.select_on_arrival else None
 
         admitted = False
         view_deadline = math.inf  # absolute; drawn at first playback
@@ -302,7 +298,7 @@ class SessionGenerator:
                         waited_s=env.now - arrived,
                     )
             if title is None:
-                title = self.popularity.select(env.now)
+                title = self.titles.select()
                 local = door.local_id(title, node)
             stats.routed[node] += 1
             self.assignments.append((session, title, node))

@@ -36,24 +36,23 @@ class ArrivalSpec:
     * otherwise requests an admission slot and — if made to wait —
       *reneges* after an exponential patience with mean
       ``mean_patience_s`` (0 = infinite patience);
-    * once admitted, picks a title from the (optionally rotating) Zipf
-      popularity model, streams it, and departs after an exponential
+    * once admitted, picks a title from the configured access model
+      (the same selection closed terminals use), streams it, and departs after an exponential
       viewing time with mean ``mean_view_duration_s`` (0 = watches to
       the end) — the session-churn knob;
     * counts toward the startup-latency SLO: the stream must begin
       displaying within ``startup_slo_s`` of the session's *arrival*
       (wait-queue time included).
 
-    Popularity churn: with ``hotset_size > 0``, every
-    ``hotset_rotation_s`` the top ``hotset_size`` popularity ranks are
-    reassigned to a freshly drawn set of titles (the week's new
-    releases); the mapping is a pure function of the rotation epoch and
-    the seed, so runs stay deterministic.
-
     All stochastic choices draw from dedicated child streams of the
     ``"workload"`` RNG stream, so enabling the workload layer perturbs
     nothing else and the closed default consumes no randomness at all.
     """
+
+    #: The hotset-rotation knobs were retired; their old defaults stay
+    #: in the canonical form so every existing config digest and
+    #: run-cache key stays valid.
+    schema_constants = {"hotset_size": 0, "hotset_rotation_s": 0.0}
 
     process: str = CLOSED
     #: Mean session arrival rate (sessions/second) for open processes.
@@ -69,12 +68,6 @@ class ArrivalSpec:
     queue_limit: int = 64
     #: Mean exponential patience while queued; 0 = never renege.
     mean_patience_s: float = 0.0
-
-    # --- popularity churn -----------------------------------------------
-    #: Top popularity ranks reassigned each rotation (0 = static Zipf).
-    hotset_size: int = 0
-    #: Simulated seconds between hotset rotations.
-    hotset_rotation_s: float = 0.0
 
     # --- arrival-process parameters -------------------------------------
     #: ``diurnal``: sinusoid period (a compressed "day").
@@ -114,18 +107,6 @@ class ArrivalSpec:
                 raise ValueError(f"{label} must be >= 0, got {value}")
         if self.queue_limit < 0:
             raise ValueError(f"queue_limit must be >= 0, got {self.queue_limit}")
-        if self.hotset_size < 0:
-            raise ValueError(f"hotset_size must be >= 0, got {self.hotset_size}")
-        if self.hotset_rotation_s < 0:
-            raise ValueError(
-                f"hotset_rotation_s must be >= 0, got {self.hotset_rotation_s}"
-            )
-        if (self.hotset_size > 0) != (self.hotset_rotation_s > 0):
-            raise ValueError(
-                "hotset rotation needs both hotset_size and "
-                f"hotset_rotation_s (got size={self.hotset_size}, "
-                f"rotation={self.hotset_rotation_s})"
-            )
         if self.diurnal_period_s <= 0:
             raise ValueError(
                 f"diurnal_period_s must be positive, got {self.diurnal_period_s}"
@@ -159,7 +140,4 @@ class ArrivalSpec:
         """Human-readable summary used in benchmark tables."""
         if not self.enabled:
             return CLOSED
-        text = f"{self.process} {self.rate_per_s * 60.0:g}/min"
-        if self.hotset_size:
-            text += f" hotset {self.hotset_size}@{self.hotset_rotation_s:g}s"
-        return text
+        return f"{self.process} {self.rate_per_s * 60.0:g}/min"

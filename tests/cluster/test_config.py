@@ -58,11 +58,11 @@ class TestValidation:
             small_cluster(nodes=2, faults=faults)
 
     def test_placement_shape_validated_at_config_time(self):
-        # The 2x4-title catalog cannot hold a 100-title hotset; the
+        # Two members cannot hold three chained copies of a title; the
         # error must surface when the config is built, not at run time.
-        hot = PlacementSpec("hybrid-hot-replicated", hot_titles=100)
-        with pytest.raises(ValueError, match="hot_titles"):
-            small_cluster(placement=hot)
+        chained = PlacementSpec("chained-declustered", replicas=3)
+        with pytest.raises(ValueError, match="exceeds"):
+            small_cluster(nodes=2, placement=chained)
 
 
 class TestDerived:
@@ -112,6 +112,6 @@ class TestCacheIdentity:
     def test_digest_sensitive_to_cluster_fields(self):
         base = small_cluster()
         assert config_digest(base) != config_digest(
-            base.replace(routing=RouterSpec("consistent-hash"))
+            base.replace(routing=RouterSpec("locality"))
         )
         assert config_digest(base) != config_digest(base.replace(nodes=3))

@@ -51,15 +51,6 @@ class TestReplicatedFailover:
         # The outage event was re-armed: a fresh, untriggered event.
         assert not cluster.down_event(1).triggered
 
-    def test_consistent_hash_also_fails_over(self):
-        cluster = failover_cluster("replicated", "consistent-hash")
-        stats_before = cluster.run()
-        stats = cluster.workload.stats
-        assert stats.failed_over > 0
-        assert stats.lost == 0
-        assert stats_before.completed_sessions == stats.completed
-
-
 class TestPartitionedOutage:
     def test_unreplicated_titles_are_lost(self):
         cluster = failover_cluster("partitioned", "locality")

@@ -48,43 +48,10 @@ class TestReplicated:
         assert all(placement.local_count(n) == 4 for n in range(3))
 
 
-class TestHybrid:
-    def test_hot_titles_everywhere_cold_partitioned(self):
-        spec = PlacementSpec("hybrid-hot-replicated", hot_titles=2)
-        placement = spec.build(2, 3)
-        assert placement.catalog_size == 6
-        for title in (0, 1):
-            assert sorted(placement.nodes_for(title)) == [0, 1]
-        for title in (2, 3, 4, 5):
-            assert placement.nodes_for(title) == (title // 3,)
-
-    def test_local_ids_ascend_per_node(self):
-        spec = PlacementSpec("hybrid-hot-replicated", hot_titles=2)
-        placement = spec.build(2, 3)
-        # Node 0 hosts titles 0, 1, 2; node 1 hosts 0, 1, 3, 4, 5.
-        assert placement.local_count(0) == 3
-        assert placement.local_count(1) == 5
-        assert [placement.local_id(t, 0) for t in (0, 1, 2)] == [0, 1, 2]
-        assert [placement.local_id(t, 1) for t in (0, 1, 3, 4, 5)] == list(range(5))
-
-    def test_oversized_hotset_rejected(self):
-        spec = PlacementSpec("hybrid-hot-replicated", hot_titles=7)
-        with pytest.raises(ValueError, match="exceeds"):
-            spec.build(2, 3)
-
-
 class TestSpec:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError, match="unknown placement"):
             PlacementSpec("sharded")
-
-    def test_hot_titles_validation(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            PlacementSpec("partitioned", hot_titles=-1)
-        with pytest.raises(ValueError, match="hot_titles > 0"):
-            PlacementSpec("hybrid-hot-replicated")
-        with pytest.raises(ValueError, match="takes no hot_titles"):
-            PlacementSpec("replicated", hot_titles=3)
 
     def test_videos_per_node_validated(self):
         with pytest.raises(ValueError, match="at least one video"):
@@ -92,14 +59,14 @@ class TestSpec:
 
     def test_labels(self):
         assert PlacementSpec("replicated").label() == "replicated"
-        spec = PlacementSpec("hybrid-hot-replicated", hot_titles=4)
-        assert spec.label() == "hybrid-hot-replicated(4)"
+        spec = PlacementSpec("chained-declustered", replicas=2)
+        assert spec.label() == "chained-declustered(2)"
 
 
 class TestRegistry:
     def test_builtins_registered(self):
         names = placement_names()
-        assert {"partitioned", "replicated", "hybrid-hot-replicated"} <= set(names)
+        assert {"partitioned", "replicated", "chained-declustered"} <= set(names)
 
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError, match="non-empty string"):

@@ -19,17 +19,13 @@ from repro.experiments.runner import (
 )
 from tests.cluster.conftest import small_cluster
 
-POLICIES = ("least-loaded", "consistent-hash", "locality")
+POLICIES = ("least-loaded", "locality")
 
 
 class TestSpec:
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="unknown router"):
             RouterSpec("round-robin")
-
-    def test_virtual_points_validated(self):
-        with pytest.raises(ValueError, match="virtual_points"):
-            RouterSpec("consistent-hash", virtual_points=0)
 
     def test_registry(self):
         assert set(POLICIES) <= set(router_names())
@@ -70,18 +66,6 @@ class TestStaticRouting:
         )
         cluster._fail_node(0)
         assert cluster.router.route(title) == 1
-
-    def test_consistent_hash_is_sticky(self):
-        cluster = self.build("consistent-hash")
-        first = [cluster.router.route(t) for t in range(4)]
-        assert first == [cluster.router.route(t) for t in range(4)]
-        assert set(first) <= {0, 1}
-
-    def test_consistent_hash_skips_dead_members(self):
-        cluster = self.build("consistent-hash")
-        cluster._fail_node(0)
-        for title in range(4):
-            assert cluster.router.route(title) == 1
 
     def test_no_surviving_host_routes_none(self):
         cluster = self.build("least-loaded")

@@ -73,7 +73,7 @@ def standalone_composed():
                 request_timeout_s=0.5,
             ),
             proxy=PROXY,
-            sharing=SharingSpec("batch+merge+chain", window_s=2.0),
+            sharing=SharingSpec("batch+chain", window_s=2.0),
             workload=ARRIVALS,
         )
     )

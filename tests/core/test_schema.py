@@ -105,6 +105,16 @@ class TestToyConfig:
         assert schema.drop_inert_groups(ToyConfig(), dict(data)) == {"seed": 1}
         assert schema.drop_inert_groups(ToyConfig(misses=1), dict(data)) == data
 
+    def test_field_reusing_a_retired_key_is_rejected(self):
+        @dataclasses.dataclass(frozen=True)
+        class Revived:
+            schema_constants = {"retired_knob": 0.0}
+
+            retired_knob: float = 1.0
+
+        with pytest.raises(TypeError, match=r"Revived\.retired_knob .*retired"):
+            schema.canonical_form(Revived())
+
     def test_unknown_digest_rule_is_rejected(self):
         with pytest.raises(ValueError, match="digest rule"):
             schema.field(0, digest="sometimes")

@@ -184,23 +184,6 @@ class TestMemoisedDelays:
                 assert bus.transit_time(size).hex() == expected
                 assert next(bus.transfer(size)).delay.hex() == expected
 
-    def test_degraded_bus_applies_stacked_multipliers_after_lookup(self):
-        env = Environment()
-        params = NetworkParameters()
-        bus = NetworkBus(env, params)
-        size = 512 * 1024
-        plain = next(bus.transfer(size)).delay
-        bus.degrade(1.5)
-        bus.degrade(3.0)
-        for _ in range(2):
-            expected = params.transit_time(size) * 1.5 * 3.0
-            assert next(bus.transfer(size)).delay.hex() == expected.hex()
-        bus.restore(1.5)
-        bus.restore(3.0)
-        assert next(bus.transfer(size)).delay.hex() == plain.hex()
-        # The memo holds the undegraded time.
-        assert bus.transit_time(size).hex() == params.transit_time(size).hex()
-
     def test_bus_negative_size_raises_every_call(self):
         env = Environment()
         bus = NetworkBus(env, NetworkParameters())

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.netsim.bus import NetworkBus, NetworkParameters
 from repro.sched import FcfsScheduler
 from repro.sim import Environment, RandomSource
 from repro.storage import DiskDrive, DiskGeometry, DiskRequest, DriveParameters
@@ -151,36 +150,3 @@ class TestCancelledRequests:
         # The cancelled request completes without being serviced.
         assert drive.reads == 1
         assert second.started_at is None or second.completed_at == second.started_at
-
-
-class TestNetworkDegradation:
-    def test_degradation_multiplies_transit(self):
-        env = Environment()
-        bus = NetworkBus(env, NetworkParameters())
-        normal = NetworkParameters().transit_time(512 * 1024)
-        elapsed = []
-
-        def sender(env):
-            start = env.now
-            yield from bus.transfer(512 * 1024)
-            elapsed.append(env.now - start)
-
-        done = env.process(sender(env))
-        env.run(until=done)
-        assert elapsed[-1] == pytest.approx(normal)
-        bus.degrade(8.0)
-        assert bus.degraded
-        done = env.process(sender(env))
-        env.run(until=done)
-        assert elapsed[-1] == pytest.approx(8.0 * normal)
-        bus.restore(8.0)
-        assert not bus.degraded
-        done = env.process(sender(env))
-        env.run(until=done)
-        assert elapsed[-1] == pytest.approx(normal)
-
-    def test_degrade_validates_multiplier(self):
-        env = Environment()
-        bus = NetworkBus(env, NetworkParameters())
-        with pytest.raises(ValueError):
-            bus.degrade(0.9)

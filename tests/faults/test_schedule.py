@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.faults import FaultSpec, build_schedule
-from repro.faults.schedule import NETWORK_TARGET
-from repro.faults.spec import DISK_FAIL, DISK_OUTAGE, DISK_SLOW, NET_DEGRADE
+from repro.faults.spec import DISK_FAIL, DISK_OUTAGE, DISK_SLOW
 from repro.sim.rng import RandomSource
 
 
@@ -16,8 +15,7 @@ def schedule(spec, disks=4, horizon=300.0, seed=11):
 
 class TestDeterminism:
     def test_same_inputs_same_schedule(self):
-        spec = FaultSpec(disk_fault_rate_per_hour=240.0, fail_weight=0.5,
-                         network_fault_rate_per_hour=60.0)
+        spec = FaultSpec(disk_fault_rate_per_hour=240.0, fail_weight=0.5)
         assert schedule(spec) == schedule(spec)
 
     def test_different_seed_different_schedule(self):
@@ -39,8 +37,7 @@ class TestShape:
         assert schedule(FaultSpec()) == ()
 
     def test_sorted_by_start_time(self):
-        spec = FaultSpec(disk_fault_rate_per_hour=240.0,
-                         network_fault_rate_per_hour=120.0)
+        spec = FaultSpec(disk_fault_rate_per_hour=240.0)
         events = schedule(spec)
         assert list(events) == sorted(events, key=lambda e: (e.start_s, e.target, e.kind))
         assert all(0.0 <= e.start_s < 300.0 for e in events)
@@ -64,15 +61,6 @@ class TestShape:
             assert event.kind == DISK_FAIL
             assert event.permanent
             assert math.isinf(event.end_s)
-
-    def test_network_events_target_bus(self):
-        spec = FaultSpec(network_fault_rate_per_hour=240.0)
-        events = schedule(spec)
-        assert events
-        assert {e.kind for e in events} == {NET_DEGRADE}
-        assert {e.target for e in events} == {NETWORK_TARGET}
-        assert all(e.magnitude == spec.network_latency_multiplier for e in events)
-
 
 class TestArguments:
     def test_bad_disk_count(self):

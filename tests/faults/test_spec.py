@@ -12,26 +12,19 @@ class TestDefaults:
         spec = FaultSpec()
         assert not spec.enabled
         assert spec.disk_fault_rate_per_hour == 0.0
-        assert spec.network_fault_rate_per_hour == 0.0
 
     def test_disk_rate_enables(self):
         assert FaultSpec(disk_fault_rate_per_hour=1.0).enabled
 
-    def test_network_rate_enables(self):
-        assert FaultSpec(network_fault_rate_per_hour=1.0).enabled
-
     def test_label(self):
         assert FaultSpec().label() == "no faults"
         assert "disk" in FaultSpec(disk_fault_rate_per_hour=6.0).label()
-        assert "net" in FaultSpec(network_fault_rate_per_hour=2.0).label()
 
 
 class TestValidation:
     def test_negative_rate(self):
         with pytest.raises(ValueError):
             FaultSpec(disk_fault_rate_per_hour=-1.0)
-        with pytest.raises(ValueError):
-            FaultSpec(network_fault_rate_per_hour=-1.0)
 
     def test_zero_total_weight_with_rate(self):
         with pytest.raises(ValueError):
@@ -49,8 +42,6 @@ class TestValidation:
     def test_multipliers_must_slow_things_down(self):
         with pytest.raises(ValueError):
             FaultSpec(slow_latency_multiplier=0.5)
-        with pytest.raises(ValueError):
-            FaultSpec(network_latency_multiplier=0.0)
 
     def test_nonpositive_durations(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.faults.schedule import NETWORK_TARGET, FaultEvent
+from repro.faults.schedule import FaultEvent
 from repro.faults.spec import DISK_FAIL, DISK_OUTAGE, DISK_SLOW
 from repro.replication.health import (
     DOWN,
@@ -89,12 +89,6 @@ class TestStates:
         ranks = [m.rank(d) for d in range(4)]
         assert ranks == sorted(ranks)
         assert len(set(ranks)) == 4
-
-    def test_network_events_are_ignored(self):
-        m = monitor()
-        m.fault_applied(event(DISK_OUTAGE, target=NETWORK_TARGET))
-        assert all(m.state(d) == HEALTHY for d in range(4))
-
 
 class TestFailureCallbacks:
     def test_callback_fires_once_per_disk(self):

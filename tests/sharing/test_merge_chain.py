@@ -1,10 +1,10 @@
-"""Adaptive merging and buffer chaining, driven at the runtime level.
+"""Buffer chaining, driven at the runtime level.
 
 These tests feed the :class:`SharingRuntime` hand-built terminals and
-pools so every lifecycle edge is exercised deterministically: chase
-completion and abort, the lag bound, chain formation, pinned-page
-accounting, and every break/dissolve path.  One integration test runs
-the full policy end-to-end through the simulator.
+pools so every lifecycle edge is exercised deterministically: the lag
+bound, chain formation, pinned-page accounting, and every
+break/dissolve path.  One integration test runs batching and chaining
+together end-to-end through the simulator.
 """
 
 import types
@@ -27,10 +27,6 @@ class FakeTerminal:
         self._next_frame = frame
         self._next_request = request
         self._video = types.SimpleNamespace(fps=FPS)
-        self.rates = []
-
-    def set_display_rate(self, scale):
-        self.rates.append(scale)
 
 
 class FakePool:
@@ -46,74 +42,10 @@ class FakePool:
         self.pinned.remove(page)
 
 
-def merge_runtime(env, **overrides):
-    spec = SharingSpec(policy="merge", **overrides)
-    return spec.build(env)
-
-
 def chain_runtime(env, **overrides):
     overrides.setdefault("chain_pin_limit_blocks", 4)
     spec = SharingSpec(policy="chain", **overrides)
     return spec.build(env)
-
-
-class TestAdaptiveMerge:
-    def test_trailer_chases_and_merges(self):
-        env = Environment()
-        runtime = merge_runtime(env, rate_delta=0.05)
-        leader = FakeTerminal(1, frame=240)  # 10 s ahead at 24 fps
-        trailer = FakeTerminal(2, frame=0)
-        runtime.note_play_start(leader, 0)
-        runtime.note_play_start(trailer, 0)
-        assert runtime.stats.merges_started == 1
-        # The chase runs as a process: the speed-up lands on the first
-        # step, then it re-checks at the projected catch-up instant —
-        # 240 frames / (24 fps * 0.05) = 200 s.
-        env.run(until=1.0)
-        assert trailer.rates == [1.05]
-        assert runtime.stats.merge_lag_s.count == 1
-        assert runtime.stats.merged_sessions == 0
-        trailer._next_frame = leader._next_frame  # positions meet
-        env.run(until=250.0)
-        assert runtime.stats.merged_sessions == 1
-        assert runtime.stats.merge_catchup_s.count == 1
-        assert trailer.rates[-1] == 1.0
-
-    def test_chase_aborts_when_the_leader_leaves(self):
-        env = Environment()
-        runtime = merge_runtime(env, rate_delta=0.05)
-        leader = FakeTerminal(1, frame=120)
-        trailer = FakeTerminal(2, frame=0)
-        runtime.note_play_start(leader, 0)
-        runtime.note_play_start(trailer, 0)
-        runtime.note_play_end(leader, 0)
-        env.run(until=200.0)
-        assert runtime.stats.merge_aborts == 1
-        assert runtime.stats.merged_sessions == 0
-        assert trailer.rates[-1] == 1.0
-
-    def test_no_chase_beyond_the_lag_bound(self):
-        env = Environment()
-        runtime = merge_runtime(env, merge_max_lag_s=5.0)
-        leader = FakeTerminal(1, frame=int(6.0 * FPS))
-        trailer = FakeTerminal(2, frame=0)
-        runtime.note_play_start(leader, 0)
-        runtime.note_play_start(trailer, 0)
-        env.run(until=1.0)
-        assert runtime.stats.merges_started == 0
-        assert trailer.rates == []
-
-    def test_trailer_epoch_change_cancels_silently(self):
-        env = Environment()
-        runtime = merge_runtime(env)
-        leader = FakeTerminal(1, frame=240)
-        trailer = FakeTerminal(2, frame=0)
-        runtime.note_play_start(leader, 0)
-        runtime.note_play_start(trailer, 0)
-        trailer._epoch += 1  # seek/abandon resets the session's clock
-        env.run(until=300.0)
-        assert runtime.stats.merged_sessions == 0
-        assert runtime.stats.merge_aborts == 0
 
 
 class TestBufferChain:
@@ -213,16 +145,13 @@ class TestBufferChain:
 
 
 class TestFullPolicyIntegration:
-    def test_all_three_mechanisms_engage(self):
+    def test_batching_and_chaining_engage(self):
         system = run_whole(
-            batch_config(
-                sharing=SharingSpec(policy="batch+merge+chain", window_s=2.0)
-            ),
+            batch_config(sharing=SharingSpec(policy="batch+chain", window_s=2.0)),
             until=60.0,
         )
         stats = system.sharing.stats
         assert stats.batches_launched > 0
         assert stats.batch_followers > 0
-        assert stats.merges_started > 0
         assert stats.chains_formed > 0
         assert stats.chain_reads > 0

@@ -12,7 +12,7 @@ from tests.sharing.test_batching import batch_config
 from tests.sharing.test_merge_chain import FakePool, FakeTerminal
 
 
-def runtime_with_trace(policy="batch+merge+chain", **overrides):
+def runtime_with_trace(policy="batch+chain", **overrides):
     env = Environment()
     runtime = SharingSpec(policy=policy, **overrides).build(env)
     runtime.trace = TraceRecorder(env)
@@ -82,28 +82,6 @@ class TestTraces:
         assert runtime.trace.counts["batch.open"] == 1
         assert runtime.trace.counts["batch.launch"] == 1
 
-    def test_merge_events_recorded(self):
-        env, runtime = runtime_with_trace()
-        leader = FakeTerminal(1, frame=240)
-        trailer = FakeTerminal(2, frame=0)
-        runtime.note_play_start(leader, 0)
-        runtime.note_play_start(trailer, 0)
-        env.run(until=1.0)
-        trailer._next_frame = leader._next_frame
-        env.run(until=250.0)
-        assert runtime.trace.counts["merge.start"] == 1
-        assert runtime.trace.counts["merge.done"] == 1
-
-    def test_merge_abort_recorded(self):
-        env, runtime = runtime_with_trace()
-        leader = FakeTerminal(1, frame=240)
-        trailer = FakeTerminal(2, frame=0)
-        runtime.note_play_start(leader, 0)
-        runtime.note_play_start(trailer, 0)
-        runtime.note_play_end(leader, 0)
-        env.run(until=250.0)
-        assert runtime.trace.counts["merge.abort"] == 1
-
     def test_chain_events_recorded(self):
         env, runtime = runtime_with_trace(policy="chain")
         pred = FakeTerminal(1, frame=120, request=11)
@@ -160,25 +138,19 @@ class TestSeekAndStrays:
 
 class TestDerivedStats:
     def test_shared_streams_and_fraction(self):
-        # RunMetrics is the one place the ratios are derived: a merged
-        # session is shared too, so it counts in the numerator *and*
-        # the denominator (2 batches, 6 followers, 1 merge give 7/9).
+        # RunMetrics is the one place the ratios are derived: every
+        # batch follower is a shared stream, counted in the numerator
+        # *and* the denominator.
         from repro import SpiffiSystem
 
         system = SpiffiSystem(
-            batch_config(
-                sharing=SharingSpec(
-                    policy="batch+merge+chain", window_s=2.0, rate_delta=0.5
-                )
-            )
+            batch_config(sharing=SharingSpec(policy="batch+chain", window_s=2.0))
         )
         metrics = system.run()
         stats = system.sharing.stats
-        assert metrics.merged_sessions == stats.merged_sessions > 0
+        assert metrics.merged_sessions == 0
         assert metrics.batches_launched == stats.batches_launched > 0
-        assert metrics.shared_streams == (
-            stats.batch_followers + stats.merged_sessions
-        )
+        assert metrics.shared_streams == stats.batch_followers > 0
         assert metrics.sharing_fraction == metrics.shared_streams / (
             metrics.batches_launched + metrics.shared_streams
         )

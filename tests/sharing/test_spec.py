@@ -11,7 +11,7 @@ from repro.sharing import (
     register_sharing_policy,
     sharing_policy_names,
 )
-from repro.sharing.spec import BATCH, CHAIN, MERGE
+from repro.sharing.spec import BATCH, CHAIN
 
 
 class TestValidation:
@@ -20,12 +20,11 @@ class TestValidation:
         assert spec.policy == "none"
         assert not spec.enabled
         assert spec.components == frozenset()
-        assert not (spec.batching or spec.merging or spec.chaining)
+        assert not (spec.batching or spec.chaining)
 
     def test_builtin_policies_registered(self):
         names = sharing_policy_names()
-        for name in ("none", "batch", "merge", "chain", "batch+chain",
-                     "batch+merge+chain"):
+        for name in ("none", "batch", "chain", "batch+chain"):
             assert name in names
 
     def test_unknown_policy_rejected(self):
@@ -33,34 +32,29 @@ class TestValidation:
             SharingSpec(policy="telepathy")
 
     def test_components_follow_the_policy(self):
-        spec = SharingSpec(policy="batch+merge+chain")
-        assert spec.components == frozenset({BATCH, MERGE, CHAIN})
-        assert spec.batching and spec.merging and spec.chaining
-        assert SharingSpec(policy="merge").components == frozenset({MERGE})
+        spec = SharingSpec(policy="batch+chain")
+        assert spec.components == frozenset({BATCH, CHAIN})
+        assert spec.batching and spec.chaining
+        assert SharingSpec(policy="chain").components == frozenset({CHAIN})
 
     @pytest.mark.parametrize(
         "field,value",
         [
             ("window_s", -1.0),
             ("max_batch", -1),
-            ("rate_delta", 0.0),
-            ("rate_delta", 0.75),
-            ("merge_max_lag_s", 0.0),
             ("chain_max_lag_s", 0.0),
             ("chain_pin_limit_blocks", 0),
             # Non-finite knobs: an inf window never launches its batch,
             # and a nan one fails mid-run in env.timeout.
             ("window_s", float("nan")),
             ("window_s", float("inf")),
-            ("merge_max_lag_s", float("nan")),
-            ("merge_max_lag_s", float("inf")),
             ("chain_max_lag_s", float("nan")),
             ("chain_max_lag_s", float("inf")),
         ],
     )
     def test_bad_parameters_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SharingSpec(policy="batch+merge+chain", **{field: value})
+            SharingSpec(policy="batch+chain", **{field: value})
 
     def test_batching_needs_a_positive_window(self):
         with pytest.raises(ValueError, match="window"):
@@ -76,7 +70,7 @@ class TestValidation:
         register_sharing_policy("test-batch-only", (BATCH,))
         try:
             spec = SharingSpec(policy="test-batch-only")
-            assert spec.batching and not spec.merging
+            assert spec.batching and not spec.chaining
         finally:
             from repro.sharing import spec as spec_module
 
@@ -101,7 +95,12 @@ class TestConfigWiring:
     def test_active_spec_serializes_every_field(self):
         spec = SharingSpec(policy="batch+chain", window_s=3.0, max_batch=8)
         data = config_to_dict(SpiffiConfig(sharing=spec))
-        assert data["sharing"] == dataclasses.asdict(spec)
+        # Every field, plus the retired merge knobs at their old values.
+        assert data["sharing"] == {
+            **dataclasses.asdict(spec),
+            "rate_delta": 0.05,
+            "merge_max_lag_s": 60.0,
+        }
         assert data["sharing"]["policy"] == "batch+chain"
         assert data["sharing"]["window_s"] == 3.0
         assert data["sharing"]["max_batch"] == 8

@@ -58,8 +58,8 @@ class CalendarEventQueue:
       into it, it is sorted **descending** once (C timsort) so extracts
       are ``list.pop()`` off the tail — O(1), cache-hot.
     * ``_extra`` is a small heap catching inserts that land at or
-      behind the active slot (zero-delay events, URGENT interrupt
-      deliveries at ``now``): each extract takes whichever of
+      behind the active slot (zero-delay events, URGENT immediate
+      resumes at ``now``): each extract takes whichever of
       ``_extra[0]`` / ``_cur[-1]`` is smaller, preserving the global
       ``(time, priority, seq)`` order exactly.
     * ``_far`` is a heap for unrepresentable times (``inf``), merged

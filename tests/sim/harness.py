@@ -13,11 +13,12 @@ reference interpreter:
   bursts, zero-delay cascades, far-future parking, signal/wait races.
   Also common-surface, so it replays three ways (heap, calendar,
   reference).
-* :func:`build_random_graph` — the extended kernel surface (interrupts
-  i.e. cancellation, URGENT delivery, child joins); the reference
-  interpreter doesn't speak interrupts, so these replays compare the
-  calendar schedulers against the kernel and are pinned by recorded
-  golden digests (see ``test_kernel_differential``).
+* :func:`build_random_graph` — the extended kernel surface (child
+  joins, URGENT immediate resumes, ``any_of`` races, failure delivery
+  from a failed child); the reference interpreter speaks neither
+  ``any_of`` nor failures, so these replays compare the calendar
+  schedulers against the kernel and are pinned by recorded golden
+  digests (see ``test_kernel_differential``).
 
 :data:`BACKENDS` is the scheduler matrix every parameterized test runs
 over: ``heap`` is the kernel itself, the rest run it on the calendar
@@ -29,7 +30,7 @@ must observe byte-identical results.
 import hashlib
 import random
 
-from repro.sim import Environment, Interrupt
+from repro.sim import Environment
 
 from tests.sim.calendar_kernel import calendar_environment
 
@@ -242,13 +243,21 @@ class Probe:
         self.clock_log.append(event.env.now)
 
 
+class ChildFailed(Exception):
+    """Raised by a failing child in :func:`build_random_graph`."""
+
+
 def build_random_graph(env: Environment, rng: random.Random, clock_log: list):
     """Spawn a random tangle of processes; returns the probed events.
 
-    The extended kernel surface — interrupts (cancellation of a pending
-    wait), URGENT delivery, child joins — which the reference
-    interpreter doesn't implement; use for golden-digest replays and
-    invariant checks.
+    The extended kernel surface — child joins (some children fail, and
+    the failure is delivered into the joining parent), URGENT immediate
+    resumes on already-processed events, and ``any_of`` races between a
+    timeout and a shared event — which the reference interpreter
+    doesn't implement; use for golden-digest replays and invariant
+    checks.  Each worker returns its index and the outcome of every
+    step, so the completion values record who won each race and which
+    joins failed.
     """
     probed: list = []
     shared = []
@@ -258,40 +267,52 @@ def build_random_graph(env: Environment, rng: random.Random, clock_log: list):
         event.callbacks.append(probe)
         probed.append((event, probe))
         shared.append(event)
-    processes = []
-    started: list = []  # only started processes are interrupt targets:
-    # throwing into a generator that never reached its first yield
-    # (kernel semantics) aborts it at the function header.
 
     def worker(env, stream, my_index):
-        started.append(processes[my_index])
+        outcomes = []
         for step in range(stream.randint(1, 6)):
             roll = stream.random()
-            try:
-                if roll < 0.55:
-                    yield env.timeout(round(stream.uniform(0.0, 8.0), 3))
-                elif roll < 0.7:
-                    event = stream.choice(shared)
-                    if not event.triggered:
-                        event.succeed(value=(my_index, step))
-                    yield env.timeout(round(stream.uniform(0.0, 2.0), 3))
-                elif roll < 0.85 and started:
-                    target = stream.choice(started)
-                    if target.is_alive and target is not processes[my_index]:
-                        target.interrupt(cause=my_index)
-                    yield env.timeout(round(stream.uniform(0.0, 2.0), 3))
+            if roll < 0.45:
+                yield env.timeout(round(stream.uniform(0.0, 8.0), 3))
+                outcomes.append("slept")
+            elif roll < 0.6:
+                event = stream.choice(shared)
+                if not event.triggered:
+                    event.succeed(value=(my_index, step))
+                yield env.timeout(round(stream.uniform(0.0, 2.0), 3))
+                outcomes.append("signalled")
+            elif roll < 0.7:
+                event = stream.choice(shared)
+                if event.processed:
+                    value = yield event  # URGENT immediate resume
+                    outcomes.append(("rewaited", value))
                 else:
-                    child = env.process(
-                        sleeper(env, round(stream.uniform(0.0, 3.0), 3))
-                    )
-                    yield child
-            except Interrupt:
-                continue
-        return my_index
+                    yield env.timeout(round(stream.uniform(0.0, 1.0), 3))
+                    outcomes.append("paused")
+            elif roll < 0.85:
+                event = stream.choice(shared)
+                timer = env.timeout(round(stream.uniform(0.0, 4.0), 3))
+                fired = yield env.any_of([timer, event])
+                outcomes.append("raced-event" if event in fired else "raced-timer")
+            else:
+                delay = round(stream.uniform(0.0, 3.0), 3)
+                if stream.random() < 0.5:
+                    value = yield env.process(sleeper(env, delay))
+                    outcomes.append(("joined", value))
+                else:
+                    try:
+                        yield env.process(failer(env, delay))
+                    except ChildFailed as failure:
+                        outcomes.append(("caught", failure.args[0]))
+        return my_index, tuple(outcomes)
 
     def sleeper(env, delay):
         yield env.timeout(delay)
         return delay
+
+    def failer(env, delay):
+        yield env.timeout(delay)
+        raise ChildFailed(delay)
 
     for index in range(rng.randint(3, 10)):
         stream = random.Random(rng.getrandbits(64))
@@ -299,7 +320,6 @@ def build_random_graph(env: Environment, rng: random.Random, clock_log: list):
         probe = Probe(clock_log)
         process.callbacks.append(probe)
         probed.append((process, probe))
-        processes.append(process)
 
     # A crowd of probed timeouts at identical timestamps exercises the
     # (time, priority, seq) tie-break alongside everything else.

@@ -48,10 +48,6 @@ class RefProcess(RefEvent):
         bootstrap.callbacks.append(self.resume)
         env.schedule(bootstrap)
 
-    @property
-    def is_alive(self):
-        return self.ok is None
-
     def resume(self, event):
         try:
             target = self.generator.send(event.value)

@@ -14,8 +14,6 @@ import random
 
 import pytest
 
-from repro.sim import Interrupt
-
 from tests.sim.calendar_kernel import CalendarEventQueue, calendar_environment
 
 #: Width grid for the randomized model tests: adaptive, much finer than
@@ -182,29 +180,34 @@ def test_len_counts_every_structure():
 
 
 def test_cancel_while_bucketed():
-    """Interrupting a process parked on a far-future bucketed timeout.
+    """Abandoning a far-future bucketed timeout by racing it.
 
-    The URGENT interrupt delivery lands at ``now`` — at/behind the
-    active slot — while the original timeout stays bucketed far ahead;
-    the kernel must resume the victim immediately and the stale timeout
+    The victim races a far-future timeout against a cancel event that
+    fires at t=3, then re-waits on the (now processed) cancel event:
+    that URGENT immediate resume lands at ``now`` — at/behind the
+    active slot — while the losing timeout stays bucketed far ahead.
+    The kernel must resume the victim at once, and the stale timeout
     must still pop (as a no-op) in order.
     """
     env = calendar_environment()
     log = []
+    cancel = env.event()
 
     def victim(env):
-        try:
-            yield env.timeout(1e6)
+        slow = env.timeout(1e6)
+        fired = yield env.any_of([slow, cancel])
+        if slow in fired:
             log.append("slept-forever")
-        except Interrupt as interrupt:
-            log.append(("cancelled", env.now, interrupt.cause))
+            return
+        cause = yield cancel  # processed: resumed by an URGENT event
+        log.append(("cancelled", env.now, cause))
 
-    def canceller(env, target):
+    def canceller(env):
         yield env.timeout(3.0)
-        target.interrupt(cause="too-slow")
+        cancel.succeed("too-slow")
 
     target = env.process(victim(env))
-    env.process(canceller(env, target))
+    env.process(canceller(env))
     env.run()
     assert log == [("cancelled", 3.0, "too-slow")]
     assert target.processed and target.ok

@@ -1,11 +1,8 @@
-"""Regression tests for condition-event composition over processed events.
+"""Condition-event composition over processed events, and lazy values.
 
-Before the fix, an event that was *processed-and-failed* before an
-``AllOf`` was composed was silently ignored: ``AllOf.__init__`` did not
-count it in ``_remaining``, so the condition could *succeed* with the
-exception object as a value.  Both conditions must instead fail with the
-constituent's exception, exactly as they do for post-composition
-failures.
+An event that was *processed-and-failed* before an ``AnyOf`` was
+composed must fail the condition with the constituent's exception,
+exactly as a post-composition failure does.
 """
 
 import pytest
@@ -20,78 +17,18 @@ class Boom(Exception):
 def processed_failure(env: Environment) -> object:
     """An event that failed and was fully processed (handled) earlier."""
     event = env.event()
+
+    def handler(env):
+        try:
+            yield event
+        except Boom:
+            pass  # delivery into a process marks the failure handled
+
+    env.process(handler(env))
     event.fail(Boom("pre-existing failure"))
-    event.defuse()
     env.run()
     assert event.processed and not event.ok
     return event
-
-
-class TestAllOfProcessedFailure:
-    def test_fails_instead_of_succeeding_with_exception_value(self):
-        env = Environment()
-        failed = processed_failure(env)
-        condition = env.all_of([failed, env.timeout(1)])
-        assert condition.triggered
-        assert not condition.ok
-        condition.defuse()
-        env.run()
-        assert isinstance(condition._value, Boom)
-
-    def test_waiter_sees_the_exception(self):
-        env = Environment()
-        failed = processed_failure(env)
-        caught = []
-
-        def waiter(env):
-            try:
-                yield env.all_of([failed, env.timeout(1)])
-            except Boom:
-                caught.append(env.now)
-
-        env.process(waiter(env))
-        env.run()
-        assert caught == [0.0]
-
-    def test_only_processed_failures(self):
-        """Every constituent already processed, one failed: still fails."""
-        env = Environment()
-        ok = env.timeout(1, value="fine")
-        env.run()
-        failed = processed_failure(env)
-        condition = env.all_of([ok, failed])
-        assert condition.triggered and not condition.ok
-
-    def test_pending_failure_still_fails(self):
-        """The original (working) post-composition path is unchanged."""
-        env = Environment()
-        caught = []
-
-        def failer(env, event):
-            yield env.timeout(2)
-            event.fail(Boom("late"))
-
-        def waiter(env, event):
-            try:
-                yield env.all_of([event, env.timeout(5)])
-            except Boom:
-                caught.append(env.now)
-
-        event = env.event()
-        env.process(failer(env, event))
-        env.process(waiter(env, event))
-        env.run()
-        assert caught == [2.0]
-
-    def test_all_processed_successes_still_succeed(self):
-        env = Environment()
-        first = env.timeout(1, value="a")
-        second = env.timeout(2, value="b")
-        env.run()
-        condition = env.all_of([first, second])
-        assert condition.triggered and condition.ok
-        env.run()
-        assert condition.value == {first: "a", second: "b"}
 
 
 class TestAnyOfProcessedFailure:
@@ -162,7 +99,7 @@ class TestConditionValueLaziness:
     def test_value_is_cached(self):
         env = Environment()
         events = [env.timeout(1), env.timeout(2)]
-        condition = env.all_of(events)
+        condition = env.any_of(events)
         env.run()
         assert condition.value is condition.value
 
@@ -170,23 +107,22 @@ class TestConditionValueLaziness:
         env = Environment()
         t1 = env.timeout(1, value="x")
         t2 = env.timeout(2, value="y")
-        value = env.run(until=env.all_of([t1, t2]))
-        assert value == {t1: "x", t2: "y"}
+        value = env.run(until=env.any_of([t2, t1]))
+        assert value == {t1: "x"}
 
     def test_empty_conditions_have_eager_empty_dict(self):
         env = Environment()
-        assert env.any_of([]).value == {}
-        env2 = Environment()
-        all_cond = env2.all_of([])
-        assert all_cond.triggered
-        env2.run()
-        assert all_cond.value == {}
+        condition = env.any_of([])
+        assert condition.triggered
+        assert condition.value == {}
+        env.run()
+        assert condition.value == {}
 
 
 class TestSlots:
     """The kernel's per-event types must stay dict-free."""
 
-    @pytest.mark.parametrize("maker", ["event", "timeout", "any_of", "all_of", "process"])
+    @pytest.mark.parametrize("maker", ["event", "timeout", "any_of", "process"])
     def test_no_instance_dict(self, maker):
         env = Environment()
         if maker == "event":
@@ -195,8 +131,6 @@ class TestSlots:
             obj = env.timeout(1)
         elif maker == "any_of":
             obj = env.any_of([env.timeout(1)])
-        elif maker == "all_of":
-            obj = env.all_of([env.timeout(1)])
         else:
 
             def proc(env):

@@ -5,7 +5,6 @@ import pytest
 from repro.sim import (
     Environment,
     EventLifecycleError,
-    Interrupt,
     SimError,
 )
 
@@ -197,39 +196,6 @@ def test_process_exception_propagates_to_parent():
     assert caught == [True]
 
 
-def test_interrupt_wakes_sleeping_process():
-    env = Environment()
-    log = []
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-            log.append("overslept")
-        except Interrupt as interrupt:
-            log.append(("interrupted", env.now, interrupt.cause))
-
-    def interrupter(env, victim):
-        yield env.timeout(3)
-        victim.interrupt(cause="wake up")
-
-    victim = env.process(sleeper(env))
-    env.process(interrupter(env, victim))
-    env.run()
-    assert log == [("interrupted", 3.0, "wake up")]
-
-
-def test_interrupt_finished_process_is_error():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    proc = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimError):
-        proc.interrupt()
-
-
 def test_yield_non_event_is_error():
     env = Environment()
 
@@ -254,20 +220,6 @@ def test_any_of_fires_on_first():
     env.process(waiter(env))
     env.run()
     assert results == [(1.0, ["fast"])]
-
-
-def test_all_of_waits_for_every_event():
-    env = Environment()
-    results = []
-
-    def waiter(env):
-        events = [env.timeout(d) for d in (3, 1, 2)]
-        yield env.all_of(events)
-        results.append(env.now)
-
-    env.process(waiter(env))
-    env.run()
-    assert results == [3.0]
 
 
 def test_stop_simulation_from_callback():

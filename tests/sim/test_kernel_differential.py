@@ -10,10 +10,11 @@ the step-by-step execution log (who resumed, when, with what value),
 process completion order and return values, the final clock, the number
 of events processed, and the pending count at the deadline.
 
-The extended kernel surface (interrupts, URGENT delivery, child joins)
-is beyond the reference interpreter, so those programs replay two-way —
-every calendar width against the heap kernel — and are pinned by a
-golden table of observation digests.
+The extended kernel surface (child joins, URGENT immediate resumes,
+``any_of`` races, failure delivery) is beyond the reference
+interpreter, so those programs replay two-way — every calendar width
+against the heap kernel — and are pinned by a golden table of
+observation digests.
 """
 
 from bisect import insort
@@ -38,24 +39,24 @@ SEEDS = range(25)
 
 #: ``observation_digest(replay_random_graph("heap", seed))`` per seed,
 #: recorded while the heap kernel and every calendar width agreed.
-#: Re-record only for an intentional change to interrupt / URGENT
+#: Re-record only for an intentional change to the extended surface's
 #: semantics, with ``print_random_graph_digests()`` below.
 GOLDEN_RANDOM_GRAPH_DIGESTS = {
-    0: "153e386eea807dfc8a4efe3a492b451d559d5b06794fe080a10cf7e0815b7bed",
-    1: "66701d0da44fea84d32f2761649bb5dfefac0232beb8624ba43fa5194fc18fe9",
-    2: "899cc164a22ec2d643cfdcfb3fd3a29592f3158210c6d84fc33eb1aae9402340",
-    3: "47054de3bf4fb53a077a9a89bdf703918d5396a41a43bfc9be9620481b2f6eee",
-    4: "2ce0b49a421c42b74e8d9b8fac70d5b2aee0ab4a0834834e89ccbe7533cc8693",
-    5: "19b52376cbde8b5764e84f1180d97c075c97023737f9358718a4db50a9d7c79e",
-    6: "a06434c1f58403ad2f0e6bb6da6821059c0c03847b4341da8c577374ac540496",
-    7: "48bddabacf5bb9d3a32ff528a53c8b5ac53a688d0aee1f958d672692a7ec5f09",
-    8: "c26e6aa63db7b998e7d5eb1cd3fc8f0adb8f6c64f96e5fb2a31aea03c5eb3417",
-    9: "6d302555c02ca4a2b6bbd6b5e4bc8b711cffc498154b715c21bb2832f354edc3",
-    10: "0d8d5601a08f2c2a5ccbcb40aca2e5f94cabaf3042062e0afa62777cebadc495",
-    11: "4baa4709a831f4230d0d31d9d109df4b162d19a715049a5e8f9918f9374024cb",
-    12: "381e114a09418e1dc8a8a9de460386b6927e221b68a30c141692cf67474a79a6",
-    13: "b53056bc75368376e4dc2eee5c3c547bd14cde7bb9df29d7d91f6a8629ce2ab0",
-    14: "fab78881073c3c9fc3b752ed74ae1bf7b2c92d2aa625d804bc5886a531cbf2cf",
+    0: "b61d0672d81fa290c753ace2c881ef57c00b148e20ed9853714e0f395e3a11c5",
+    1: "006a6e4c4a27f061188ce9b966ae680454395ba1be3a6b3fee2eca48d276c51a",
+    2: "c70760e2387b054f7fde35398901811533c03a43a84f307efd329cf861c15348",
+    3: "f5927a0efd394e05d8d262f7d1391a4561083227c5272e7818bd4b208ce9efae",
+    4: "9055c3b7921198029e7ed47ba6011913c378f2128563fdd4699075d1113c51a8",
+    5: "9dd6a8f40d22c95b91e8c1356f11d7aa57b6287ccd68c9c5504a08101da501fb",
+    6: "7f4a33f32b01729b285285c5c98ba7945f9f7727a8d0efa81fd268ba595d4799",
+    7: "0503ec0ece9f64239f61d6184261b0479ff63216b8ea858b14dce21a41656d77",
+    8: "646b575b5d5f5be24b7753f917b325ebccfd94850d79a416c9c9430356cf3017",
+    9: "f1461b668345fc85518a573e04979544d135e5adcd10d49581b4a28726285590",
+    10: "2494acc8ac4e70659565762eb24612b956f501be7a54b16a23689841511bdd77",
+    11: "2fcfd83a91ea6bc184cd6a18c36a173d6163a8aeab7beebfd9e8224dd01fa0c1",
+    12: "6b47f4da54ddd95b9dac74b2bd8870672f77264621e214b35f967c24a9ccbf5e",
+    13: "185f5c88e4fbce88ef5e37b6394fdf2cfb505bcc4c28a0dc9f2226dea8ce7060",
+    14: "70b0bcba50a27b2a6a3930bff77bc3198e6a2a30807147b3f969f82f155c6395",
 }
 
 
@@ -104,7 +105,7 @@ def test_event_programs_three_way(seed, backend):
 @pytest.mark.parametrize("backend", [b for b in BACKEND_NAMES if b != "heap"])
 @pytest.mark.parametrize("seed", range(15))
 def test_extended_surface_matches_heap(seed, backend):
-    """Interrupt/URGENT-heavy programs: calendar widths vs the heap kernel."""
+    """Extended-surface programs: calendar widths vs the heap kernel."""
     assert replay_random_graph(backend, seed) == replay_random_graph("heap", seed), (
         f"seed {seed} diverges on {backend}"
     )
@@ -112,7 +113,7 @@ def test_extended_surface_matches_heap(seed, backend):
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_RANDOM_GRAPH_DIGESTS))
 def test_extended_surface_matches_golden(seed):
-    """Interrupt/URGENT-heavy programs replay to their recorded digests."""
+    """Extended-surface programs replay to their recorded digests."""
     digest = observation_digest(replay_random_graph("heap", seed))
     assert digest == GOLDEN_RANDOM_GRAPH_DIGESTS[seed], f"seed {seed} drifted"
 

@@ -7,7 +7,7 @@ failed, undefused event; until-event failure modes) and keep the
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimError
+from repro.sim import Environment, SimError
 from repro.sim.errors import EventLifecycleError
 from repro.sim.process import Process
 from repro.sim.resources import PriorityStore, Resource, Store
@@ -15,6 +15,19 @@ from repro.sim.resources import PriorityStore, Resource, Store
 
 class Boom(Exception):
     pass
+
+
+def handle(env, event) -> None:
+    """Wait on *event* from a process that swallows its failure; the
+    delivery marks the failure handled."""
+
+    def handler(env):
+        try:
+            yield event
+        except Boom:
+            pass
+
+    env.process(handler(env))
 
 
 class TestRunFailureSurfacing:
@@ -27,8 +40,8 @@ class TestRunFailureSurfacing:
     def test_run_until_already_failed_event_raises(self):
         env = Environment()
         event = env.event()
+        handle(env, event)
         event.fail(Boom("early"))
-        event.defuse()
         env.run()
         assert event.processed and not event.ok
         with pytest.raises(Boom):
@@ -37,11 +50,11 @@ class TestRunFailureSurfacing:
     def test_run_until_event_that_fails_midrun_raises(self):
         env = Environment()
         event = env.event()
+        handle(env, event)
 
         def saboteur(env, event):
             yield env.timeout(1)
             event.fail(Boom("midrun"))
-            event.defuse()
 
         env.process(saboteur(env, event))
         with pytest.raises(Boom):
@@ -98,25 +111,11 @@ class TestProcessEdges:
         with pytest.raises(TypeError, match="needs a generator"):
             Process(env, lambda: None)
 
-    def test_active_process_visible_inside_and_clear_outside(self):
-        env = Environment()
-        seen = []
-
-        def introspect(env):
-            seen.append(env.active_process)
-            yield env.timeout(1)
-
-        process = env.process(introspect(env))
-        assert env.active_process is None
-        env.run()
-        assert seen == [process]
-        assert env.active_process is None
-
     def test_yield_already_processed_failure_is_thrown_in(self):
         env = Environment()
         failed = env.event()
+        handle(env, failed)
         failed.fail(Boom("stale"))
-        failed.defuse()
         env.run()
         caught = []
 
@@ -130,10 +129,6 @@ class TestProcessEdges:
         env.process(waiter(env))
         env.run()
         assert len(caught) == 1
-
-    def test_interrupt_repr_names_cause(self):
-        assert repr(Interrupt(cause="disk-3")) == "Interrupt(cause='disk-3')"
-
 
 class TestConditionLifecycle:
     def test_pending_condition_value_raises(self):

@@ -2,8 +2,8 @@
 
 Seeded ``random.Random`` (stdlib only — no hypothesis dependency)
 drives the shared generators in ``tests/sim/harness.py`` — random
-process graphs of timeouts, shared events, process waits, and
-interrupts — and asserts the kernel's structural invariants on every
+process graphs of timeouts, shared events, child joins, ``any_of``
+races and failure delivery — and asserts the kernel's structural invariants on every
 scheduler of the harness matrix (the heap kernel and the calendar-queue
 oracle at every bucket width):
 
@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.sim import Environment, Interrupt, SimError
+from repro.sim import Environment
 
 from tests.sim.harness import BACKEND_NAMES, build_random_graph, make_env
 
@@ -90,31 +90,27 @@ def test_fifo_tie_break_order_exhaustive(backend):
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_urgent_beats_normal_at_same_timestamp(backend):
-    """Interrupt delivery (URGENT) preempts same-time NORMAL events."""
+    """An immediate resume (URGENT) preempts same-time NORMAL events."""
     env = make_env(backend)
+    done = env.event().succeed("done")
+    env.run()  # *done* is processed before anyone waits on it
     order = []
 
-    def sleeper(env):
-        try:
-            yield env.timeout(10)
-        except Interrupt:
-            order.append("interrupt")
+    def rewaiter(env):
+        yield env.timeout(1)
+        yield done  # already processed: resumed by an URGENT event
+        order.append("urgent")
 
     def normal_guy(env):
         yield env.timeout(1)
         order.append("normal")
 
-    def interrupter(env, victim):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    victim = env.process(sleeper(env))
-    env.process(normal_guy(env))  # fires at t=1, NORMAL, earlier seq
-    env.process(interrupter(env, victim))
+    env.process(rewaiter(env))
+    env.process(normal_guy(env))  # its t=1 timeout has the earlier seq
     env.run()
-    # The interrupter runs after normal_guy (later seq at t=1), but its
-    # URGENT delivery overtakes any NORMAL event scheduled at t=1 later.
-    assert order == ["normal", "interrupt"]
+    # The immediate resume is pushed at t=1 after normal_guy's timeout,
+    # but its URGENT priority overtakes that NORMAL event.
+    assert order == ["urgent", "normal"]
 
 
 def test_events_processed_matches_step_count():
@@ -134,42 +130,3 @@ def test_events_processed_matches_step_count():
         env_step.step()
         steps += 1
     assert env_run.events_processed == env_step.events_processed == steps
-
-
-def test_concurrent_interrupts_then_finish_do_not_crash():
-    """Two same-timestep interrupts where the first ends the victim:
-    the stale second delivery must be dropped, not thrown into the
-    exhausted generator (regression for the stress-test finding)."""
-    env = Environment()
-    log = []
-
-    def victim(env):
-        try:
-            yield env.timeout(5)
-        except Interrupt:
-            log.append(("interrupted", env.now))
-            return "early"
-
-    def attacker(env, target):
-        yield env.timeout(1)
-        target.interrupt()
-        target.interrupt()
-
-    target = env.process(victim(env))
-    env.process(attacker(env, target))
-    env.run()
-    assert log == [("interrupted", 1.0)]
-    assert target.processed and target.ok
-    assert target.value == "early"
-
-
-def test_interrupt_finished_process_still_rejected_under_stress():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(0.5)
-
-    process = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimError):
-        process.interrupt()

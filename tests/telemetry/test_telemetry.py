@@ -1,9 +1,9 @@
-"""Tests for tracing and sampling."""
+"""Tests for tracing."""
 
 import pytest
 
 from repro.sim import Environment
-from repro.telemetry import PeriodicSampler, TraceRecorder, standard_probes
+from repro.telemetry import TraceRecorder
 
 
 class TestTraceRecorder:
@@ -72,68 +72,3 @@ class TestTraceRecorder:
     def test_validation(self):
         with pytest.raises(ValueError):
             TraceRecorder(Environment(), capacity=0)
-
-
-class TestPeriodicSampler:
-    def test_samples_on_interval(self):
-        env = Environment()
-        state = {"v": 0.0}
-
-        def bump(env):
-            for _ in range(10):
-                yield env.timeout(1.0)
-                state["v"] += 1.0
-
-        env.process(bump(env))
-        sampler = PeriodicSampler(env, 2.0, {"v": lambda: state["v"]})
-        env.run(until=9.0)
-        series = sampler.series("v")
-        assert [t for t, _ in series] == [0.0, 2.0, 4.0, 6.0, 8.0]
-        # At t=8 the sampler's event was scheduled before the bumper's,
-        # so it observes the pre-bump value — deterministic tie-break.
-        assert series[-1][1] == 7.0
-
-    def test_latest(self):
-        env = Environment()
-        sampler = PeriodicSampler(env, 1.0, {"x": lambda: 42.0})
-        env.run(until=0.5)
-        assert sampler.latest() == {"x": 42.0}
-
-    def test_csv_export(self):
-        env = Environment()
-        sampler = PeriodicSampler(env, 1.0, {"x": lambda: 1.5, "y": lambda: 2.0})
-        env.run(until=2.5)
-        csv = sampler.to_csv()
-        lines = csv.strip().splitlines()
-        assert lines[0] == "time,x,y"
-        assert lines[1] == "0,1.5,2"
-        assert len(lines) == 4
-
-    def test_validation(self):
-        env = Environment()
-        with pytest.raises(ValueError):
-            PeriodicSampler(env, 0.0, {"x": lambda: 1})
-        with pytest.raises(ValueError):
-            PeriodicSampler(env, 1.0, {})
-
-
-class TestStandardProbes:
-    def test_probes_on_live_system(self):
-        from repro import MB, SpiffiConfig
-        from repro.core.system import SpiffiSystem
-
-        system = SpiffiSystem(SpiffiConfig(
-            nodes=1, disks_per_node=2, terminals=6, videos_per_disk=2,
-            video_length_s=60.0, server_memory_bytes=64 * MB,
-            start_spread_s=1.0, warmup_grace_s=1.0, measure_s=10.0,
-        ))
-        sampler = PeriodicSampler(system.env, 2.0, standard_probes(system))
-        system.start()
-        system.env.run(until=12.0)
-        latest = sampler.latest()
-        assert set(latest) == {"disk_queue", "pool_occupancy",
-                               "prefetched_fraction", "glitches",
-                               "admission_queue"}
-        assert 0.0 <= latest["pool_occupancy"] <= 1.0
-        assert latest["glitches"] == 0.0
-        assert len(sampler.rows) == 7

@@ -165,37 +165,6 @@ class TestSessionTracing:
             system.enable_tracing()
 
 
-class TestHotsetRotation:
-    def test_rotation_is_deterministic(self):
-        config = open_config(
-            workload=ArrivalSpec(
-                process="poisson",
-                rate_per_s=0.5,
-                mean_view_duration_s=20.0,
-                hotset_size=4,
-                hotset_rotation_s=15.0,
-            )
-        )
-        first = run_simulation(config)
-        second = run_simulation(config)
-        assert first.deterministic_dict() == second.deterministic_dict()
-
-    def test_rotation_changes_traffic(self):
-        static = run_simulation(open_config())
-        rotated = run_simulation(
-            open_config(
-                workload=ArrivalSpec(
-                    process="poisson",
-                    rate_per_s=0.5,
-                    mean_view_duration_s=20.0,
-                    hotset_size=4,
-                    hotset_rotation_s=15.0,
-                )
-            )
-        )
-        assert static.deterministic_dict() != rotated.deterministic_dict()
-
-
 class TestClosedIdentity:
     """The closed default must be bit-identical to a pre-workload build."""
 

@@ -180,21 +180,6 @@ CONFIGS = {
             and s.admission.queued > 0
         ),
     ),
-    "diurnal-hotset": (
-        lambda: open_node(
-            workload=arrivals(
-                2.0,
-                process="diurnal",
-                diurnal_period_s=20.0,
-                hotset_size=2,
-                hotset_rotation_s=10.0,
-            ),
-        ),
-        lambda s: (
-            sessions(s).abandoned > 0
-            and s.workload.popularity._epoch >= 3  # selected across rotations
-        ),
-    ),
     "batch": (
         lambda: open_node(
             videos_per_disk=1,
@@ -211,20 +196,6 @@ CONFIGS = {
             workload=arrivals(1.2, queue_limit=16, mean_patience_s=1.5),
         ),
         lambda s: sharing(s).queue_converts > 0 and sharing(s).batch_withdrawn > 0,
-    ),
-    "batch-merge-chain-flash": (
-        lambda: open_node(
-            videos_per_disk=1,
-            sharing=SharingSpec("batch+merge+chain", window_s=2.0),
-            workload=arrivals(
-                1.0,
-                process="flash",
-                flash_at_s=10.0,
-                flash_duration_s=10.0,
-                flash_multiplier=3.0,
-            ),
-        ),
-        lambda s: sharing(s).batch_followers > 0 and sharing(s).chain_reads > 0,
     ),
     "proxy": (
         lambda: open_node(
@@ -279,17 +250,9 @@ GOLDEN = {
         16415,
         "91590fdb91a62890d32953eb653d587f96f1e84f9d7e7d0ada5838399439888d",
     ),
-    "batch-merge-chain-flash": (
-        11206,
-        "33df59c7654bf079c6660fddee8bb0fdb1e62470757c8b7ca48834f2d67fe9f5",
-    ),
     "capped-batch": (
         3255,
         "f686edd71ff8b69d5c45eaf14747c111477d088094c109131bfd02ddcb338d16",
-    ),
-    "diurnal-hotset": (
-        20556,
-        "674e4ae3e9afd2e087bf8916c04a1bb37ab0922d11f0ddc19c7f7a34041aba97",
     ),
     "full-views": (
         3416,

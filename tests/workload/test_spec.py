@@ -40,17 +40,6 @@ class TestArrivalSpec:
         with pytest.raises(ValueError):
             ArrivalSpec(rate_per_s=1.0)
 
-    def test_hotset_needs_both_knobs(self):
-        with pytest.raises(ValueError):
-            ArrivalSpec(process="poisson", rate_per_s=1.0, hotset_size=4)
-        with pytest.raises(ValueError):
-            ArrivalSpec(process="poisson", rate_per_s=1.0, hotset_rotation_s=60.0)
-        # Both together are fine.
-        ArrivalSpec(
-            process="poisson", rate_per_s=1.0,
-            hotset_size=4, hotset_rotation_s=60.0,
-        )
-
     def test_parameter_validation(self):
         base = dict(process="poisson", rate_per_s=1.0)
         with pytest.raises(ValueError):
