@@ -9,7 +9,6 @@ builds nothing and runs are bit-identical to the pre-proxy build.
 """
 
 from repro.proxy.policies import (
-    BreadthFirst,
     HottestFirst,
     PrefixPolicy,
     make_prefix_policy,
@@ -25,7 +24,6 @@ from repro.proxy.runtime import (
 from repro.proxy.spec import ProxySpec
 
 __all__ = [
-    "BreadthFirst",
     "HottestFirst",
     "PrefixPolicy",
     "ProxyRuntime",

@@ -56,23 +56,6 @@ class HottestFirst:
                 yield vid, block
 
 
-class BreadthFirst:
-    """Block 0 of every title, then block 1, ... (breadth-first).
-
-    Spreads the budget across the catalog: every title gets *some*
-    instant-start coverage before any title gets a deep prefix —
-    the right shape when the skew is mild and misses are uniform.
-    """
-
-    def plan(self, weights, prefix_blocks):
-        ranked = _ranked(weights)
-        depth = max(prefix_blocks, default=0)
-        for block in range(depth):
-            for vid in ranked:
-                if block < prefix_blocks[vid]:
-                    yield vid, block
-
-
 _REGISTRY: dict[str, typing.Callable[[], PrefixPolicy]] = {}
 
 
@@ -103,4 +86,3 @@ def make_prefix_policy(name: str) -> PrefixPolicy:
 
 
 register_prefix_policy("hottest", HottestFirst)
-register_prefix_policy("breadth", BreadthFirst)

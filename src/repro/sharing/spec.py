@@ -70,7 +70,6 @@ def sharing_policy_names() -> tuple[str, ...]:
 
 register_sharing_policy("none", ())
 register_sharing_policy("batch", (BATCH,))
-register_sharing_policy("chain", (CHAIN,))
 register_sharing_policy("batch+chain", (BATCH, CHAIN))
 
 

@@ -66,7 +66,8 @@ class DiskRequest:
         self.terminal_id = terminal_id
         self.enqueued_at = env.now
         self.seq = next(_sequence)
-        #: Fires when the read completes (value: the request itself).
+        #: Fires, with no value, when the read completes: waiters hold the
+        #: request, and a value pointing back would make a cycle.
         self.done = Event(env)
         self.started_at: float | None = None
         self.completed_at: float | None = None
@@ -88,7 +89,7 @@ class DiskRequest:
 
     def complete(self) -> None:
         self.completed_at = self.env.now
-        self.done.succeed(self)
+        self.done.succeed()
 
     def cancel(self) -> None:
         """Tell the drive the submitter no longer wants this read."""

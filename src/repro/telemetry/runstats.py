@@ -10,6 +10,7 @@ parallel runner can show per-run progress.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 
 from repro.core.metrics import RunMetrics
@@ -53,16 +54,31 @@ class RunStopwatch:
         )
 
 
+#: Set once a run has finished in this process since the last collection.
+_run_finished = False
+
+
 def execute_timed(system_class: type, config) -> RunMetrics:
     """Build ``system_class(config)``, run it, and return its metrics
     stamped with execution accounting (wall time and simulator events
     processed, covering construction plus the run) so sweeps can report
     per-run cost.  The registered executor behind ``run(SpiffiConfig)``
     and ``run(ClusterConfig)``.
+
+    A finished system is a reference cycle only the collector frees, so
+    the previous run's is collected, untimed, before the next is built:
+    one live system per process (DESIGN.md).
     """
+    global _run_finished
+    if _run_finished:
+        gc.collect()
+        _run_finished = False
     started = time.perf_counter()
-    system = system_class(config)
-    with RunStopwatch(system.env) as watch:
-        metrics = system.run()
+    try:
+        system = system_class(config)
+        with RunStopwatch(system.env) as watch:
+            metrics = system.run()
+    finally:
+        _run_finished = True
     watch.wall_time_s = time.perf_counter() - started
     return watch.stamp(metrics)

@@ -48,8 +48,6 @@ ALLOWED = {
         "the ProxySpec.policy default: every proxy the prefixsweep "
         "experiment enables runs it unnamed"
     ),
-    ("sharing", "chain"): "undecided, ROADMAP item 16",
-    ("proxy", "breadth"): "undecided, ROADMAP item 16",
 }
 
 

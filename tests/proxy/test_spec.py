@@ -9,7 +9,6 @@ import pytest
 from repro.bufferpool.registry import ReplacementSpec
 from repro.core.config import MB, SpiffiConfig
 from repro.proxy import (
-    BreadthFirst,
     HottestFirst,
     ProxySpec,
     make_prefix_policy,
@@ -69,13 +68,12 @@ class TestCacheDict:
             prefix_s=30.0,
             memory_bytes=16 * MB,
             replacement=ReplacementSpec("love_prefetch"),
-            policy="breadth",
         )
         assert canonical_form(spec) == {
             "prefix_s": 30.0,
             "memory_bytes": 16 * MB,
             "replacement": "love_prefetch",
-            "policy": "breadth",
+            "policy": "hottest",
         }
 
     def test_enabled_proxy_changes_the_config_digest(self):
@@ -89,22 +87,27 @@ class TestCacheDict:
 
     def test_every_proxy_knob_is_digest_visible(self):
         from repro.experiments.results import config_digest
+        from repro.proxy import policies
 
-        variants = [
-            ProxySpec(prefix_s=30.0, memory_bytes=16 * MB),
-            ProxySpec(prefix_s=60.0, memory_bytes=16 * MB),
-            ProxySpec(prefix_s=30.0, memory_bytes=32 * MB),
-            ProxySpec(prefix_s=30.0, memory_bytes=16 * MB, policy="breadth"),
-            ProxySpec(
-                prefix_s=30.0,
-                memory_bytes=16 * MB,
-                replacement=ReplacementSpec("love_prefetch"),
-            ),
-        ]
-        digests = {
-            config_digest(SpiffiConfig(terminals=4, proxy=spec))
-            for spec in variants
-        }
+        register_prefix_policy("test-hottest", HottestFirst)
+        try:
+            variants = [
+                ProxySpec(prefix_s=30.0, memory_bytes=16 * MB),
+                ProxySpec(prefix_s=60.0, memory_bytes=16 * MB),
+                ProxySpec(prefix_s=30.0, memory_bytes=32 * MB),
+                ProxySpec(prefix_s=30.0, memory_bytes=16 * MB, policy="test-hottest"),
+                ProxySpec(
+                    prefix_s=30.0,
+                    memory_bytes=16 * MB,
+                    replacement=ReplacementSpec("love_prefetch"),
+                ),
+            ]
+            digests = {
+                config_digest(SpiffiConfig(terminals=4, proxy=spec))
+                for spec in variants
+            }
+        finally:
+            del policies._REGISTRY["test-hottest"]
         assert len(digests) == len(variants)
 
 
@@ -136,17 +139,12 @@ class TestPolicies:
         plan = list(HottestFirst().plan(self.WEIGHTS, self.PREFIX))
         assert plan == [(1, 0), (1, 1), (2, 0), (0, 0), (0, 1)]
 
-    def test_breadth_first_is_block_major(self):
-        plan = list(BreadthFirst().plan(self.WEIGHTS, self.PREFIX))
-        assert plan == [(1, 0), (2, 0), (0, 0), (1, 1), (0, 1)]
-
     def test_ties_break_by_title_id(self):
         plan = list(HottestFirst().plan([0.5, 0.5], [1, 1]))
         assert plan == [(0, 0), (1, 0)]
 
     def test_builtins_are_registered(self):
         assert "hottest" in prefix_policy_names()
-        assert "breadth" in prefix_policy_names()
 
     def test_make_unknown_raises(self):
         with pytest.raises(ValueError, match="unknown prefix policy"):

@@ -25,17 +25,16 @@ def starter(env, sharing, delay, tag, launched, video_id=0):
 class TestPiggyback:
     def test_disabled_returns_none(self):
         # A policy that does not batch starts every terminal at once.
-        for spec in (SharingSpec(), SharingSpec(policy="chain")):
-            config = SpiffiConfig(
-                nodes=1,
-                disks_per_node=1,
-                videos_per_disk=1,
-                video_length_s=10.0,
-                terminals=2,
-                sharing=spec,
-            )
-            system = SpiffiSystem(config)
-            assert system.request_start(0) is None
+        config = SpiffiConfig(
+            nodes=1,
+            disks_per_node=1,
+            videos_per_disk=1,
+            video_length_s=10.0,
+            terminals=2,
+            sharing=SharingSpec(),
+        )
+        system = SpiffiSystem(config)
+        assert system.request_start(0) is None
 
     def test_batch_launches_after_window(self):
         env = Environment()

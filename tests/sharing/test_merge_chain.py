@@ -44,7 +44,7 @@ class FakePool:
 
 def chain_runtime(env, **overrides):
     overrides.setdefault("chain_pin_limit_blocks", 4)
-    spec = SharingSpec(policy="chain", **overrides)
+    spec = SharingSpec(policy="batch+chain", **overrides)
     return spec.build(env)
 
 

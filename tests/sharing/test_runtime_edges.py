@@ -83,7 +83,7 @@ class TestTraces:
         assert runtime.trace.counts["batch.launch"] == 1
 
     def test_chain_events_recorded(self):
-        env, runtime = runtime_with_trace(policy="chain")
+        env, runtime = runtime_with_trace()
         pred = FakeTerminal(1, frame=120, request=11)
         succ = FakeTerminal(2, frame=0, request=1)
         runtime.note_play_start(pred, 0)
@@ -106,7 +106,7 @@ class TestTraces:
 class TestSeekAndStrays:
     def chained(self):
         env = Environment()
-        runtime = SharingSpec(policy="chain").build(env)
+        runtime = SharingSpec(policy="batch+chain").build(env)
         pred = FakeTerminal(1, frame=120, request=11)
         succ = FakeTerminal(2, frame=0, request=1)
         runtime.note_play_start(pred, 0)

@@ -24,7 +24,7 @@ class TestValidation:
 
     def test_builtin_policies_registered(self):
         names = sharing_policy_names()
-        for name in ("none", "batch", "chain", "batch+chain"):
+        for name in ("none", "batch", "batch+chain"):
             assert name in names
 
     def test_unknown_policy_rejected(self):
@@ -35,7 +35,6 @@ class TestValidation:
         spec = SharingSpec(policy="batch+chain")
         assert spec.components == frozenset({BATCH, CHAIN})
         assert spec.batching and spec.chaining
-        assert SharingSpec(policy="chain").components == frozenset({CHAIN})
 
     @pytest.mark.parametrize(
         "field,value",
