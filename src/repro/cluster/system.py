@@ -336,9 +336,9 @@ class SpiffiCluster(FrontDoor):
                     "admission_queue_len_max": member.admission.queue_lengths.maximum,
                     "disk_utilization_mean": sum(utils) / len(utils),
                     "blocks_delivered": sum(
-                        t.stats.blocks_received for t in member.terminals
+                        t.blocks_received for t in member.terminal_stats
                     ),
-                    "glitches": sum(t.stats.glitches for t in member.terminals),
+                    "glitches": sum(t.glitches for t in member.terminal_stats),
                     "available": self.node_available(index),
                     "rebuild_bytes_in": stats.rebuild_bytes_in[index],
                     "rebuild_bytes_out": stats.rebuild_bytes_out[index],

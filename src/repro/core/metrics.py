@@ -281,7 +281,7 @@ def collect_metrics(
     instantaneous sum over members.
     """
     members = door.members
-    terminals = [t for member in members for t in member.terminals]
+    terminal_stats = [s for member in members for s in member.terminal_stats]
     servers = [node for member in members for node in member.nodes]
     pools = [node.pool for node in servers]
     drives = [drive for node in servers for drive in node.drives]
@@ -300,7 +300,7 @@ def collect_metrics(
     inflight = sum(pool.stats.inflight_hits for pool in pools)
     rereferences = sum(pool.stats.rereferences for pool in pools)
     response_max = max(
-        (t.stats.response_time.maximum for t in terminals if t.stats.response_time.count),
+        (t.response_time.maximum for t in terminal_stats if t.response_time.count),
         default=0.0,
     )
     disk_utils = [drive.busy.utilization(now) for drive in drives]
@@ -308,12 +308,12 @@ def collect_metrics(
     shared_streams = sum(s.batch_followers for s in sharing)
 
     return RunMetrics(
-        terminals=len(terminals),
+        terminals=len(terminal_stats),
         measure_s=measure_s,
-        glitches=sum(t.stats.glitches for t in terminals),
-        glitching_terminals=sum(1 for t in terminals if t.stats.glitches),
+        glitches=sum(t.glitches for t in terminal_stats),
+        glitching_terminals=sum(1 for t in terminal_stats if t.glitches),
         mean_glitch_duration_s=_pooled_mean(
-            [t.stats.glitch_durations for t in terminals]
+            [t.glitch_durations for t in terminal_stats]
         ),
         disk_utilization_mean=sum(disk_utils) / len(disk_utils),
         disk_utilization_min=min(disk_utils),
@@ -332,18 +332,18 @@ def collect_metrics(
         allocation_waits=sum(pool.stats.allocation_waits for pool in pools),
         prefetches_issued=sum(p.stats.issued for p in prefetchers),
         prefetches_completed=sum(p.stats.completed for p in prefetchers),
-        mean_response_time_s=_pooled_mean([t.stats.response_time for t in terminals]),
+        mean_response_time_s=_pooled_mean([t.response_time for t in terminal_stats]),
         max_response_time_s=response_max,
-        deadline_misses=sum(t.stats.deadline_misses for t in terminals),
-        blocks_delivered=sum(t.stats.blocks_received for t in terminals),
+        deadline_misses=sum(t.deadline_misses for t in terminal_stats),
+        blocks_delivered=sum(t.blocks_received for t in terminal_stats),
         mean_startup_latency_s=_pooled_mean(
-            [t.stats.startup_latency for t in terminals]
+            [t.startup_latency for t in terminal_stats]
         ),
-        videos_completed=sum(t.stats.videos_completed for t in terminals),
-        pauses_taken=sum(t.stats.pauses_taken for t in terminals),
+        videos_completed=sum(t.videos_completed for t in terminal_stats),
+        pauses_taken=sum(t.pauses_taken for t in terminal_stats),
         admissions_queued=sum(a.queued for a in admissions),
         admission_mean_wait_s=_member_mean([a.wait_times for a in admissions]),
-        fault_glitches=sum(t.stats.fault_glitches for t in terminals),
+        fault_glitches=sum(t.fault_glitches for t in terminal_stats),
         fault_events_injected=sum(f.events_injected for f in faults),
         fault_retries=sum(f.retries for f in faults),
         fault_abandoned_reads=sum(f.abandoned_reads for f in faults),

@@ -44,7 +44,7 @@ from repro.sim.events import Event
 from repro.sim.rng import RandomSource
 from repro.storage.drive import DiskDrive
 from repro.storage.geometry import DiskGeometry
-from repro.terminal.terminal import Terminal
+from repro.terminal.terminal import Terminal, TerminalStats
 from repro.workload.qos import QosMonitor
 
 
@@ -284,21 +284,25 @@ class SpiffiNode(FrontDoor):
         # looping terminals and spawns no workload streams at all; a
         # cluster member (closed_terminals=False) builds neither — the
         # cluster's session generator adopts terminals onto the node.
+        #: The closed terminal population (empty for an open workload).
         self.terminals: list[Terminal] = []
+        #: Every adopted terminal's statistics, in adoption order: what
+        #: the metrics read, closed terminals and finished sessions alike.
+        self.terminal_stats: list[TerminalStats] = []
         if closed_terminals and not config.workload.enabled:
             for terminal_id in range(config.terminals):
-                self.adopt_terminal(
-                    Terminal(
-                        env=self.env,
-                        terminal_id=terminal_id,
-                        fabric=self,
-                        access=self.access,
-                        rng=rng.spawn(f"terminal-{terminal_id}"),
-                        memory_bytes=config.terminal_memory_bytes,
-                        pause_model=config.pause_model,
-                        initial_position_fraction=config.initial_position_fraction,
-                    )
+                terminal = Terminal(
+                    env=self.env,
+                    terminal_id=terminal_id,
+                    fabric=self,
+                    access=self.access,
+                    rng=rng.spawn(f"terminal-{terminal_id}"),
+                    memory_bytes=config.terminal_memory_bytes,
+                    pause_model=config.pause_model,
+                    initial_position_fraction=config.initial_position_fraction,
                 )
+                self.terminals.append(terminal)
+                self.adopt_terminal(terminal)
         self._build_workload(rng.spawn("workload"))
 
     # ------------------------------------------------------------------
@@ -332,12 +336,13 @@ class SpiffiNode(FrontDoor):
         return self.faults is not None and self.faults.attributable()
 
     def adopt_terminal(self, terminal: Terminal) -> None:
-        """Register a terminal (closed, or spawned by a session) with the
-        system so its statistics are collected and reset with everything
-        else."""
+        """Register a terminal's statistics (closed, or spawned by a
+        session) so they are collected and reset with everything else.
+        Only the record is kept: once a session's processes end, nothing
+        refers to its terminal, and refcounting frees it."""
         terminal.qos = self.qos
-        self.terminals.append(terminal)
-        self.register(terminal)
+        self.terminal_stats.append(terminal.stats)
+        self.register(terminal.stats)
 
     def _launch(self) -> None:
         """Start every closed terminal at a random instant in the start

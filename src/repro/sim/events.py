@@ -157,6 +157,12 @@ class AnyOf(Event):
     timeout) never look at it.  Triggering records which events to
     include — membership is decided at trigger time — and the dict is
     materialised on first :attr:`value` access.
+
+    Once fired, the condition takes its callback off every event that
+    has not fired: a long-lived event raced many times (a member's
+    outage event against each session's playback) would otherwise keep
+    every finished race, and all it refers to, alive.  A callback on a
+    fired condition does nothing, so detaching changes no outcome.
     """
 
     __slots__ = ("_events", "_fired")
@@ -170,9 +176,11 @@ class AnyOf(Event):
             return
         for event in self._events:
             if event.callbacks is None:  # already processed: fires now
-                self._on_fire(event)
-                break
-            event.callbacks.append(self._on_fire)
+                self._trigger(event)
+                return
+        on_fire = self._on_fire
+        for event in self._events:
+            event.callbacks.append(on_fire)
 
     @property
     def value(self) -> object:
@@ -184,7 +192,16 @@ class AnyOf(Event):
 
     def _on_fire(self, event: Event) -> None:
         if self._value is not _PENDING:
-            return
+            return  # the fired event is listed twice
+        on_fire = self._on_fire
+        for other in self._events:
+            callbacks = other.callbacks
+            if callbacks is not None:  # not processed: still holds ours
+                callbacks.remove(on_fire)
+        self._trigger(event)
+
+    def _trigger(self, event: Event) -> None:
+        """Fire (or fail) on *event*, the first member to fire."""
         if not event._ok:
             event._defused = True
             self.fail(event._value)

@@ -14,6 +14,8 @@ import math
 class Tally:
     """Streaming count/mean/min/max/variance of observed samples."""
 
+    __slots__ = ("count", "_mean", "_m2", "minimum", "maximum")
+
     def __init__(self) -> None:
         self.reset()
 

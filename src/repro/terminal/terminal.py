@@ -18,7 +18,7 @@ import typing
 from repro.media.access import BoundAccessModel
 from repro.media.video import BlockSchedule, Video
 from repro.sim.environment import Environment
-from repro.sim.events import Timeout
+from repro.sim.events import Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Gate
 from repro.sim.rng import RandomSource
@@ -36,6 +36,25 @@ def _delivered_from(start_block: int, block_count: int) -> bytearray:
 
 
 class TerminalStats:
+    """One terminal's playback statistics.
+
+    The record outlives its terminal: the system keeps it (registered,
+    so the warm-up reset zeroes it) after a session ends and its
+    :class:`Terminal` is freed.
+    """
+
+    __slots__ = (
+        "glitches",
+        "fault_glitches",
+        "glitch_durations",
+        "startup_latency",
+        "response_time",
+        "deadline_misses",
+        "blocks_received",
+        "videos_completed",
+        "pauses_taken",
+    )
+
     def __init__(self) -> None:
         self.reset()
 
@@ -51,6 +70,9 @@ class TerminalStats:
         self.blocks_received = 0
         self.videos_completed = 0
         self.pauses_taken = 0
+
+    #: The component registry's name for :meth:`reset`.
+    reset_stats = reset
 
 
 class Terminal:
@@ -123,6 +145,9 @@ class Terminal:
         #: The session video's ``fps``, cached for the display hot path.
         self._display_fps = 0.0
         self._playing = False
+        #: Set by :meth:`abandon`: the customer left and no delivery
+        #: for this terminal will ever arrive again.
+        self._departed = False
 
         self._slot_gate = Gate(env)
         self._data_gate = Gate(env)
@@ -318,7 +343,11 @@ class Terminal:
             )
             if self._contig >= want:
                 return None
-            yield self._data_gate.wait()
+            # Abandoned while priming, the buffer never fills: wait on an
+            # event nothing else holds, not on the data gate, so no
+            # terminal -> gate -> process -> terminal cycle outlives the
+            # session and refcounting frees both.
+            yield Event(self.env) if self._departed else self._data_gate.wait()
 
     # ------------------------------------------------------------------
     # Request pipeline
@@ -419,6 +448,7 @@ class Terminal:
         if self._video is None:
             raise ValueError("abandon() with no active video")
         self._epoch += 1
+        self._departed = True
         if self._sharing is not None:
             self._sharing.note_abandon(self)
         self._slot_gate.open()
@@ -470,9 +500,6 @@ class Terminal:
         if self._epoch == epoch and self._next_frame >= self._video.frame_count:
             self.stats.videos_completed += 1
         return None
-
-    def reset_stats(self) -> None:
-        self.stats.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Terminal {self.terminal_id} slots={self.slots}>"

@@ -19,15 +19,11 @@ class TestAggregation:
 
     def test_terminal_counters_sum_over_members(self, run):
         cluster, metrics = run
-        terminals = [t for m in cluster.members for t in m.terminals]
+        terminals = [t for m in cluster.members for t in m.terminal_stats]
         assert metrics.terminals == len(terminals)
-        assert metrics.blocks_delivered == sum(
-            t.stats.blocks_received for t in terminals
-        )
-        assert metrics.videos_completed == sum(
-            t.stats.videos_completed for t in terminals
-        )
-        assert metrics.glitches == sum(t.stats.glitches for t in terminals)
+        assert metrics.blocks_delivered == sum(t.blocks_received for t in terminals)
+        assert metrics.videos_completed == sum(t.videos_completed for t in terminals)
+        assert metrics.glitches == sum(t.glitches for t in terminals)
 
     def test_session_accounting_comes_from_the_front_door(self, run):
         cluster, metrics = run

@@ -5,10 +5,13 @@ at the start of the measurement window because it registered.  These
 tests spy on every registered component's ``reset_stats`` during
 ``run()`` and check two things: each is reset exactly once, and the
 registry holds every object the metrics collector reads statistics
-from, terminals adopted during warmup included.
+from.  For terminals that object is the :class:`TerminalStats` record,
+which outlives its terminal: every record, from sessions adopted during
+warmup and sessions already finished alike, must be registered.
 """
 
 import collections
+import weakref
 
 import pytest
 
@@ -24,7 +27,7 @@ from repro.faults.spec import FaultSpec
 from repro.proxy import ProxySpec
 from repro.replication import ReplicationSpec
 from repro.sharing import SharingSpec
-from repro.terminal.terminal import Terminal
+from repro.terminal.terminal import Terminal, TerminalStats
 from repro.workload import ArrivalSpec
 
 ARRIVALS = ArrivalSpec(
@@ -113,7 +116,7 @@ def stats_sources(door) -> list:
     cluster's additions) reads statistics from."""
     sources = [door.qos, door.workload, door.proxy_runtime]
     for member in door.members:
-        sources += [member.admission, member.bus, *member.terminals]
+        sources += [member.admission, member.bus, *member.terminal_stats]
         sources += [member.faults, member.replication, member.sharing]
         for node in member.nodes:
             sources += [node.pool, node.cpu, *node.drives, *node.prefetchers]
@@ -125,11 +128,22 @@ def stats_sources(door) -> list:
 @pytest.fixture(params=sorted(SYSTEMS))
 def spied_run(request, monkeypatch):
     """Run one system with every registered class's ``reset_stats``
-    counted per instance; yields the system, the counts, and the
-    registry and terminal population at the instant of the reset."""
+    counted per instance; yields the system, the counts, the registry
+    at the instant of the reset, and every terminal built as a
+    ``(weakref to the terminal, its stats record, built before the
+    reset)`` triple."""
+    built = []
+    at_reset = {}
+    init = Terminal.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((weakref.ref(self), self.stats, "registry" not in at_reset))
+
+    monkeypatch.setattr(Terminal, "__init__", recording_init)
     system = SYSTEMS[request.param]()
     counts = collections.Counter()
-    for cls in {type(c) for c in system.components()} | {Terminal}:
+    for cls in {type(c) for c in system.components()} | {TerminalStats}:
         original = cls.reset_stats
 
         def counted(self, _original=original):
@@ -137,34 +151,51 @@ def spied_run(request, monkeypatch):
             _original(self)
 
         monkeypatch.setattr(cls, "reset_stats", counted)
-    at_reset = {}
     reset = system.reset_stats
 
     def snapshot_then_reset():
         at_reset["registry"] = system.components()
-        at_reset["terminals"] = [t for m in system.members for t in m.terminals]
         reset()
 
     monkeypatch.setattr(system, "reset_stats", snapshot_then_reset)
     system.run()
-    return system, counts, at_reset
+    return system, counts, at_reset, built
 
 
 class TestRegistry:
     def test_every_component_is_reset_exactly_once(self, spied_run):
-        _, counts, at_reset = spied_run
+        _, counts, at_reset, _ = spied_run
         registry = at_reset["registry"]
         assert len({id(c) for c in registry}) == len(registry)
         wrong = {type(c).__name__: counts[id(c)] for c in registry if counts[id(c)] != 1}
         assert wrong == {}
 
     def test_registry_holds_every_collected_statistic(self, spied_run):
-        system, _, at_reset = spied_run
+        system, _, _, _ = spied_run
         registered = {id(c) for c in system.components()}
         missing = [s for s in stats_sources(system) if id(s) not in registered]
         assert missing == []
-        # Terminals alive at the reset (closed ones, or sessions adopted
-        # during warmup) were registered by then, so they were zeroed.
-        at_reset_ids = {id(c) for c in at_reset["registry"]}
-        assert at_reset["terminals"]
-        assert all(id(t) in at_reset_ids for t in at_reset["terminals"])
+
+    def test_every_terminal_record_is_collected_and_zeroed_once(self, spied_run):
+        """Each terminal's record is registered and read by the metrics
+        exactly once; one that existed at the reset (a closed terminal,
+        or a session adopted during warmup) was zeroed exactly once
+        then, and one adopted later never was."""
+        system, counts, _, built = spied_run
+        records = [stats for _, stats, _ in built]
+        collected = [id(s) for m in system.members for s in m.terminal_stats]
+        assert sorted(collected) == sorted(id(s) for s in records)
+        registered = {id(c) for c in system.components()}
+        assert all(id(s) in registered for s in records)
+        assert any(before for _, _, before in built)
+        assert [counts[id(s)] for _, s, before in built] == [
+            1 if before else 0 for _, _, before in built
+        ]
+        if system.workload is not None:
+            # Open: finished sessions' terminals are gone; their records
+            # stay registered and collected.
+            finished = [stats for ref, stats, _ in built if ref() is None]
+            assert finished
+            assert system.collect_metrics(system.config.measure_s).terminals == len(
+                records
+            )

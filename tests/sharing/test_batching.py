@@ -77,7 +77,7 @@ class TestOneSlotPerBatch:
         system.workload.process = _Silence()
         system.env.run(until=50.0)
         stats = system.workload.stats
-        assert len(system.terminals) == stats.admitted
+        assert len(system.terminal_stats) == stats.admitted
         in_queue = system.admission.queue_length
         assert stats.offered == (
             stats.admitted + stats.balked + stats.reneged + in_queue

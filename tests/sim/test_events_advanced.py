@@ -102,6 +102,99 @@ class TestConditionEdgeCases:
         assert woken == [("a", "go"), ("b", "go"), ("c", "go")]
 
 
+class TestFiredConditionDetaches:
+    """A fired ``any_of`` takes its callback off the events that did not
+    fire, so a long-lived event raced many times holds no finished race
+    (a member's outage event against every session's playback)."""
+
+    RACES = 1_000
+
+    def test_timer_wins_leave_nothing_on_the_loser(self):
+        env = Environment()
+        never = env.event()
+        wins = []
+
+        def racer(env):
+            for _ in range(self.RACES):
+                timer = env.timeout(0.5)
+                fired = yield env.any_of([timer, never])
+                wins.append(timer in fired)
+                assert never.callbacks == []
+
+        env.process(racer(env))
+        env.run()
+        assert wins == [True] * self.RACES
+        assert never.callbacks == []
+
+    def test_failures_leave_nothing_on_the_loser(self):
+        env = Environment()
+        never = env.event()
+
+        class Boom(Exception):
+            pass
+
+        def failer(env):
+            yield env.timeout(0.5)
+            raise Boom()
+
+        caught = []
+
+        def racer(env):
+            for _ in range(self.RACES):
+                try:
+                    yield env.any_of([never, env.process(failer(env))])
+                except Boom:
+                    caught.append(env.now)
+                assert never.callbacks == []
+
+        env.process(racer(env))
+        env.run()
+        assert len(caught) == self.RACES
+        assert never.callbacks == []
+
+    def test_already_processed_member_attaches_nothing(self):
+        env = Environment()
+        done = env.event()
+        done.succeed("early")
+        env.run()
+        never = env.event()
+        condition = env.any_of([never, done, never])
+        assert condition.triggered
+        assert never.callbacks == []
+        env.run()
+        assert condition.value == {done: "early"}
+
+    def test_repeated_loser_is_detached_each_time(self):
+        env = Environment()
+        never = env.event()
+        timer = env.timeout(1)
+        env.any_of([never, timer, never])
+        assert len(never.callbacks) == 2
+        env.run()
+        assert never.callbacks == []
+
+    def test_live_race_keeps_its_callback_and_still_fires(self):
+        env = Environment()
+        shared = env.event()
+        outcomes = []
+
+        def racer(env, delay):
+            fired = yield env.any_of([env.timeout(delay), shared])
+            outcomes.append((env.now, shared in fired))
+
+        env.process(racer(env, 1))
+        env.process(racer(env, 10))
+
+        def firer(env):
+            yield env.timeout(2)
+            assert len(shared.callbacks) == 1  # the live race's only
+            shared.succeed()
+
+        env.process(firer(env))
+        env.run()
+        assert outcomes == [(1, False), (2, True)]
+
+
 class TestProcessEdgeCases:
     def test_nested_process_chains(self):
         env = Environment()

@@ -69,7 +69,7 @@ class TestOpenSystem:
         system = SpiffiSystem(open_config())
         system.start()
         system.env.run(until=20.0)  # no stats reset: totals since t=0
-        assert len(system.terminals) == system.workload.stats.admitted
+        assert len(system.terminal_stats) == system.workload.stats.admitted
         assert system.admission.admitted == system.workload.stats.admitted
 
     def test_terminals_metric_counts_spawned_sessions(self):
