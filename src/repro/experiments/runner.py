@@ -36,7 +36,6 @@ import contextlib
 import dataclasses
 import threading
 import typing
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.config import SpiffiConfig
 from repro.core.metrics import RunMetrics
@@ -237,8 +236,11 @@ class ProcessExecutor:
                 )
             except Exception as exc:
                 return _error_outcome(request, exc)
-        except BrokenProcessPool:
+        except concurrent.futures.BrokenExecutor:
             # A worker died (OOM-kill, segfault): the pool is unusable.
+            # (BrokenProcessPool's base class: naming the subclass would
+            # import multiprocessing into every process that imports
+            # this module, serial runs included.)
             self._recycle_pool()
             self._resubmit_pending(futures, requests, index)
             return _execute_with_retry(request)

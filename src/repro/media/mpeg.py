@@ -112,7 +112,7 @@ class FrameSequence:
     Terminals request stripe blocks, not frames, so the per-block
     tables answer every playback question (deadlines, slot freeing,
     display edges, the block a session starts in); a one-hour title at
-    the Table-1 stripe keeps about 0.11 MB.
+    the Table-1 stripe keeps about 0.03 MB.
 
     :attr:`schedules` memoises the tables per block size; a schedule for
     another block size regenerates the offsets once.  Sequences are

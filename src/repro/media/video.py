@@ -12,6 +12,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.media.mpeg import FrameSequence
 
 
+def _table(values: np.ndarray, typecode: str) -> array:
+    """*values* as an ``array(typecode)`` of exactly their length.
+
+    Copied straight from the numpy buffer (no intermediate ``bytes``);
+    ``array.frombytes`` would also over-allocate by a sixteenth.
+    """
+    table = array(typecode, [0]) * len(values)
+    memoryview(table).cast("B")[:] = values.astype(typecode, copy=False).view(np.uint8)
+    return table
+
+
 class BlockSchedule:
     """Precomputed display timing of one video at one block size.
 
@@ -27,15 +38,23 @@ class BlockSchedule:
     * ``edge_span[k]`` — blocks spanned by frame ``displayable[k]``, the
       frame at that delivery edge (1 once the whole video has arrived).
 
-    Typed ``array('q')`` tables, not numpy arrays or lists: playback
-    reads them one scalar at a time in the per-block hot path, where an
-    array read returns a plain int several times faster than numpy
-    scalar indexing, and each entry takes 8 bytes instead of a list's
-    pointer plus a 32-byte int object.  They are all a title keeps of
-    its frames: *offsets* (regenerated from *sequence* when not given)
-    are dropped once the tables exist.  One schedule per (title, block
-    size) is shared by every system in the process (see
-    :attr:`FrameSequence.schedules`), so nothing may write the tables.
+    ``displayable[k]`` is ``first_frame[k]`` for every ``k`` below
+    ``block_count``, so both names are bound to one table of
+    ``block_count + 1`` entries whose last is ``frame_count``: read
+    ``first_frame`` only below ``block_count``, never by its length.
+
+    Typed ``array`` tables, not numpy arrays or lists: playback reads
+    them one scalar at a time in the per-block hot path, where an array
+    read returns a plain int several times faster than numpy scalar
+    indexing.  Each takes the narrowest entry its values need: frame
+    indices 4 bytes (8 from ``2**31`` frames on), block spans the
+    narrowest unsigned type holding their maximum (1 byte at the
+    Table-1 stripe; small blocks span more than 255).  They are all a
+    title keeps of its frames: *offsets* (regenerated from *sequence*
+    when not given) are dropped once the tables exist.  One schedule
+    per (title, block size) is shared by every system in the process
+    (see :attr:`FrameSequence.schedules`), so nothing may write the
+    tables.
     """
 
     def __init__(
@@ -53,29 +72,31 @@ class BlockSchedule:
         self.block_size = block_size
         total = sequence.total_bytes
         self.block_count = sequence.block_count(block_size)
-        # Block k covers bytes [k*block_size, (k+1)*block_size).  The
-        # frame holding its first byte may straddle the previous block
-        # boundary; it is still the first frame that needs block k.
-        # Keys in the offsets' own dtype: mixed dtypes would make
+        # Block k covers bytes [k*block_size, (k+1)*block_size); the
+        # prefix of k blocks ends at edges[k] = min(k*block_size, total).
+        # Built in int64 (the last edge may pass 2**32 before the clamp),
+        # then keyed in the offsets' own dtype: mixed dtypes would make
         # searchsorted copy the offsets to int64 first.
-        starts = np.arange(0, total, block_size, dtype=offsets.dtype)
-        first = np.searchsorted(offsets, starts, side="right") - 1
-        self.first_frame = array("q", first.astype(np.int64, copy=False).tobytes())
-        # Built in int64: the last end may pass 2**32 before the clamp.
-        ends = np.arange(block_size, total + block_size, block_size, dtype=np.int64)
-        ends = (np.minimum(ends, total) - 1).astype(offsets.dtype)
-        last = np.searchsorted(offsets, ends, side="right") - 1
-        self.last_frame = array("q", last.astype(np.int64, copy=False).tobytes())
-        # The prefix of k < block_count blocks ends at byte k*block_size,
-        # inside frame first_frame[k]; all frames before it are whole.
-        # The full video displays every frame.
-        self.displayable = array("q", self.first_frame)
-        self.displayable.append(sequence.frame_count)
+        edges = np.arange(0, total + block_size, block_size, dtype=np.int64)
+        edges = np.minimum(edges, total).astype(offsets.dtype)
+        # The frame holding a block's first byte may straddle the
+        # previous block boundary; it is still the first frame that
+        # needs the block, and every frame before it is whole once the
+        # blocks before it have arrived.  The full video (the last
+        # edge) displays every frame.
+        displayable = np.searchsorted(offsets, edges, side="right") - 1
+        last = np.searchsorted(offsets, edges[1:] - 1, side="right") - 1
+        frame_code = "i" if sequence.frame_count < 2**31 else "q"
+        self.first_frame = self.displayable = _table(displayable, frame_code)
+        self.last_frame = _table(last, frame_code)
         # Offsets may be uint32: widen before any subtraction.
+        first = displayable[:-1]
         end = offsets[first + 1].astype(np.int64) - 1
         span = end // block_size - offsets[first].astype(np.int64) // block_size + 1
-        self.edge_span = array("q", span.tobytes())
-        self.edge_span.append(1)
+        span = np.append(span, 1)
+        widest = int(span.max())
+        span_code = next(code for code in "BHIQ" if widest < 256 ** array(code).itemsize)
+        self.edge_span = _table(span, span_code)
 
     def block_of_frame(self, frame: int) -> int:
         """The block holding the first byte of frame *frame*.
@@ -86,7 +107,7 @@ class BlockSchedule:
         otherwise *frame* begins in the previous block.
         """
         first = self.first_frame
-        k = bisect_left(first, frame)
+        k = bisect_left(first, frame, 0, self.block_count)
         if (
             k < self.block_count
             and first[k] == frame

@@ -30,7 +30,7 @@ PREFETCH_TERMINAL = -1
 _sequence = itertools.count()
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class PrefetchOrder:
     """One queued prefetch: read (video, block) from this disk."""
 

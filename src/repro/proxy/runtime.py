@@ -54,7 +54,7 @@ def prefix_block_count(schedule: "BlockSchedule", prefix_s: float) -> int:
     frames = min(sequence.frame_count, int(prefix_s * sequence.fps))
     if frames <= 0:
         return 0
-    return min(schedule.block_count, bisect_right(schedule.first_frame, frames - 1))
+    return bisect_right(schedule.first_frame, frames - 1, 0, schedule.block_count)
 
 
 class ProxyStats:

@@ -288,13 +288,7 @@ class SharingRuntime:
 
     def note_play_end(self, terminal: "Terminal", video_id: int) -> None:
         """Playback finished (completed or already-abandoned exit)."""
-        streams = self._streams.get(video_id)
-        if streams is not None:
-            streams.pop(terminal, None)
-            if not streams:
-                del self._streams[video_id]
-        if self._by_id.get(terminal.terminal_id) is terminal:
-            del self._by_id[terminal.terminal_id]
+        self._drop_stream(terminal, video_id)
         # A completed predecessor stops fetching: release the pins (the
         # pages stay resident until evicted normally) without counting a
         # break — the chain simply ran its course.
@@ -304,6 +298,15 @@ class SharingRuntime:
         chain = self._chains_by_succ.get(terminal)
         if chain is not None:
             self._dissolve_chain(chain)
+
+    def _drop_stream(self, terminal: "Terminal", video_id: int) -> None:
+        streams = self._streams.get(video_id)
+        if streams is not None:
+            streams.pop(terminal, None)
+            if not streams:
+                del self._streams[video_id]
+        if self._by_id.get(terminal.terminal_id) is terminal:
+            del self._by_id[terminal.terminal_id]
 
     def note_pause(self, terminal: "Terminal") -> None:
         """The viewer paused: a successor would overrun a stalled
@@ -322,7 +325,12 @@ class SharingRuntime:
             self._dissolve_chain(chain)
 
     def note_abandon(self, terminal: "Terminal") -> None:
-        """The viewer departed mid-video."""
+        """The viewer departed mid-video.
+
+        Its stream is dropped now: a viewer who leaves while priming
+        never reaches :meth:`note_play_end`.
+        """
+        self._drop_stream(terminal, terminal._video.video_id)
         chain = self._chains_by_pred.get(terminal)
         if chain is not None:
             self._break_chain(chain, "abandon")

@@ -14,7 +14,10 @@ Three contracts:
 """
 
 import ast
+import json
 import os
+import subprocess
+import sys
 import types
 
 import repro.api as api
@@ -128,3 +131,28 @@ class TestExamplesImportSurface:
         assert offenders == {}, (
             f"examples must import from repro.api only: {offenders}"
         )
+
+
+def test_importing_the_api_loads_no_process_pool_machinery():
+    """Serial runs never start a process pool, so ``import repro.api``
+    in a fresh interpreter leaves ``multiprocessing`` and the process
+    pool module unloaded; the parallel executor imports them when it
+    builds its pool."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+    script = (
+        "import json, sys\n"
+        "import repro.api\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+    )
+    output = subprocess.run(
+        [sys.executable, "-c", script],
+        check=True,
+        capture_output=True,
+        text=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=os.path.join(root, "src")),
+    ).stdout
+    loaded = set(json.loads(output))
+    assert "repro.experiments.runner" in loaded
+    assert "concurrent.futures.process" not in loaded
+    assert not {name for name in loaded if name.split(".")[0] == "multiprocessing"}

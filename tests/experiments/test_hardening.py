@@ -5,6 +5,9 @@ retried once and then surfaced as an error :class:`RunOutcome`, and the
 sweep drivers report the casualties only after the survivors finish.
 """
 
+import dataclasses
+import os
+
 import pytest
 
 import repro.experiments.runner as runner_module
@@ -17,6 +20,7 @@ from repro.experiments.runner import (
     run_grid,
 )
 from repro.experiments.search import find_max_terminals
+from repro.runnable import _REGISTRY, register_runnable
 
 from tests.experiments.test_runner import example_metrics, tiny_config
 
@@ -24,6 +28,52 @@ from tests.experiments.test_runner import example_metrics, tiny_config
 #: dataclass is only validated at construction, so a bogus payload
 #: rides through pickling and crashes the runnable dispatch.
 POISON = RunRequest(config="not a config", tag="poison")
+
+
+
+
+@dataclasses.dataclass(frozen=True)
+class DieOnceConfig:
+    """A runnable whose first attempt kills its worker process.
+
+    The first run to find *marker* missing creates it and exits the
+    process without cleanup, as an OOM kill would; every later run
+    (including the in-process retry) succeeds."""
+
+    marker: str
+    terminals: int = 2
+    seed: int = 0
+
+    @property
+    def measure_s(self) -> float:
+        return 1.0
+
+    def replace(self, **changes) -> "DieOnceConfig":
+        return dataclasses.replace(self, **changes)
+
+    def describe(self) -> str:
+        return f"die-once terminals={self.terminals}"
+
+
+def _die_once(config):
+    if not os.path.exists(config.marker):
+        open(config.marker, "w").close()
+        os._exit(1)
+    return example_metrics(terminals=config.terminals)
+
+
+@pytest.fixture()
+def die_once_registered():
+    register_runnable(
+        DieOnceConfig,
+        kind="die-once",
+        run=_die_once,
+        cache_dict=lambda config: {"die-once": dataclasses.asdict(config)},
+    )
+    try:
+        yield
+    finally:
+        del _REGISTRY[DieOnceConfig]
 
 
 class TestSerialExecutorContainment:
@@ -98,6 +148,48 @@ class TestProcessExecutorContainment:
         assert hung.failed
         assert not healthy.failed
         assert healthy.metrics.terminals == 4
+
+
+    def test_broken_pool_is_rebuilt_and_later_requests_resubmitted(
+        self, tmp_path, monkeypatch, die_once_registered
+    ):
+        """A worker that dies mid-run breaks the whole pool: the pool
+        is replaced, every request still pending is resubmitted to the
+        new one, and the victim is retried in-process."""
+        recycled, resubmitted = [], []
+        recycle = ProcessExecutor._recycle_pool
+        resubmit = ProcessExecutor._resubmit_pending
+
+        def recording_recycle(self):
+            recycled.append(self._pool)
+            recycle(self)
+
+        def recording_resubmit(self, futures, requests, index):
+            resubmitted.append(index)
+            resubmit(self, futures, requests, index)
+
+        monkeypatch.setattr(ProcessExecutor, "_recycle_pool", recording_recycle)
+        monkeypatch.setattr(ProcessExecutor, "_resubmit_pending", recording_resubmit)
+        marker = str(tmp_path / "died")
+        requests = [
+            RunRequest(DieOnceConfig(marker, terminals=n), tag=f"run-{n}")
+            for n in range(2, 8)
+        ]
+        with ProcessExecutor(jobs=2) as executor:
+            first_pool = executor._ensure_pool()
+            outcomes = executor.run_batch(requests)
+            assert executor._pool is not None
+            assert executor._pool is not first_pool
+            later = executor.run_batch([RunRequest(DieOnceConfig(marker, terminals=9))])
+        assert os.path.exists(marker)
+        # One break, one recycle: the resubmitted later requests ran on
+        # the new pool instead of each meeting the broken one.
+        assert recycled == [first_pool]
+        assert len(resubmitted) == 1 and resubmitted[0] < len(requests) - 1
+        assert [outcome.tag for outcome in outcomes] == [r.tag for r in requests]
+        assert not any(outcome.failed for outcome in outcomes)
+        assert [outcome.metrics.terminals for outcome in outcomes] == list(range(2, 8))
+        assert not later[0].failed and later[0].metrics.terminals == 9
 
 
 class TestRunnerAndDrivers:

@@ -100,9 +100,30 @@ class TestEdgeCases:
     def test_displayable_shares_first_frame(self):
         sequence = FrameSequence(MpegProfile(), 10.0, 2, 64 * KB)
         schedule = sequence.schedules[64 * KB]
-        assert schedule.displayable[:-1] == schedule.first_frame
-        assert schedule.displayable.itemsize == schedule.first_frame.itemsize == 8
+        # One table: first_frame's entries below block_count, then the
+        # whole video's frame count as displayable's last entry.
+        assert schedule.displayable is schedule.first_frame
+        assert len(schedule.displayable) == schedule.block_count + 1
+        offsets = sequence.offsets().tolist()
+        assert list(schedule.first_frame[: schedule.block_count]) == [
+            bisect_right(offsets, start) - 1
+            for start in range(0, sequence.total_bytes, 64 * KB)
+        ]
         assert schedule.displayable[-1] == sequence.frame_count
+        assert schedule.displayable.typecode == schedule.last_frame.typecode == "i"
+        assert schedule.displayable.itemsize == schedule.last_frame.itemsize == 4
+
+    @pytest.mark.parametrize("block_size,typecode", [(512 * KB, "B"), (512, "H")])
+    def test_edge_span_takes_the_narrowest_type_of_its_widest_span(
+        self, block_size, typecode
+    ):
+        # 512-byte blocks: a large frame spans more than 255 of them.
+        sequence = FrameSequence(MpegProfile(), 10.0, 0, block_size)
+        schedule = assert_tables_match(sequence, block_size)
+        widest = max(schedule.edge_span)
+        assert schedule.edge_span.typecode == typecode
+        assert widest < 256 ** schedule.edge_span.itemsize
+        assert widest >= 256 ** schedule.edge_span.itemsize // 256
 
 
 class TestStartBlock:
@@ -178,7 +199,7 @@ class TestOffsetDtype:
         total = offsets[-1]
         schedule = assert_tables_match(sequence, block_size)
         starts = range(0, total, block_size)
-        assert list(schedule.first_frame) == [
+        assert list(schedule.first_frame[: schedule.block_count]) == [
             bisect_right(offsets, start) - 1 for start in starts
         ]
         assert list(schedule.last_frame) == [
@@ -206,10 +227,12 @@ class TestOffsetDtype:
         assert_tables_match(sequence, 512 * KB)
 
 
-def test_one_hour_title_retains_under_three_quarters_of_a_megabyte():
-    """A 1-hour title at the Table-1 stripe keeps four typed per-block
-    tables and no per-frame data: about 0.11 MB.  Also keeping its uint32
-    byte offsets took 0.53 MB; int64 offsets and per-block int lists
+def test_one_hour_title_retains_under_a_twentieth_of_a_megabyte():
+    """A 1-hour title at the Table-1 stripe keeps three typed per-block
+    tables (4-byte frame indices shared by first_frame and displayable
+    and by last_frame, 1-byte edge spans) and no per-frame data: about
+    0.03 MB.  Four 8-byte tables took 0.11 MB; also keeping its uint32
+    byte offsets 0.53 MB; int64 offsets and per-block int lists
     1.14 MB; a per-frame Python int list (36 bytes per frame) alone
     would add 3.9 MB."""
     # Warm up first, so lazy imports (numpy.random) are not counted.
@@ -223,5 +246,4 @@ def test_one_hour_title_retains_under_three_quarters_of_a_megabyte():
     finally:
         tracemalloc.stop()
     assert schedule.block_count > 3000
-    assert retained < 0.75 * MB, f"retained {retained / MB:.2f} MB"
-
+    assert retained < 0.05 * MB, f"retained {retained / MB:.3f} MB"

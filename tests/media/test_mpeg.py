@@ -101,8 +101,9 @@ class TestFrameSequence:
     def test_first_frames_of_blocks_contains_block_start(self):
         seq = self.make()
         offsets = seq.offsets()
-        first = seq.schedules[BLOCK].first_frame
-        for k in (0, 1, len(first) // 2, len(first) - 1):
+        schedule = seq.schedules[BLOCK]
+        first, count = schedule.first_frame, schedule.block_count
+        for k in (0, 1, count // 2, count - 1):
             frame = first[k]
             start = k * BLOCK
             assert offsets[frame] <= start < offsets[frame + 1]
@@ -118,8 +119,9 @@ class TestFrameSequence:
 
     def test_first_last_frames_ordered(self):
         schedule = self.make().schedules[BLOCK]
-        first = np.asarray(schedule.first_frame)
+        first = np.asarray(schedule.first_frame[: schedule.block_count])
         last = np.asarray(schedule.last_frame)
+        assert first.shape == last.shape == (schedule.block_count,)
         assert (first <= last).all()
         # Consecutive blocks overlap by at most one (straddling) frame.
         assert (first[1:] >= last[:-1]).all()
@@ -152,9 +154,14 @@ class TestFrameSequence:
     def test_property_block_frame_maps_consistent(self, seed, block_kb):
         block = block_kb * 1024
         seq = FrameSequence(MpegProfile(), 5.0, seed, block)
-        first = np.asarray(seq.schedules[block].first_frame)
-        last = np.asarray(seq.schedules[block].last_frame)
+        schedule = seq.schedules[block]
         count = seq.block_count(block)
+        assert schedule.block_count == count
+        # first_frame is displayable: one more entry, the frame count.
+        assert len(schedule.first_frame) == count + 1
+        assert schedule.first_frame[count] == seq.frame_count
+        first = np.asarray(schedule.first_frame[:count])
+        last = np.asarray(schedule.last_frame)
         assert len(first) == len(last) == count
         assert first[0] == 0
         assert last[-1] == seq.frame_count - 1

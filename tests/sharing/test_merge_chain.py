@@ -26,7 +26,7 @@ class FakeTerminal:
         self._epoch = 0
         self._next_frame = frame
         self._next_request = request
-        self._video = types.SimpleNamespace(fps=FPS)
+        self._video = types.SimpleNamespace(video_id=0, fps=FPS)
 
 
 class FakePool:

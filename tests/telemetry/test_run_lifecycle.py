@@ -208,3 +208,24 @@ def test_a_viewer_who_leaves_while_priming_frees_its_terminal(monkeypatch):
     )
     assert counted["served"] > 50
     assert_only_sessions_in_flight_hold_terminals(counted)
+
+
+def test_a_viewer_who_leaves_while_priming_a_shared_stream_frees_its_terminal(
+    monkeypatch,
+):
+    """Under batch+chain the sharing runtime indexes every playing
+    stream; a viewer who leaves before the buffer fills never ends
+    playback, so abandoning must drop the stream from that index."""
+    counted = run_counting_terminals(
+        monkeypatch,
+        lambda: SpiffiSystem(
+            small_node(
+                measure_s=20.0,
+                zipf_skew=1.0,
+                workload=open_workload(2.0, mean_view_duration_s=0.1),
+                sharing=SharingSpec(policy="batch+chain", window_s=0.05),
+            )
+        ),
+    )
+    assert counted["served"] > 50
+    assert_only_sessions_in_flight_hold_terminals(counted)
