@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import typing
 
 from repro.sim.events import Event
@@ -15,6 +16,9 @@ PageKey = typing.Tuple[int, int]
 
 class Page:
     """One stripe block in the buffer pool.
+
+    Pages hash and compare by identity (the replacement chains key on
+    them), so the class defines no ``__eq__``.
 
     Pages are *pinned* while an I/O is loading them or a reply is being
     sent; pinned pages cannot be evicted.  ``io_event`` is set while the
@@ -45,7 +49,7 @@ class Page:
         #: page's I/O; applied when/if the disk request is created (a
         #: merge can arrive before the original misser reaches the
         #: disk).
-        self.deadline_hint = float("inf")
+        self.deadline_hint = math.inf
         #: True while the page sits on the prefetched chain (loaded by a
         #: prefetch and not yet referenced by any terminal).
         self.is_prefetched = False

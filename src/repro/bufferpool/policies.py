@@ -1,8 +1,11 @@
-"""Page replacement policies: global LRU and love prefetch (§5.2.1)."""
+"""Page replacement policies: global LRU and love prefetch (§5.2.1).
+
+Each LRU chain is a plain dict keyed by the page itself (pages hash by
+identity), its value unused: insertion order is LRU order, and moving a
+page to the end is a delete plus a reinsert.
+"""
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 from repro.bufferpool.page import Page
 
@@ -46,21 +49,23 @@ class GlobalLru(ReplacementPolicy):
     name = "global_lru"
 
     def __init__(self) -> None:
-        self._queue: OrderedDict[int, Page] = OrderedDict()
+        self._queue: dict[Page, None] = {}
 
     def on_insert(self, page: Page, prefetched: bool) -> None:
         page.is_prefetched = prefetched
-        self._queue[id(page)] = page
+        self._queue[page] = None
 
     def on_reference(self, page: Page) -> None:
         page.is_prefetched = False
-        self._queue.move_to_end(id(page))
+        queue = self._queue
+        del queue[page]
+        queue[page] = None
 
     def on_evict(self, page: Page) -> None:
-        del self._queue[id(page)]
+        del self._queue[page]
 
     def victim(self, exclude_prefetched: bool = False) -> Page | None:
-        for page in self._queue.values():
+        for page in self._queue:
             if page.evictable and not (exclude_prefetched and page.is_prefetched):
                 return page
         return None
@@ -80,33 +85,33 @@ class LovePrefetch(ReplacementPolicy):
     name = "love_prefetch"
 
     def __init__(self) -> None:
-        self._prefetched: OrderedDict[int, Page] = OrderedDict()
-        self._referenced: OrderedDict[int, Page] = OrderedDict()
+        self._prefetched: dict[Page, None] = {}
+        self._referenced: dict[Page, None] = {}
 
     def on_insert(self, page: Page, prefetched: bool) -> None:
         page.is_prefetched = prefetched
         chain = self._prefetched if prefetched else self._referenced
-        chain[id(page)] = page
+        chain[page] = None
 
     def on_reference(self, page: Page) -> None:
         if page.is_prefetched:
             page.is_prefetched = False
-            del self._prefetched[id(page)]
-            self._referenced[id(page)] = page
+            del self._prefetched[page]
         else:
-            self._referenced.move_to_end(id(page))
+            del self._referenced[page]
+        self._referenced[page] = None
 
     def on_evict(self, page: Page) -> None:
         chain = self._prefetched if page.is_prefetched else self._referenced
-        del chain[id(page)]
+        del chain[page]
 
     def victim(self, exclude_prefetched: bool = False) -> Page | None:
-        for page in self._referenced.values():
+        for page in self._referenced:
             if page.evictable:
                 return page
         if exclude_prefetched:
             return None
-        for page in self._prefetched.values():
+        for page in self._prefetched:
             if page.evictable:
                 return page
         return None

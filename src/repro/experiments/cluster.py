@@ -112,7 +112,6 @@ def cluster() -> ExperimentResult:
                     at.admitted_sessions if at else 0,
                     f"{at.rejection_rate:.1%}" if at else "-",
                     f"{at.startup_p99_s:.2f}" if at else "-",
-                    f"{at.events_per_second / 1e3:.0f}k" if at else "-",
                     f"{at.network_mean_bytes_per_s / MB:.1f}" if at else "-",
                     result.runs,
                 )
@@ -130,7 +129,6 @@ def cluster() -> ExperimentResult:
             "admitted",
             "rejected",
             "p99 startup",
-            "ev/s",
             "net MB/s",
             "runs",
         ),

@@ -115,7 +115,6 @@ def saturation() -> ExperimentResult:
                     f"{at.startup_p99_s:.2f}" if at else "-",
                     at.glitches if at else 0,
                     f"{at.admission_queue_len_mean:.2f}" if at else "-",
-                    f"{at.events_per_second / 1e3:.0f}k" if at else "-",
                     f"{at.network_mean_bytes_per_s / MB:.1f}" if at else "-",
                     result.runs,
                 )
@@ -133,7 +132,6 @@ def saturation() -> ExperimentResult:
             "p99 startup",
             "glitches",
             "queue mean",
-            "ev/s",
             "net MB/s",
             "runs",
         ),
@@ -144,9 +142,8 @@ def saturation() -> ExperimentResult:
             f"zero glitches, p99 startup <= {SLO.max_p99_startup_s:g}s, "
             f"rejections <= {SLO.max_rejection_rate:.0%}; searched in "
             f"{granularity}/min steps up to 960/min; detail columns "
-            "describe a sustainable run at the reported maximum (ev/s = "
-            "simulator events per wall second, net MB/s = mean delivered "
-            "bandwidth over the window); "
+            "describe a sustainable run at the reported maximum (net MB/s "
+            "= mean delivered bandwidth over the window); "
             f"{total_runs} probe runs, measure window "
             f"{scale.measure_s:g}s)"
         ),

@@ -31,8 +31,8 @@ class BlockSchedule:
 
     * ``first_frame[k]`` — first frame that needs block ``k`` (the block
       request's deadline is this frame's display time);
-    * ``last_frame[k]`` — last frame that needs block ``k`` (the buffer
-      slot holding block ``k`` can be freed once it has displayed);
+    * ``straddles[k]`` — 1 when one frame holds both the last byte of
+      block ``k`` and the first of block ``k + 1``, else 0;
     * ``displayable[k]`` — frames fully displayable once the first ``k``
       blocks have arrived, for ``k`` in ``0..block_count``;
     * ``edge_span[k]`` — blocks spanned by frame ``displayable[k]``, the
@@ -43,15 +43,23 @@ class BlockSchedule:
     ``block_count + 1`` entries whose last is ``frame_count``: read
     ``first_frame`` only below ``block_count``, never by its length.
 
+    There is no ``last_frame`` table: the last frame that needs block
+    ``k`` (its buffer slot can be freed once that frame has displayed)
+    is ``first_frame[k + 1] - 1 + straddles[k]``, because every frame
+    holds at least one byte, so the block's last byte lies in the frame
+    of the next block's first byte or in the one before it.
+    :meth:`last_frame_of` reads it off the tables.
+
     Typed ``array`` tables, not numpy arrays or lists: playback reads
     them one scalar at a time in the per-block hot path, where an array
     read returns a plain int several times faster than numpy scalar
     indexing.  Each takes the narrowest entry its values need: frame
     indices 4 bytes (8 from ``2**31`` frames on), block spans the
     narrowest unsigned type holding their maximum (1 byte at the
-    Table-1 stripe; small blocks span more than 255).  They are all a
-    title keeps of its frames: *offsets* (regenerated from *sequence*
-    when not given) are dropped once the tables exist.  One schedule
+    Table-1 stripe; small blocks span more than 255), ``straddles`` 1
+    byte.  They are all a title keeps of its frames: *offsets*
+    (regenerated from *sequence* when not given) are dropped once the
+    tables exist.  One schedule
     per (title, block size) is shared by every system in the process
     (see :attr:`FrameSequence.schedules`), so nothing may write the
     tables.
@@ -85,10 +93,10 @@ class BlockSchedule:
         # blocks before it have arrived.  The full video (the last
         # edge) displays every frame.
         displayable = np.searchsorted(offsets, edges, side="right") - 1
-        last = np.searchsorted(offsets, edges[1:] - 1, side="right") - 1
         frame_code = "i" if sequence.frame_count < 2**31 else "q"
         self.first_frame = self.displayable = _table(displayable, frame_code)
-        self.last_frame = _table(last, frame_code)
+        # The frame at the next block's first byte began before it.
+        self.straddles = _table(offsets[displayable[1:]] < edges[1:], "B")
         # Offsets may be uint32: widen before any subtraction.
         first = displayable[:-1]
         end = offsets[first + 1].astype(np.int64) - 1
@@ -111,10 +119,14 @@ class BlockSchedule:
         if (
             k < self.block_count
             and first[k] == frame
-            and (k == 0 or self.last_frame[k - 1] < frame)
+            and (k == 0 or not self.straddles[k - 1])
         ):
             return k
         return k - 1
+
+    def last_frame_of(self, block: int) -> int:
+        """The last frame that needs block *block*."""
+        return self.first_frame[block + 1] - 1 + self.straddles[block]
 
     def block_bytes(self, block: int) -> int:
         """Actual byte length of block *block* (the last may be short)."""

@@ -9,7 +9,6 @@ prefetching.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import typing
 
@@ -30,18 +29,20 @@ PREFETCH_TERMINAL = -1
 _sequence = itertools.count()
 
 
-@dataclasses.dataclass(slots=True)
-class PrefetchOrder:
-    """One queued prefetch: read (video, block) from this disk."""
+class PrefetchOrder(typing.NamedTuple):
+    """One queued prefetch: read (video, block) from this disk.
 
-    key: tuple[int, int]
-    size: int
-    byte_offset: int
-    cylinder: int
+    The order is its own queue entry: tuples compare by ``(deadline,
+    seq)``, and the unique ``seq`` breaks deadline ties first come,
+    first served, so comparison never reaches the payload.  The
+    cylinder is computed from ``byte_offset`` when the read is issued.
+    """
+
     deadline: float  # estimated deadline of the anticipated true request
-
-    def sort_item(self) -> tuple:
-        return (self.deadline, next(_sequence), self)
+    seq: int
+    key: tuple[int, int]
+    byte_offset: int
+    size: int
 
 
 class PrefetchStats:
@@ -106,8 +107,7 @@ class DiskPrefetcher:
         disabled, duplicate, or resident.
 
         The order is built only once the key passes both checks: its
-        size is ``size_of(block)`` and its cylinder is where
-        *byte_offset* lies on this prefetcher's drive.
+        size is ``size_of(block)``.
         """
         if self._queue is None:
             return False
@@ -118,18 +118,11 @@ class DiskPrefetcher:
             self.stats.already_resident += 1
             return False
         order = PrefetchOrder(
-            key,
-            size_of(key[1]),
-            byte_offset,
-            self.drive.geometry.cylinder_of(byte_offset),
-            deadline,
+            deadline, next(_sequence), key, byte_offset, size_of(key[1])
         )
         self.stats.scheduled += 1
         self._pending_keys.add(key)
-        if self._by_deadline:
-            self._queue.put(order.sort_item())
-        else:
-            self._queue.put(order)
+        self._queue.put(order)
         self._arrival.open()
         return True
 
@@ -143,8 +136,7 @@ class DiskPrefetcher:
     def _worker(self):
         delayed = self.spec.mode == "delayed"
         while True:
-            item = yield self._queue.get()
-            order = item[-1] if self._by_deadline else item
+            order = yield self._queue.get()
             if delayed:
                 order = yield from self._hold_back(order)
             yield from self._fetch(order)
@@ -163,12 +155,10 @@ class DiskPrefetcher:
             # Sleep until issue time, but wake early if another order
             # arrives — it may be more urgent than the held one.
             yield env.any_of([env.timeout(issue_at - env.now), self._arrival.wait()])
-            if len(self._queue) > 0:
-                head = self._queue.peek()
-                if head[0] < order.deadline:
-                    self._queue.put(order.sort_item())
-                    item = yield self._queue.get()
-                    order = item[-1]
+            if len(self._queue) > 0 and self._queue.peek().deadline < order.deadline:
+                # Re-queued behind every order of equal deadline.
+                self._queue.put(order._replace(seq=next(_sequence)))
+                order = yield self._queue.get()
 
     def _fetch(self, order: PrefetchOrder):
         env = self.env
@@ -185,7 +175,7 @@ class DiskPrefetcher:
             env,
             byte_offset=order.byte_offset,
             size=order.size,
-            cylinder=order.cylinder,
+            cylinder=self.drive.geometry.cylinder_of(order.byte_offset),
             deadline=order.deadline if self._by_deadline else NO_DEADLINE,
             is_prefetch=True,
             terminal_id=PREFETCH_TERMINAL,

@@ -29,12 +29,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.core.system import ServerFabric
 
 
-def _delivered_from(start_block: int, block_count: int) -> bytearray:
-    """Delivery bitmap of a session starting at *start_block*: every
-    earlier block counts as delivered (already displayed)."""
-    return bytearray(b"\x01") * start_block + bytearray(block_count - start_block)
-
-
 class TerminalStats:
     """One terminal's playback statistics.
 
@@ -76,6 +70,41 @@ class TerminalStats:
 
 
 class Terminal:
+    __slots__ = (
+        "env",
+        "terminal_id",
+        "fabric",
+        "_locate_block",
+        "_proxy",
+        "_sharing",
+        "access",
+        "rng",
+        "memory_bytes",
+        "block_size",
+        "slots",
+        "pause_model",
+        "initial_position_fraction",
+        "stats",
+        "startup_anchor",
+        "qos",
+        "_video",
+        "_schedule",
+        "_epoch",
+        "_ahead",
+        "_contig",
+        "_freed",
+        "_outstanding",
+        "_next_request",
+        "_next_frame",
+        "_anchor",
+        "_display_fps",
+        "_playing",
+        "_departed",
+        "_slot_gate",
+        "_data_gate",
+        "__weakref__",
+    )
+
     def __init__(
         self,
         env: Environment,
@@ -134,9 +163,11 @@ class Terminal:
         self._video: Video | None = None
         self._schedule: BlockSchedule | None = None
         self._epoch = 0
-        self._delivered = bytearray()
-        self._delivered_total = 0
+        #: Blocks ``0.._contig - 1`` are delivered (or precede the
+        #: session's start); ``_ahead`` holds the blocks delivered past
+        #: that edge, at most the fetches outstanding.
         self._contig = 0
+        self._ahead: set[int] = set()
         self._freed = 0
         self._outstanding = 0
         self._next_request = 0
@@ -238,8 +269,7 @@ class Terminal:
         schedule = video.schedule(self.block_size)
         self._schedule = schedule
         start_block = schedule.block_of_frame(start_frame)
-        self._delivered = _delivered_from(start_block, schedule.block_count)
-        self._delivered_total = start_block
+        self._ahead.clear()
         self._contig = start_block
         self._freed = start_block
         self._outstanding = 0
@@ -279,8 +309,12 @@ class Terminal:
                 continue
 
             target = displayable
-            if self._freed < schedule.block_count:
-                target = min(target, schedule.last_frame[self._freed] + 1)
+            freed = self._freed
+            if freed < schedule.block_count:
+                # One past the last frame needing the oldest held block.
+                target = min(
+                    target, displayable_after[freed + 1] + schedule.straddles[freed]
+                )
             if pause_index < len(pauses):
                 # Stop at the next pause point; the branch above takes
                 # the pause once display reaches it.
@@ -297,14 +331,16 @@ class Terminal:
 
     def _free_displayed_blocks(self) -> None:
         schedule = self._schedule
-        freed_any = False
+        first_frame, straddles = schedule.first_frame, schedule.straddles
+        freed = start = self._freed
+        # Block k's last frame is first_frame[k + 1] - 1 + straddles[k].
         while (
-            self._freed < schedule.block_count
-            and self._next_frame > schedule.last_frame[self._freed]
+            freed < schedule.block_count
+            and self._next_frame >= first_frame[freed + 1] + straddles[freed]
         ):
-            self._freed += 1
-            freed_any = True
-        if freed_any:
+            freed += 1
+        if freed != start:
+            self._freed = freed
             self._slot_gate.open()
 
     def _glitch(self):
@@ -357,7 +393,7 @@ class Terminal:
         schedule = self._schedule
         edge_span = schedule.edge_span
         while self._epoch == epoch and self._next_request < schedule.block_count:
-            held = self._delivered_total - self._freed
+            held = self._contig + len(self._ahead) - self._freed
             # A frame spanning more blocks than the terminal has slots (a
             # deep exponential-tail frame) could never become displayable
             # inside the normal window; the terminal temporarily borrows
@@ -421,11 +457,15 @@ class Terminal:
         if self._epoch != epoch:
             return None  # Stale delivery from before a seek; discard.
         self._outstanding -= 1
-        self._delivered[block] = 1
-        self._delivered_total += 1
-        count = self._schedule.block_count
-        while self._contig < count and self._delivered[self._contig]:
-            self._contig += 1
+        if block == self._contig:
+            contig = block + 1
+            ahead = self._ahead
+            while contig in ahead:
+                ahead.remove(contig)
+                contig += 1
+            self._contig = contig
+        else:
+            self._ahead.add(block)
         self.stats.blocks_received += 1
         now = env.now
         self.stats.response_time.record(now - sent_at)
@@ -481,9 +521,8 @@ class Terminal:
         self._outstanding = 0
         # Treat everything before the seek point as already displayed so
         # priming and slot accounting restart cleanly at the new spot.
-        self._delivered = _delivered_from(block, schedule.block_count)
+        self._ahead.clear()
         self._contig = block
-        self._delivered_total = block
         self._freed = block
         self._next_request = block
         self._next_frame = frame

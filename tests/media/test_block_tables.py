@@ -110,8 +110,11 @@ class TestEdgeCases:
             for start in range(0, sequence.total_bytes, 64 * KB)
         ]
         assert schedule.displayable[-1] == sequence.frame_count
-        assert schedule.displayable.typecode == schedule.last_frame.typecode == "i"
-        assert schedule.displayable.itemsize == schedule.last_frame.itemsize == 4
+        assert schedule.displayable.typecode == "i"
+        assert schedule.displayable.itemsize == 4
+        assert schedule.straddles.typecode == "B"
+        assert len(schedule.straddles) == schedule.block_count
+        assert not hasattr(schedule, "last_frame")
 
     @pytest.mark.parametrize("block_size,typecode", [(512 * KB, "B"), (512, "H")])
     def test_edge_span_takes_the_narrowest_type_of_its_widest_span(
@@ -124,6 +127,32 @@ class TestEdgeCases:
         assert schedule.edge_span.typecode == typecode
         assert widest < 256 ** schedule.edge_span.itemsize
         assert widest >= 256 ** schedule.edge_span.itemsize // 256
+
+
+class TestStraddles:
+    """The 1-byte straddle flags give back every block's last frame, the
+    frame holding its last byte, read off the offsets."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 17])
+    @pytest.mark.parametrize("block_size", [512, 64 * KB, 512 * KB, 4 * MB])
+    def test_last_frames_match_the_offsets(self, seed, block_size):
+        sequence = FrameSequence(MpegProfile(), 30.0, seed, block_size)
+        schedule = sequence.schedules[block_size]
+        offsets = sequence.offsets().tolist()
+        total = offsets[-1]
+        last = [
+            bisect_right(offsets, min(start + block_size, total) - 1) - 1
+            for start in range(0, total, block_size)
+        ]
+        assert [schedule.last_frame_of(k) for k in range(schedule.block_count)] == last
+        first = schedule.first_frame
+        assert list(schedule.straddles) == [
+            last[k] - first[k + 1] + 1 for k in range(schedule.block_count)
+        ]
+        assert set(schedule.straddles) <= {0, 1}
+        assert schedule.straddles.itemsize == 1
+        for frame in range(sequence.frame_count):
+            assert schedule.block_of_frame(frame) == offsets[frame] // block_size, frame
 
 
 class TestStartBlock:
@@ -202,7 +231,7 @@ class TestOffsetDtype:
         assert list(schedule.first_frame[: schedule.block_count]) == [
             bisect_right(offsets, start) - 1 for start in starts
         ]
-        assert list(schedule.last_frame) == [
+        assert [schedule.last_frame_of(k) for k in range(schedule.block_count)] == [
             bisect_right(offsets, min(start + block_size, total) - 1) - 1
             for start in starts
         ]
@@ -229,9 +258,10 @@ class TestOffsetDtype:
 
 def test_one_hour_title_retains_under_a_twentieth_of_a_megabyte():
     """A 1-hour title at the Table-1 stripe keeps three typed per-block
-    tables (4-byte frame indices shared by first_frame and displayable
-    and by last_frame, 1-byte edge spans) and no per-frame data: about
-    0.03 MB.  Four 8-byte tables took 0.11 MB; also keeping its uint32
+    tables (4-byte frame indices shared by first_frame and displayable,
+    1-byte edge spans, 1-byte straddle flags) and no per-frame data:
+    about 0.022 MB.  A 4-byte last_frame table in place of the flags
+    took 0.033 MB; four 8-byte tables 0.11 MB; also keeping its uint32
     byte offsets 0.53 MB; int64 offsets and per-block int lists
     1.14 MB; a per-frame Python int list (36 bytes per frame) alone
     would add 3.9 MB."""

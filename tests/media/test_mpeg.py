@@ -111,16 +111,16 @@ class TestFrameSequence:
     def test_last_frames_of_blocks_contains_block_end(self):
         seq = self.make()
         offsets = seq.offsets()
-        last = seq.schedules[BLOCK].last_frame
-        for k in (0, 1, len(last) - 1):
-            frame = last[k]
+        schedule = seq.schedules[BLOCK]
+        for k in (0, 1, schedule.block_count - 1):
+            frame = schedule.last_frame_of(k)
             end = min((k + 1) * BLOCK, seq.total_bytes) - 1
             assert offsets[frame] <= end < offsets[frame + 1]
 
     def test_first_last_frames_ordered(self):
         schedule = self.make().schedules[BLOCK]
         first = np.asarray(schedule.first_frame[: schedule.block_count])
-        last = np.asarray(schedule.last_frame)
+        last = np.asarray([schedule.last_frame_of(k) for k in range(schedule.block_count)])
         assert first.shape == last.shape == (schedule.block_count,)
         assert (first <= last).all()
         # Consecutive blocks overlap by at most one (straddling) frame.
@@ -161,7 +161,7 @@ class TestFrameSequence:
         assert len(schedule.first_frame) == count + 1
         assert schedule.first_frame[count] == seq.frame_count
         first = np.asarray(schedule.first_frame[:count])
-        last = np.asarray(schedule.last_frame)
+        last = np.asarray([schedule.last_frame_of(k) for k in range(count)])
         assert len(first) == len(last) == count
         assert first[0] == 0
         assert last[-1] == seq.frame_count - 1

@@ -131,7 +131,7 @@ def metrics_digest(metrics) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-TABLES = ("first_frame", "last_frame", "displayable", "edge_span")
+TABLES = ("first_frame", "displayable", "edge_span", "straddles")
 
 
 def memoised_schedules():

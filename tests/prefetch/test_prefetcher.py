@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bufferpool import BufferPool, make_policy
 from repro.cpu import CpuParameters, Processor
@@ -96,7 +98,15 @@ class TestStandardPrefetch:
         # The duplicate was dropped before it was sized.
         assert sized == [7]
         (queued,) = prefetcher._queue.items
-        assert queued == PrefetchOrder(("v", 7), 4096, offset, 3, math.inf)
+        assert type(queued) is PrefetchOrder
+        assert queued == (math.inf, queued.seq, ("v", 7), offset, 4096)
+        # The cylinder is where the offset lies, computed at issue.
+        submitted = []
+        submit = drive.submit
+        drive.submit = lambda request: submitted.append(request) or submit(request)
+        env.run(until=5.0)
+        (request,) = submitted
+        assert (request.byte_offset, request.size, request.cylinder) == (offset, 4096, 3)
 
     def test_disabled_mode_schedules_nothing(self):
         env = Environment()
@@ -174,3 +184,62 @@ class TestDelayedPrefetch:
         prefetcher, pool, drive = make_rig(env, PrefetchSpec("standard"))
         prefetcher.schedule(*order(0))
         assert prefetcher.queue_depth >= 0  # drained asynchronously
+
+
+def issue_order(prefetcher, pool):
+    """Record the key of every prefetch a worker issues, in order."""
+    issued = []
+    acquire = pool.try_acquire_for_prefetch
+
+    def recording(key, size):
+        issued.append(key)
+        return acquire(key, size)
+
+    pool.try_acquire_for_prefetch = recording
+    return issued
+
+
+class TestPopOrder:
+    """Workers pop orders in ``(deadline, seq)`` order: deadline first,
+    then first come, first served; FIFO mode in arrival order alone."""
+
+    @given(
+        mode=st.sampled_from(["standard", "realtime", "delayed"]),
+        deadlines=st.lists(st.sampled_from([3.0, 5.0, 5.0, 9.0, math.inf]), max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_one_worker_pops_in_deadline_then_arrival_order(self, mode, deadlines):
+        env = Environment()
+        prefetcher, pool, drive = make_rig(
+            env,
+            PrefetchSpec(mode, processes_per_disk=1, max_advance_s=1.0),
+            pool_capacity=len(deadlines) + 1,
+        )
+        issued = issue_order(prefetcher, pool)
+        for block, deadline in enumerate(deadlines):
+            assert prefetcher.schedule(*order(block, deadline=deadline))
+        env.run(until=60.0)
+        arrivals = list(enumerate(deadlines))
+        if mode != "standard":
+            arrivals.sort(key=lambda arrival: (arrival[1], arrival[0]))
+        assert issued == [("v", block) for block, _deadline in arrivals]
+
+    def test_held_order_requeues_behind_equal_deadlines(self):
+        """The delayed worker swaps its held order for a more urgent
+        arrival; the held order goes back with a fresh seq, behind an
+        order of the same deadline that arrived while it was held."""
+        env = Environment()
+        prefetcher, pool, drive = make_rig(
+            env, PrefetchSpec("delayed", max_advance_s=2.0, processes_per_disk=1)
+        )
+        issued = issue_order(prefetcher, pool)
+        prefetcher.schedule(*order(0, deadline=100.0))
+
+        def later(env):
+            yield env.timeout(10.0)
+            prefetcher.schedule(*order(1, deadline=100.0))
+            prefetcher.schedule(*order(2, deadline=20.0))
+
+        env.process(later(env))
+        env.run(until=120.0)
+        assert issued == [("v", 2), ("v", 1), ("v", 0)]

@@ -1,6 +1,10 @@
 """Tests for the video terminal against a controllable fake server."""
 
+from bisect import bisect_left, bisect_right
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.layout import StripedLayout
 from repro.media import VideoLibrary
@@ -243,7 +247,7 @@ class TestSeek:
 
 
 def reference_session(video, start_frame):
-    """The session state the old per-block loop built for a start frame."""
+    """The delivery bitmap the old per-block loop built for a start frame."""
     schedule = video.schedule(BLOCK)
     start_byte = int(video.sequence.offsets()[start_frame])
     start_block = min(start_byte // BLOCK, schedule.block_count - 1)
@@ -253,20 +257,34 @@ def reference_session(video, start_frame):
     return delivered, start_block
 
 
+def bitmap_edge(delivered):
+    """``(_contig, _ahead)`` read off a delivery bitmap by scanning it:
+    the first undelivered block, and the delivered blocks past it."""
+    contig = next((k for k, bit in enumerate(delivered) if not bit), len(delivered))
+    return contig, {k for k in range(contig, len(delivered)) if delivered[k]}
+
+
 def session_state(terminal):
     return (
-        terminal._delivered,
-        terminal._delivered_total,
         terminal._contig,
+        terminal._ahead,
         terminal._freed,
         terminal._next_request,
     )
 
 
+def assert_matches_bitmap(terminal, delivered, block):
+    contig, ahead = bitmap_edge(delivered)
+    assert type(terminal._ahead) is set
+    assert session_state(terminal) == (contig, ahead, block, block)
+    # The held-slot count is the bitmap's delivered count.
+    assert terminal._contig + len(terminal._ahead) == sum(delivered)
+
+
 class TestSessionBitmap:
-    """``_begin_session`` and ``seek`` build the delivery bitmap the way
-    the old per-block loop did, at the first, a middle and the last
-    block of a title."""
+    """``_begin_session`` and ``seek`` start the delivery edge where the
+    old per-block loop's bitmap put it, at the first, a middle and the
+    last block of a title."""
 
     @staticmethod
     def start_frames(video):
@@ -290,9 +308,7 @@ class TestSessionBitmap:
         video = fabric.library[0]
         for frame in self.start_frames(video):
             terminal._begin_session(video, frame)
-            delivered, block = reference_session(video, frame)
-            assert type(terminal._delivered) is bytearray
-            assert session_state(terminal) == (delivered, block, block, block, block)
+            assert_matches_bitmap(terminal, *reference_session(video, frame))
             assert terminal._next_frame == frame
 
     def test_seek_matches_the_loop(self):
@@ -303,9 +319,7 @@ class TestSessionBitmap:
         terminal._begin_session(video, video.frame_count // 3)
         for frame in self.start_frames(video):
             terminal.seek(frame)
-            delivered, block = reference_session(video, frame)
-            assert type(terminal._delivered) is bytearray
-            assert session_state(terminal) == (delivered, block, block, block, block)
+            assert_matches_bitmap(terminal, *reference_session(video, frame))
             assert terminal._next_frame == frame
 
     def test_every_frame_starts_in_the_block_of_its_first_byte(self):
@@ -320,6 +334,88 @@ class TestSessionBitmap:
             terminal.seek(video.frame_count - 1 - frame)
             seek_block = offsets[video.frame_count - 1 - frame] // BLOCK
             assert terminal._next_request == seek_block, frame
+
+
+class HeldNode:
+    """A server stand-in that completes a request only when told to."""
+
+    def __init__(self, env):
+        self.env = env
+        self.pending = []  # (block, done event)
+
+    def request_block(self, terminal_id, video_id, block, size, placement, deadline):
+        done = self.env.event()
+        self.pending.append((block, done))
+        return done
+
+
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["deliver"] * 4 + ["display", "seek", "begin"]),
+        st.floats(0, 1, exclude_max=True),
+    ),
+    max_size=60,
+)
+
+
+@given(start=st.floats(0, 1, exclude_max=True), steps=STEPS)
+@settings(max_examples=60, deadline=None)
+def test_delivery_edge_matches_a_bitmap_scan(start, steps):
+    """Deliveries in random order, display freeing slots, a mid-title
+    ``_begin_session`` and ``seek``: after every step the edge, the
+    blocks past it and the freed count are what a delivery bitmap and
+    the frame offsets give."""
+    env = Environment()
+    fabric = FakeFabric(env, duration_s=10.0)
+    node = fabric._node = HeldNode(env)
+    terminal = make_terminal(env, fabric, slots=6)
+    video = fabric.library[0]
+    schedule = video.schedule(BLOCK)
+    offsets = video.sequence.offsets().tolist()
+    # Frames needing block k end at the frame holding its last byte.
+    last_frame = [
+        bisect_right(offsets, min((k + 1) * BLOCK, offsets[-1]) - 1) - 1
+        for k in range(schedule.block_count)
+    ]
+    epochs = []  # the session epoch of each request in node.pending
+
+    def settle():
+        env.run()
+        epochs.extend([terminal._epoch] * (len(node.pending) - len(epochs)))
+
+    def restart(fraction, seek):
+        frame = int(fraction * video.frame_count)
+        if seek:
+            terminal.seek(frame)
+        else:
+            terminal._begin_session(video, frame)
+            env.process(terminal._requester(terminal._epoch))
+        settle()
+        return reference_session(video, frame)[0]
+
+    delivered = restart(start, seek=False)
+    for step, fraction in steps:
+        if step == "deliver" and node.pending:
+            index = int(fraction * len(node.pending))
+            block, done = node.pending.pop(index)
+            current = epochs.pop(index) == terminal._epoch
+            done.succeed(env.now)
+            settle()
+            if current:
+                delivered[block] = 1
+        elif step == "display":
+            # Display everything delivered so far, freeing its slots.
+            terminal._next_frame = max(
+                terminal._next_frame, schedule.displayable[terminal._contig]
+            )
+            terminal._free_displayed_blocks()
+            settle()
+        elif step in ("seek", "begin"):
+            delivered = restart(fraction, seek=step == "seek")
+        contig, ahead = bitmap_edge(delivered)
+        assert (terminal._contig, terminal._ahead) == (contig, ahead)
+        # Freed: the blocks whose last frame has displayed.
+        assert terminal._freed == bisect_left(last_frame, terminal._next_frame)
 
 
 class TestConstruction:
