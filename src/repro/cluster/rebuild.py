@@ -34,8 +34,7 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.replication.rebuild import BandwidthPacer, REBUILD_TERMINAL
-from repro.storage.request import NO_DEADLINE, DiskRequest
+from repro.replication.rebuild import BandwidthPacer
 from repro.telemetry.trace import (
     CLUSTER_REBUILD_END,
     CLUSTER_REBUILD_START,
@@ -48,6 +47,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.selfheal import RebuildPlan, SelfHealSpec
     from repro.cluster.system import SpiffiCluster
     from repro.telemetry.trace import TraceRecorder
+
+#: Extra router load charged per rebuild/resync stream writing to a
+#: node, so the front door steers sessions away from members busy
+#: absorbing re-replication traffic.
+REBUILD_LOAD_PENALTY = 2.0
 
 
 class ClusterRebuildManager:
@@ -83,7 +87,7 @@ class ClusterRebuildManager:
     # ------------------------------------------------------------------
     def load(self, node: int) -> float:
         """Extra routing load on *node* from self-heal traffic."""
-        return self._dest_streams[node] * self.spec.rebuild_load_penalty
+        return self._dest_streams[node] * REBUILD_LOAD_PENALTY
 
     def _record(self, kind: str, **fields) -> None:
         if self.trace is not None:
@@ -105,22 +109,11 @@ class ClusterRebuildManager:
     def _drives_of(self, member):
         return [drive for srv in member.nodes for drive in srv.drives]
 
-    def _disk_copy(self, member, drives, local_id: int, block: int, size: int):
-        """One real disk access (read or write cost as modelled) for
-        *block* of the member-local video *local_id*."""
+    def _locate(self, member, drives, local_id: int, block: int):
+        """The drive and byte offset holding *block* of the
+        member-local video *local_id*."""
         placement = member.layout.locate(local_id, block)
-        drive = drives[placement.disk_global]
-        request = DiskRequest(
-            member.env,
-            byte_offset=placement.byte_offset,
-            size=size,
-            cylinder=drive.geometry.cylinder_of(placement.byte_offset),
-            deadline=NO_DEADLINE,
-            is_prefetch=True,
-            terminal_id=REBUILD_TERMINAL,
-        )
-        drive.submit(request)
-        return request
+        return drives[placement.disk_global], placement.byte_offset
 
     def _pick_source(self, title: int, dead: int) -> int | None:
         """First currently-available host of *title*, hosts order."""
@@ -165,20 +158,18 @@ class ClusterRebuildManager:
                 src_blocks = src_member.library[src_local].schedule(
                     self.block_size
                 ).block_count
-                read = self._disk_copy(
+                drive, offset = self._locate(
                     src_member, self._drives_of(src_member), src_local,
-                    min(block, src_blocks - 1), size,
+                    min(block, src_blocks - 1),
                 )
-                yield read.done
-                if read.failed:
+                if not (yield from pacer.access(drive, offset, size)):
                     copied = False
                     break
                 yield from cluster.interconnect.transfer(size, kind="rebuild")
-                write = self._disk_copy(
-                    dest_member, dest_drives, item.dest_local, block, size
+                drive, offset = self._locate(
+                    dest_member, dest_drives, item.dest_local, block
                 )
-                yield write.done
-                if write.failed:
+                if not (yield from pacer.access(drive, offset, size)):
                     copied = False
                     break
                 stats.rebuild_bytes += 2 * size
@@ -238,8 +229,9 @@ class ClusterRebuildManager:
             for block in range(stale_blocks):
                 size = schedule.block_bytes(block)
                 yield from cluster.interconnect.transfer(size, kind="resync")
-                write = self._disk_copy(member, drives, local, block, size)
-                yield write.done
+                drive, offset = self._locate(member, drives, local, block)
+                # A failed resync write still counts as moved.
+                yield from pacer.access(drive, offset, size)
                 moved += 2 * size
                 yield from pacer.charge(2 * size)
         cluster.stats.rejoin_resyncs += 1

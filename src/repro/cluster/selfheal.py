@@ -45,6 +45,12 @@ MB = 1024 * 1024
 class SelfHealSpec:
     """How (and whether) the cluster heals itself around node outages."""
 
+    #: The router's per-stream rebuild load is the constant
+    #: :data:`repro.cluster.rebuild.REBUILD_LOAD_PENALTY`; its old
+    #: default stays in the canonical form so every existing config
+    #: digest and run-cache key stays valid.
+    schema_constants = {"rebuild_load_penalty": 2.0}
+
     #: Re-replicate a dead member's catalog onto survivors, through the
     #: interconnect and the survivors' real disk paths.
     rebuild: bool = False
@@ -61,10 +67,6 @@ class SelfHealSpec:
     #: member's queue: an arrival that would balk on the routed node
     #: spills to another replica holder with queue room instead.
     placement_aware_admission: bool = False
-    #: Extra router load charged per rebuild/resync stream writing to a
-    #: node, so the front door steers sessions away from members busy
-    #: absorbing re-replication traffic.
-    rebuild_load_penalty: float = 2.0
 
     def __post_init__(self) -> None:
         if (
@@ -79,11 +81,6 @@ class SelfHealSpec:
             raise ValueError(
                 f"rejoin_resync_fraction must be in [0, 1], "
                 f"got {self.rejoin_resync_fraction}"
-            )
-        if self.rebuild_load_penalty < 0:
-            raise ValueError(
-                f"rebuild_load_penalty must be >= 0, "
-                f"got {self.rebuild_load_penalty}"
             )
 
     @property

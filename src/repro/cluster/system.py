@@ -131,9 +131,7 @@ class SpiffiCluster(FrontDoor):
         self.interconnect = NetworkBus(self.env, base.network)
         #: Member health, reusing the disk-health state machine over
         #: node indices (rank >= 2 — DOWN or FAILED — is unavailable).
-        self.health = HealthMonitor(
-            self.env, config.nodes, base.replication.suspect_cooldown_s
-        )
+        self.health = HealthMonitor(self.env, config.nodes)
         self._down_events = [Event(self.env) for _ in range(config.nodes)]
         # A closed cluster's terminals are its sole member's own, fed
         # into that member's monitor: the door reads the same one.

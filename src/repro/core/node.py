@@ -213,9 +213,7 @@ class SpiffiNode(FrontDoor):
         self.replication: ReplicationRuntime | None = None
         self.rebuild: RebuildManager | None = None
         if config.replication.enabled:
-            health = HealthMonitor(
-                self.env, config.disk_count, config.replication.suspect_cooldown_s
-            )
+            health = HealthMonitor(self.env, config.disk_count)
             self.replication = ReplicationRuntime(
                 self.env, config.replication, self.layout, all_drives, health
             )

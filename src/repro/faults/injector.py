@@ -25,6 +25,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.storage.drive import DiskDrive
     from repro.telemetry.trace import TraceRecorder
 
+#: Seconds after a fault ends during which a starting glitch is still
+#: blamed on it.
+ATTRIBUTION_GRACE_S = 5.0
+
 
 class FaultStats:
     """Resettable fault accounting for the measurement window."""
@@ -80,7 +84,7 @@ class FaultRuntime:
         """Whether a glitch starting now should be blamed on a fault."""
         if self._active > 0:
             return True
-        return (self.env.now - self._last_end) <= self.spec.attribution_grace_s
+        return (self.env.now - self._last_end) <= ATTRIBUTION_GRACE_S
 
     # --- degraded-mode accounting (called from the server node) --------
     def note_retry(self, disk_id: int, terminal_id: int, attempt: int) -> None:
@@ -140,21 +144,19 @@ class FaultInjector:
     def _fault(self, event: FaultEvent):
         """One fault's lifetime: apply, hold, revert."""
         runtime = self.runtime
-        spec = runtime.spec
         runtime.fault_began(event)
-        shed = False
         if event.kind == DISK_SLOW:
             self.drives[event.target].add_slowdown(event.magnitude)
         elif event.kind == DISK_OUTAGE:
             self.drives[event.target].begin_outage()
-            shed = spec.shed_during_outage
         elif event.kind == DISK_FAIL:
             self.drives[event.target].fail_permanently()
         else:
             raise ValueError(f"unknown fault kind {event.kind!r}")
         if self.health is not None:
             self.health.fault_applied(event)
-        if shed:
+        if event.kind == DISK_OUTAGE:
+            # An outage sheds admissions for as long as it lasts.
             self.admission.begin_shed()
 
         if event.permanent:
@@ -169,7 +171,7 @@ class FaultInjector:
             self.drives[event.target].end_outage()
         if self.health is not None:
             self.health.fault_reverted(event)
-        if shed:
+        if event.kind == DISK_OUTAGE:
             self.admission.end_shed()
         runtime.fault_ended(event)
         return None

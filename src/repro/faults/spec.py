@@ -55,25 +55,31 @@ class FaultSpec:
       ``request_timeout_s``; on expiry the node cancels the queued
       request and re-dispatches it, up to ``max_retries`` times;
     * a read that exhausts its retries, or whose drive has failed
-      permanently, is *failed over*: the node serves the block after a
-      ``failover_penalty_s`` delay (modelling retrieval from a replica
-      or error concealment) so streams degrade instead of deadlocking;
-    * while a disk outage is active (and ``shed_during_outage`` is
-      set), admission control stops admitting new streams; waiting
-      terminals are admitted when the outage clears.
+      permanently, is *failed over*: the node serves the block after
+      :data:`repro.server.node.FAILOVER_PENALTY_S` (modelling retrieval
+      from a replica or error concealment) so streams degrade instead
+      of deadlocking;
+    * while a disk outage is active, admission control stops admitting
+      new streams; waiting terminals are admitted when the outage
+      clears.
 
     A glitch is *fault-attributed* when it begins while any fault is
-    active or within ``attribution_grace_s`` of one ending; metrics
-    report fault-attributed and scheduling glitches separately.
+    active or within :data:`repro.faults.injector.ATTRIBUTION_GRACE_S`
+    of one ending; metrics report fault-attributed and scheduling
+    glitches separately.
     """
 
-    #: The network-degradation knobs were retired; their old defaults
-    #: stay in the canonical form so every existing config digest and
-    #: run-cache key stays valid.
+    #: The network-degradation knobs and the fixed degraded-mode
+    #: constants were retired as fields; their old values stay in the
+    #: canonical form so every existing config digest and run-cache key
+    #: stays valid.
     schema_constants = {
         "network_fault_rate_per_hour": 0.0,
         "network_latency_multiplier": 8.0,
         "mean_network_fault_duration_s": 10.0,
+        "failover_penalty_s": 0.5,
+        "shed_during_outage": True,
+        "attribution_grace_s": 5.0,
     }
 
     # --- disk fault schedule -------------------------------------------
@@ -116,11 +122,6 @@ class FaultSpec:
     # --- degraded-mode server behaviour --------------------------------
     request_timeout_s: float = 2.0
     max_retries: int = 2
-    failover_penalty_s: float = 0.5
-    shed_during_outage: bool = True
-
-    # --- glitch attribution --------------------------------------------
-    attribution_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.disk_fault_rate_per_hour < 0:
@@ -155,14 +156,6 @@ class FaultSpec:
             )
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.failover_penalty_s < 0:
-            raise ValueError(
-                f"failover_penalty_s must be >= 0, got {self.failover_penalty_s}"
-            )
-        if self.attribution_grace_s < 0:
-            raise ValueError(
-                f"attribution_grace_s must be >= 0, got {self.attribution_grace_s}"
-            )
         if not isinstance(self.fail_disk_ids, tuple):
             object.__setattr__(self, "fail_disk_ids", tuple(self.fail_disk_ids))
         for disk in self.fail_disk_ids:

@@ -6,7 +6,7 @@ The monitor is a pure observer fed from two sides:
   fault as it is applied and reverted (outage → DOWN, permanent failure
   → FAILED, slow I/O → SUSPECT while active);
 * the server node reports request timeouts, which mark a disk SUSPECT
-  for ``suspect_cooldown_s`` even when no fault has been identified —
+  for :data:`SUSPECT_COOLDOWN_S` even when no fault has been identified —
   the usual situation in a real system, where the health model sees
   symptoms before causes.
 
@@ -35,16 +35,17 @@ FAILED = "failed"
 
 _RANK = {HEALTHY: 0, SUSPECT: 1, DOWN: 2, FAILED: 3}
 
+#: Seconds a disk stays SUSPECT (ranked below healthy disks by the read
+#: router) after a request to it times out without an identified fault.
+SUSPECT_COOLDOWN_S = 10.0
+
 
 class HealthMonitor:
-    def __init__(
-        self, env: "Environment", disk_count: int, suspect_cooldown_s: float
-    ) -> None:
+    def __init__(self, env: "Environment", disk_count: int) -> None:
         if disk_count < 1:
             raise ValueError(f"disk_count must be >= 1, got {disk_count}")
         self.env = env
         self.disk_count = disk_count
-        self.suspect_cooldown_s = suspect_cooldown_s
         self._slow = [0] * disk_count
         self._down = [0] * disk_count
         self._failed = [False] * disk_count
@@ -94,7 +95,7 @@ class HealthMonitor:
     def note_timeout(self, disk: int) -> None:
         """A request to *disk* timed out: suspect it for the cooldown."""
         before = self.state(disk)
-        self._suspect_until[disk] = self.env.now + self.suspect_cooldown_s
+        self._suspect_until[disk] = self.env.now + SUSPECT_COOLDOWN_S
         self._note_change(disk, before)
 
     def fault_applied(self, event: "FaultEvent") -> None:

@@ -28,20 +28,23 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.media.library import VideoLibrary
     from repro.replication.runtime import ReplicationRuntime
     from repro.sim.environment import Environment
+    from repro.storage.drive import DiskDrive
 
 #: ``terminal_id`` carried by rebuild disk requests.
 REBUILD_TERMINAL = -2
 
 
 class BandwidthPacer:
-    """Paces a copy loop to a byte-rate budget.
+    """Paces a copy loop to a byte-rate budget, and makes its disk
+    accesses.
 
-    Charge every moved byte as the loop goes; :meth:`charge` sleeps
-    whenever the cumulative bytes run ahead of ``rate`` × elapsed time
-    since construction.  Shared by the per-disk rebuild below and the
-    cluster-level re-replication (:mod:`repro.cluster.rebuild`), so
-    both trade time-to-redundancy against foreground interference with
-    the same arithmetic.
+    :meth:`access` is the loop's one copy path: a background request
+    through the real disk model.  Charge every moved byte as the loop
+    goes; :meth:`charge` sleeps whenever the cumulative bytes run ahead
+    of ``rate`` × elapsed time since construction.  Shared by the
+    per-disk rebuild below and the cluster-level re-replication
+    (:mod:`repro.cluster.rebuild`), so both trade time-to-redundancy
+    against foreground interference with the same arithmetic.
     """
 
     __slots__ = ("env", "rate", "started", "moved")
@@ -63,6 +66,22 @@ class BandwidthPacer:
         if due > self.env.now:
             yield self.env.timeout(due - self.env.now)
         return None
+
+    def access(self, drive: "DiskDrive", offset: int, size: int) -> typing.Generator:
+        """Generator (``yield from``): one background access of *size*
+        bytes at *offset* on *drive*; returns whether it succeeded."""
+        request = DiskRequest(
+            self.env,
+            byte_offset=offset,
+            size=size,
+            cylinder=drive.geometry.cylinder_of(offset),
+            deadline=NO_DEADLINE,
+            is_prefetch=True,
+            terminal_id=REBUILD_TERMINAL,
+        )
+        drive.submit(request)
+        yield request.done
+        return not request.failed
 
 
 class RebuildManager:
@@ -117,18 +136,7 @@ class RebuildManager:
                 continue  # no disk can legally hold another copy
 
             src_drive = runtime.drives[source.disk_global]
-            read = DiskRequest(
-                env,
-                byte_offset=source.byte_offset,
-                size=size,
-                cylinder=src_drive.geometry.cylinder_of(source.byte_offset),
-                deadline=NO_DEADLINE,
-                is_prefetch=True,
-                terminal_id=REBUILD_TERMINAL,
-            )
-            src_drive.submit(read)
-            yield read.done
-            if read.failed:
+            if not (yield from pacer.access(src_drive, source.byte_offset, size)):
                 continue  # source died mid-rebuild; copy is lost
             stats.rebuild_reads += 1
 
@@ -136,18 +144,7 @@ class RebuildManager:
             offset = min(
                 source.byte_offset, max(0, tgt_drive.geometry.capacity_bytes - size)
             )
-            write = DiskRequest(
-                env,
-                byte_offset=offset,
-                size=size,
-                cylinder=tgt_drive.geometry.cylinder_of(offset),
-                deadline=NO_DEADLINE,
-                is_prefetch=True,
-                terminal_id=REBUILD_TERMINAL,
-            )
-            tgt_drive.submit(write)
-            yield write.done
-            if write.failed:
+            if not (yield from pacer.access(tgt_drive, offset, size)):
                 continue
 
             stats.rebuild_blocks += 1

@@ -31,16 +31,17 @@ class ReplicationSpec:
     rebuild moves at most ``rebuild_bandwidth_bytes_per_s`` (read +
     write bytes combined) — the classic foreground/recovery bandwidth
     trade-off.
-
-    ``suspect_cooldown_s`` is how long a disk stays *suspect* (ranked
-    below healthy disks by the read router) after a request to it times
-    out without an identified fault.
     """
+
+    #: The suspect cooldown is the constant
+    #: :data:`repro.replication.health.SUSPECT_COOLDOWN_S`; its old
+    #: default stays in the canonical form so every existing config
+    #: digest and run-cache key stays valid.
+    schema_constants = {"suspect_cooldown_s": 10.0}
 
     factor: int = 1
     rebuild: bool = True
     rebuild_bandwidth_bytes_per_s: float = 2_000_000.0
-    suspect_cooldown_s: float = 10.0
 
     def __post_init__(self) -> None:
         if self.factor < 1:
@@ -49,10 +50,6 @@ class ReplicationSpec:
             raise ValueError(
                 f"rebuild_bandwidth_bytes_per_s must be positive, "
                 f"got {self.rebuild_bandwidth_bytes_per_s}"
-            )
-        if self.suspect_cooldown_s < 0:
-            raise ValueError(
-                f"suspect_cooldown_s must be >= 0, got {self.suspect_cooldown_s}"
             )
 
     @property

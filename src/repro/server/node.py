@@ -31,6 +31,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.replication.runtime import ReplicationRuntime
     from repro.sharing.runtime import SharingRuntime
 
+#: Seconds a degraded-mode read waits before serving a block no copy
+#: could deliver (modelling a replica fetch or error concealment).
+FAILOVER_PENALTY_S = 0.5
+
 
 class NodeStats:
     def __init__(self) -> None:
@@ -194,9 +198,9 @@ class VideoServerNode:
         races ``request_timeout_s``; a timed-out request is cancelled and
         re-dispatched up to ``max_retries`` times.  A read that exhausts
         its retries — or whose drive has failed permanently — is *failed
-        over*: served after ``failover_penalty_s`` (modelling a replica
-        fetch or error concealment) so the stream degrades instead of
-        hanging on dead hardware.
+        over*: served after :data:`FAILOVER_PENALTY_S` (modelling a
+        replica fetch or error concealment) so the stream degrades
+        instead of hanging on dead hardware.
         """
         env = self.env
         spec = self.faults.spec
@@ -226,8 +230,7 @@ class VideoServerNode:
                 self.faults.note_abandoned(drive.disk_id, terminal_id)
                 break
             self.faults.note_retry(drive.disk_id, terminal_id, attempt)
-        if spec.failover_penalty_s > 0:
-            yield env.timeout(spec.failover_penalty_s)
+        yield env.timeout(FAILOVER_PENALTY_S)
         return None
 
     # ------------------------------------------------------------------
@@ -241,7 +244,7 @@ class VideoServerNode:
         The routed copy (usually the primary) is tried first with the
         full retry budget; on exhaustion — or when its drive is known
         dead — the read moves to the next surviving copy instead of
-        sleeping ``failover_penalty_s``.  Only when *every* copy is
+        sleeping :data:`FAILOVER_PENALTY_S`.  Only when *every* copy is
         unreachable does the abstract penalty remain, as error
         concealment of last resort.  A copy on another node's disk is
         read directly from that drive and shipped over the bus — one
@@ -274,8 +277,7 @@ class VideoServerNode:
         # Every copy is dead or timed out: error concealment fallback.
         if self.faults is not None:
             self.faults.note_abandoned(placement.disk_global, terminal_id)
-            if spec.failover_penalty_s > 0:
-                yield env.timeout(spec.failover_penalty_s)
+            yield env.timeout(FAILOVER_PENALTY_S)
         return None
 
     def _attempt_read(

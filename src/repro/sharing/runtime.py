@@ -15,7 +15,7 @@ composes:
   stream close behind a predecessor forms a :class:`BufferChain`; the
   server nodes report every block reference, the registry pins the
   predecessor's recently fetched pages (bounded by
-  ``chain_pin_limit_blocks``) and the successor unpins them as it
+  :data:`CHAIN_PIN_LIMIT_BLOCKS`) and the successor unpins them as it
   consumes them.  A predecessor pause/seek/abandon — or a MISS on
   a block the predecessor had fetched (the page was evicted anyway) —
   *breaks* the chain and releases every held pin.
@@ -39,6 +39,13 @@ if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sharing.spec import SharingSpec
     from repro.telemetry.trace import TraceRecorder
     from repro.terminal.terminal import Terminal
+
+#: A new session only chains to a predecessor at most this many seconds
+#: ahead (the pages to bridge must plausibly still be resident).
+CHAIN_MAX_LAG_S = 30.0
+#: Most predecessor pages one chain may hold pinned at a time: bounds
+#: how much pool memory a single chain can monopolise.
+CHAIN_PIN_LIMIT_BLOCKS = 32
 
 
 class SharingStats:
@@ -164,13 +171,9 @@ class SharingRuntime:
     # Batched admission (driven by the session generators)
     # ------------------------------------------------------------------
     def joinable_batch(self, video_id: int) -> StreamBatch | None:
-        """The open batch for *video_id*, if one can still be joined."""
-        batch = self._batches.get(video_id)
-        if batch is None or batch.launched:
-            return None
-        if self.spec.max_batch and batch.live >= self.spec.max_batch:
-            return None
-        return batch
+        """The open batch for *video_id*, if any (a batch leaves the
+        registry as it launches)."""
+        return self._batches.get(video_id)
 
     def open_batch(self, video_id: int, release) -> StreamBatch:
         """An admitted leader opens the launch window for its title.
@@ -178,10 +181,12 @@ class SharingRuntime:
         *release* is called when the last launched member departs —
         the batch holds exactly one admission slot for its whole life.
 
-        If a *full* batch is still open for the title (``max_batch``
-        reached, so this leader could not join it), the new batch stays
+        If a batch is already open for the title, the new batch stays
         unregistered: it launches after the window like any other but
-        accepts no joiners, and queued waiters are not signalled.
+        accepts no joiners, and queued waiters are not signalled.  That
+        happens when several queued sessions of one title are granted
+        slots at one instant (an outage's shed ends): the first opens
+        the window and the others, already holding slots, open their own.
         """
         batch = StreamBatch(self.env, video_id, release)
         registered = video_id not in self._batches
@@ -244,7 +249,7 @@ class SharingRuntime:
         position = terminal._next_frame
         if terminal not in self._chains_by_succ:
             predecessor = self._nearest_ahead(
-                streams, position, self.spec.chain_max_lag_s * fps, terminal
+                streams, position, CHAIN_MAX_LAG_S * fps, terminal
             )
             if predecessor is not None:
                 chain = BufferChain(video_id, predecessor, terminal)
@@ -376,7 +381,7 @@ class SharingRuntime:
             if (
                 block > chain.succ_frontier
                 and key not in chain.pinned
-                and len(chain.pinned) < self.spec.chain_pin_limit_blocks
+                and len(chain.pinned) < CHAIN_PIN_LIMIT_BLOCKS
             ):
                 pool.pin(page)
                 chain.pinned[key] = (page, pool)

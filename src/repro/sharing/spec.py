@@ -78,9 +78,17 @@ class SharingSpec:
     """Which stream-sharing policy the system runs, with its knobs."""
 
     #: The adaptive-merging knobs were retired with the ``merge``
-    #: component; their old defaults stay in the canonical form so every
-    #: existing config digest and run-cache key stays valid.
-    schema_constants = {"rate_delta": 0.05, "merge_max_lag_s": 60.0}
+    #: component, the batch cap was unbounded in every run, and the
+    #: chain bounds are the constants of :mod:`repro.sharing.runtime`;
+    #: their old defaults stay in the canonical form so every existing
+    #: config digest and run-cache key stays valid.
+    schema_constants = {
+        "rate_delta": 0.05,
+        "merge_max_lag_s": 60.0,
+        "max_batch": 0,
+        "chain_max_lag_s": 30.0,
+        "chain_pin_limit_blocks": 32,
+    }
 
     #: Registered policy name (see :func:`register_sharing_policy`).
     policy: str = "none"
@@ -89,16 +97,6 @@ class SharingSpec:
     #: Seconds a newly opened batch waits for more same-title starts
     #: before every member launches together (the paper's start delay).
     window_s: float = 2.0
-    #: Largest batch (leader included); 0 = unbounded.
-    max_batch: int = 0
-
-    # --- buffer chaining --------------------------------------------------
-    #: A new session only chains to a predecessor at most this far
-    #: ahead (the pages to bridge must plausibly still be resident).
-    chain_max_lag_s: float = 30.0
-    #: Most predecessor pages one chain may hold pinned at a time —
-    #: bounds how much pool memory a single chain can monopolise.
-    chain_pin_limit_blocks: int = 32
 
     def __post_init__(self) -> None:
         if self.policy not in _REGISTRY:
@@ -106,29 +104,16 @@ class SharingSpec:
                 f"unknown sharing policy {self.policy!r}; "
                 f"choose from {sharing_policy_names()}"
             )
-        for name in ("window_s", "chain_max_lag_s"):
-            value = getattr(self, name)
-            # Non-finite knobs would only fail at run time: a nan
-            # window raises in env.timeout, an inf one never launches.
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        # A non-finite window would only fail at run time: a nan one
+        # raises in env.timeout, an inf one never launches.
+        if not math.isfinite(self.window_s):
+            raise ValueError(f"window_s must be finite, got {self.window_s!r}")
         if self.window_s < 0:
             raise ValueError(f"window_s must be >= 0, got {self.window_s}")
         if self.batching and self.window_s == 0:
             raise ValueError(
                 f"policy {self.policy!r} batches admissions and needs "
                 f"window_s > 0"
-            )
-        if self.max_batch < 0:
-            raise ValueError(f"max_batch must be >= 0, got {self.max_batch}")
-        if self.chain_max_lag_s <= 0:
-            raise ValueError(
-                f"chain_max_lag_s must be positive, got {self.chain_max_lag_s}"
-            )
-        if self.chain_pin_limit_blocks < 1:
-            raise ValueError(
-                f"chain_pin_limit_blocks must be >= 1, "
-                f"got {self.chain_pin_limit_blocks}"
             )
 
     @property

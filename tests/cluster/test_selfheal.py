@@ -130,10 +130,6 @@ class TestSelfHealSpec:
         with pytest.raises(ValueError, match="rejoin_resync_fraction"):
             SelfHealSpec(rejoin_resync_fraction=fraction)
 
-    def test_negative_load_penalty_is_rejected(self):
-        with pytest.raises(ValueError, match="rebuild_load_penalty"):
-            SelfHealSpec(rebuild_load_penalty=-1.0)
-
     def test_spec_is_immutable(self):
         with pytest.raises(AttributeError):
             SelfHealSpec().rebuild = True

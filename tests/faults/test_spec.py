@@ -54,8 +54,6 @@ class TestValidation:
             FaultSpec(request_timeout_s=0.0)
         with pytest.raises(ValueError):
             FaultSpec(max_retries=-1)
-        with pytest.raises(ValueError):
-            FaultSpec(failover_penalty_s=-0.1)
 
 
 class TestNodeOutageScript:

@@ -32,10 +32,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive"):
             ReplicationSpec(rebuild_bandwidth_bytes_per_s=0.0)
 
-    def test_rejects_negative_cooldown(self):
-        with pytest.raises(ValueError, match="suspect_cooldown_s"):
-            ReplicationSpec(suspect_cooldown_s=-1.0)
-
     def test_enabled_and_label(self):
         assert not ReplicationSpec().enabled
         assert ReplicationSpec().label() == "r=1"

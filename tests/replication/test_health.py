@@ -23,8 +23,8 @@ def event(kind, target=0, duration=5.0, magnitude=0.0):
     )
 
 
-def monitor(disks=4, cooldown=10.0):
-    return HealthMonitor(Environment(), disks, cooldown)
+def monitor(disks=4):
+    return HealthMonitor(Environment(), disks)
 
 
 class TestStates:
@@ -34,7 +34,7 @@ class TestStates:
         assert all(m.rank(d) == 0 for d in range(4))
 
     def test_timeout_suspects_until_cooldown(self):
-        m = monitor(cooldown=10.0)
+        m = monitor()
         m.note_timeout(1)
         assert m.state(1) == SUSPECT
         assert m.state(0) == HEALTHY
@@ -44,7 +44,7 @@ class TestStates:
         assert m.state(1) == HEALTHY
 
     def test_repeat_timeouts_extend_the_cooldown(self):
-        m = monitor(cooldown=10.0)
+        m = monitor()
         m.note_timeout(1)
         m.env.run(until=8.0)
         m.note_timeout(1)
@@ -104,4 +104,4 @@ class TestFailureCallbacks:
 class TestValidation:
     def test_rejects_empty_disk_set(self):
         with pytest.raises(ValueError):
-            HealthMonitor(Environment(), 0, 10.0)
+            HealthMonitor(Environment(), 0)

@@ -9,7 +9,10 @@ together end-to-end through the simulator.
 
 import types
 
+import pytest
+
 from repro.bufferpool.pool import HIT, MISS
+from repro.sharing import runtime as runtime_module
 from repro.sharing import SharingSpec
 from repro.sim.environment import Environment
 
@@ -42,13 +45,15 @@ class FakePool:
         self.pinned.remove(page)
 
 
-def chain_runtime(env, **overrides):
-    overrides.setdefault("chain_pin_limit_blocks", 4)
-    spec = SharingSpec(policy="batch+chain", **overrides)
-    return spec.build(env)
+def chain_runtime(env):
+    return SharingSpec(policy="batch+chain").build(env)
 
 
 class TestBufferChain:
+    @pytest.fixture(autouse=True)
+    def small_pin_limit(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "CHAIN_PIN_LIMIT_BLOCKS", 4)
+
     def started(self, env=None, lag_frames=120):
         env = env or Environment()
         runtime = chain_runtime(env)
@@ -62,9 +67,10 @@ class TestBufferChain:
         runtime, pred, succ = self.started()
         assert runtime.stats.chains_formed == 1
 
-    def test_no_chain_beyond_the_lag_bound(self):
+    def test_no_chain_beyond_the_lag_bound(self, monkeypatch):
+        monkeypatch.setattr(runtime_module, "CHAIN_MAX_LAG_S", 2.0)
         env = Environment()
-        runtime = chain_runtime(env, chain_max_lag_s=2.0)
+        runtime = chain_runtime(env)
         pred = FakeTerminal(1, frame=int(3.0 * FPS), request=11)
         succ = FakeTerminal(2, frame=0, request=1)
         runtime.note_play_start(pred, 0)

@@ -40,15 +40,10 @@ class TestValidation:
         "field,value",
         [
             ("window_s", -1.0),
-            ("max_batch", -1),
-            ("chain_max_lag_s", 0.0),
-            ("chain_pin_limit_blocks", 0),
-            # Non-finite knobs: an inf window never launches its batch,
+            # Non-finite windows: an inf one never launches its batch,
             # and a nan one fails mid-run in env.timeout.
             ("window_s", float("nan")),
             ("window_s", float("inf")),
-            ("chain_max_lag_s", float("nan")),
-            ("chain_max_lag_s", float("inf")),
         ],
     )
     def test_bad_parameters_rejected(self, field, value):
@@ -92,14 +87,16 @@ class TestConfigWiring:
         assert explicit == data
 
     def test_active_spec_serializes_every_field(self):
-        spec = SharingSpec(policy="batch+chain", window_s=3.0, max_batch=8)
+        spec = SharingSpec(policy="batch+chain", window_s=3.0)
         data = config_to_dict(SpiffiConfig(sharing=spec))
-        # Every field, plus the retired merge knobs at their old values.
+        # Every field, plus the retired knobs at their old values.
         assert data["sharing"] == {
             **dataclasses.asdict(spec),
             "rate_delta": 0.05,
             "merge_max_lag_s": 60.0,
+            "max_batch": 0,
+            "chain_max_lag_s": 30.0,
+            "chain_pin_limit_blocks": 32,
         }
         assert data["sharing"]["policy"] == "batch+chain"
         assert data["sharing"]["window_s"] == 3.0
-        assert data["sharing"]["max_batch"] == 8
