@@ -165,10 +165,14 @@ def fig10_sched_stripe() -> ExperimentResult:
 # Figures 11/12 — server memory requirements
 # ---------------------------------------------------------------------------
 
-def _memory_sweep(name: str, variants) -> tuple:
-    """Search every (memory point x variant) cell of a memory figure."""
+def _memory_sweep(name: str, variants, hints=None) -> tuple:
+    """Search every (memory point x variant) cell of a memory figure.
+
+    *hints* gives each variant's search hint; by default every variant
+    starts from the elevator 512 KB big-memory one.
+    """
     scale = bench_scale()
-    hint = HINTS["elevator_512k_bigmem"]
+    hints = hints or [HINTS["elevator_512k_bigmem"]] * len(variants)
     cells = [
         _cell(
             f"{name} {memory // MB}MB {label}",
@@ -176,7 +180,7 @@ def _memory_sweep(name: str, variants) -> tuple:
             hint,
         )
         for memory in scale.memory_points
-        for label, overrides in variants
+        for (label, overrides), hint in zip(variants, hints)
     ]
     found = iter(search_grid(cells))
     headers = ("server MB",) + tuple(label for label, _ in variants)
@@ -237,40 +241,22 @@ def fig12_memory_realtime() -> ExperimentResult:
 
 def fig13_striping() -> ExperimentResult:
     """Striped vs non-striped layouts under Zipf and uniform access."""
-    scale = bench_scale()
     bundle = dict(replacement_policy=ReplacementSpec("love_prefetch"), **elevator_bundle())
     variants = [
-        ("striped/zipf", dict(layout=LayoutSpec("striped"), access_model="zipf", **bundle),
-         HINTS["striped"]),
-        ("striped/uniform", dict(layout=LayoutSpec("striped"), access_model="uniform", **bundle),
-         HINTS["striped"]),
-        ("non-striped/zipf", dict(layout=LayoutSpec("nonstriped"), access_model="zipf", **bundle),
-         HINTS["nonstriped_zipf"]),
+        ("striped/zipf", dict(layout=LayoutSpec("striped"), access_model="zipf", **bundle)),
+        ("striped/uniform", dict(layout=LayoutSpec("striped"), access_model="uniform", **bundle)),
+        ("non-striped/zipf", dict(layout=LayoutSpec("nonstriped"), access_model="zipf", **bundle)),
         ("non-striped/uniform",
-         dict(layout=LayoutSpec("nonstriped"), access_model="uniform", **bundle),
-         HINTS["nonstriped_uniform"]),
+         dict(layout=LayoutSpec("nonstriped"), access_model="uniform", **bundle)),
     ]
-    cells = [
-        _cell(
-            f"fig13 {memory // MB}MB {label}",
-            paper_config(server_memory_bytes=memory, **overrides),
-            hint,
-        )
-        for memory in scale.memory_points
-        for label, overrides, hint in variants
-    ]
-    found = iter(search_grid(cells))
-    headers = ("server MB",) + tuple(label for label, _, _ in variants)
-    rows = [
-        tuple([memory // MB] + [next(found).max_terminals for _ in variants])
-        for memory in scale.memory_points
-    ]
+    hints = [HINTS[key] for key in ("striped", "striped", "nonstriped_zipf", "nonstriped_uniform")]
+    headers, rows = _memory_sweep("fig13", variants, hints)
     return ExperimentResult(
         name="fig13",
         title="Figure 13: striped vs non-striped layouts "
         "(max glitch-free terminals)",
         headers=headers,
-        rows=tuple(rows),
+        rows=rows,
         notes="(512KB stripes/reads, love prefetch, elevator)",
     )
 
@@ -336,23 +322,9 @@ _ACCESS_VARIANTS = (
 
 def fig15_access_frequencies() -> ExperimentResult:
     """Max terminals vs memory for different access skews."""
-    scale = bench_scale()
     bundle = dict(replacement_policy=ReplacementSpec("love_prefetch"), **elevator_bundle())
-    cells = [
-        _cell(
-            f"fig15 {memory // MB}MB {label}",
-            paper_config(server_memory_bytes=memory, **bundle, **overrides),
-            HINTS["striped"],
-        )
-        for memory in scale.memory_points
-        for label, overrides in _ACCESS_VARIANTS
-    ]
-    found = iter(search_grid(cells))
-    headers = ("server MB",) + tuple(label for label, _ in _ACCESS_VARIANTS)
-    rows = tuple(
-        tuple([memory // MB] + [next(found).max_terminals for _ in _ACCESS_VARIANTS])
-        for memory in scale.memory_points
-    )
+    variants = [(label, dict(bundle, **overrides)) for label, overrides in _ACCESS_VARIANTS]
+    headers, rows = _memory_sweep("fig15", variants, [HINTS["striped"]] * len(variants))
     return ExperimentResult(
         name="fig15",
         title="Figure 15: movie access frequencies "

@@ -447,15 +447,14 @@ def search_grid(
     from repro.experiments.search import find_max_terminals
 
     runner = runner or default_runner()
-
-    def one(cell: SearchCell) -> "SearchResult":
-        return find_max_terminals(
+    return runner.map_cells(
+        lambda cell: find_max_terminals(
             cell.config,
             hint=cell.hint,
             granularity=cell.granularity,
             replications=cell.replications,
             runner=runner,
             tag=cell.tag,
-        )
-
-    return runner.map_cells(one, cells)
+        ),
+        cells,
+    )

@@ -67,12 +67,16 @@ def execute_timed(system_class: type, config) -> RunMetrics:
 
     A finished system is a reference cycle only the collector frees, so
     the previous run's is collected, untimed, before the next is built:
-    one live system per process (DESIGN.md).
+    one live system per process (DESIGN.md).  A running system makes no
+    cyclic garbage, so the automatic collector is off while it is built
+    and run; the caller's setting is restored afterwards.
     """
     global _run_finished
     if _run_finished:
         gc.collect()
         _run_finished = False
+    collecting = gc.isenabled()
+    gc.disable()
     started = time.perf_counter()
     try:
         system = system_class(config)
@@ -80,5 +84,7 @@ def execute_timed(system_class: type, config) -> RunMetrics:
             metrics = system.run()
     finally:
         _run_finished = True
+        if collecting:
+            gc.enable()
     watch.wall_time_s = time.perf_counter() - started
     return watch.stamp(metrics)

@@ -6,10 +6,11 @@ much traffic can this server sustain under its SLOs?" — the question an
 inference- or video-serving stack is actually benchmarked on.  A load
 point is *sustainable* when the run stays inside every bound of the
 :class:`SloPolicy` (zero glitches, p99 startup latency, rejection
-rate); the search reuses the deterministic batch planner
-(:func:`repro.experiments.search.plan_probes`), so the probe plan —
-and therefore the result — is bit-identical under any executor, job
-count, or cache state.
+rate).  It is the max-terminals search with another point → config
+map and verdict: both run the one driver in
+:mod:`repro.experiments.search`, so the probe plan — and therefore the
+result — is bit-identical under any executor, job count, or cache
+state.
 
 Rates are searched in integer **arrivals per minute** so the planner's
 snap-to-granularity arithmetic stays exact.
@@ -66,6 +67,29 @@ class SloPolicy:
         return metrics.rejection_rate <= self.max_rejection_rate
 
 
+class _SearchRecord:
+    """``runs`` and ``metrics_at_max`` of both capacity search results.
+
+    ``_names`` names, in order, the result's answer field, and a
+    probe's point and verdict fields.
+    """
+
+    _names: typing.ClassVar[tuple[str, str, str]]
+    probes: tuple
+
+    @property
+    def runs(self) -> int:
+        return len(self.probes)
+
+    def metrics_at_max(self) -> "RunMetrics | None":
+        """Metrics of a passing run at the reported maximum."""
+        answer, point, passed = self._names
+        for probe in self.probes:
+            if getattr(probe, point) == getattr(self, answer) and getattr(probe, passed):
+                return probe.metrics
+        return None
+
+
 @dataclasses.dataclass(frozen=True)
 class RateProbe:
     """One simulated load point of a saturation search."""
@@ -77,7 +101,7 @@ class RateProbe:
 
 
 @dataclasses.dataclass(frozen=True)
-class SaturationResult:
+class SaturationResult(_SearchRecord):
     """Outcome of one max-sustainable-rate search."""
 
     max_rate_per_min: int
@@ -85,20 +109,11 @@ class SaturationResult:
     slo: SloPolicy
     probes: tuple[RateProbe, ...]
 
+    _names = ("max_rate_per_min", "rate_per_min", "sustainable")
+
     @property
     def max_rate_per_s(self) -> float:
         return self.max_rate_per_min / 60.0
-
-    @property
-    def runs(self) -> int:
-        return len(self.probes)
-
-    def metrics_at_max(self) -> "RunMetrics | None":
-        """Metrics of a sustainable run at the reported maximum rate."""
-        for probe in self.probes:
-            if probe.rate_per_min == self.max_rate_per_min and probe.sustainable:
-                return probe.metrics
-        return None
 
 
 def find_max_rate(
@@ -121,60 +136,21 @@ def find_max_rate(
     :class:`ArrivalSpec` to probe (fixing the process, queue bound,
     patience, and SLO parameters); every probe runs ``config`` with only
     that spec (and the replication seed) changed.  Probes fan out
-    through *runner* batch by batch exactly like
-    :func:`repro.experiments.search.find_max_terminals`, so results are
-    identical for any executor or job count and cache-hit on re-runs.
+    through *runner* batch by batch in the driver that
+    :func:`repro.experiments.search.find_max_terminals` runs, so results
+    are identical for any executor or job count and cache-hit on re-runs.
     """
-    from repro.experiments.runner import RunRequest, default_runner
-    from repro.experiments.search import SPECULATION, plan_probes
+    from repro.experiments.search import SPECULATION, _search
 
-    if granularity < 1:
-        raise ValueError(f"granularity must be >= 1, got {granularity}")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-    if speculation is None:
-        speculation = SPECULATION
     slo = slo or SloPolicy()
-    low = max(granularity, (low // granularity) * granularity)
-    high = (high // granularity) * granularity
-    if low > high:
-        raise ValueError(f"empty search range [{low}, {high}]")
-    runner = runner or default_runner()
-
-    pivot = min(max((hint // granularity) * granularity, low), high)
-    probes: list[RateProbe] = []
-    plan = plan_probes(low, high, pivot, granularity, speculation)
-    batch = next(plan)
-    while True:
-        seeds = [config.seed + replication for replication in range(replications)]
-        requests = [
-            RunRequest(
-                config.replace(
-                    workload=workload_for_rate(rate / 60.0), seed=seed
-                ),
-                tag=f"{tag or 'saturation'} rate={rate}/min seed={seed}",
-            )
-            for rate in batch
-            for seed in seeds
-        ]
-        outcomes = iter(runner.run_batch(requests))
-        verdicts: dict[int, bool] = {}
-        for rate in batch:
-            ok = True
-            for seed in seeds:
-                outcome = next(outcomes)
-                if outcome.failed:
-                    raise RuntimeError(
-                        f"saturation probe {outcome.tag or rate} failed: "
-                        f"{outcome.error}"
-                    )
-                metrics = outcome.metrics
-                sustainable = slo.sustainable(metrics)
-                probes.append(RateProbe(rate, seed, metrics, sustainable))
-                if not sustainable:
-                    ok = False
-            verdicts[rate] = ok
-        try:
-            batch = plan.send(verdicts)
-        except StopIteration as stop:
-            return SaturationResult(stop.value, granularity, slo, tuple(probes))
+    best, probes = _search(
+        "saturation",
+        "rate={}/min",
+        lambda rate, seed: config.replace(workload=workload_for_rate(rate / 60.0), seed=seed),
+        slo.sustainable,
+        RateProbe,
+        seed=config.seed, hint=hint, granularity=granularity, low=low, high=high,
+        replications=replications, runner=runner,
+        speculation=SPECULATION if speculation is None else speculation, tag=tag,
+    )
+    return SaturationResult(best, granularity, slo, probes)

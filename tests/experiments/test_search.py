@@ -200,6 +200,11 @@ class TestPlanProbes:
         with pytest.raises(ValueError):
             next(plan_probes(10, 100, 50, 10, speculation=0))
 
+    def test_granularity_validated(self):
+        for granularity in (0, -10):
+            with pytest.raises(ValueError, match="granularity"):
+                next(plan_probes(10, 100, 50, granularity))
+
     def test_wider_speculation_same_answer(self):
         for speculation in (1, 2, 3, 5):
             best, _ = self.drive(
@@ -207,3 +212,112 @@ class TestPlanProbes:
                 capacity=517,
             )
             assert best == 510
+
+
+#: Batch sequences and answers of the planner against a monotone
+#: capacity: (low, high, pivot, granularity, speculation, capacity),
+#: answer, batches.  Every published search table and run-cache entry
+#: follows from this plan, so it must not move.
+PINNED_PLANS = {
+    "climbing": (
+        (10, 4000, 200, 10, 2, 517),
+        510,
+        [(200,), (210, 230), (270, 350), (510, 830), (610, 720), (540, 570), (520, 530)],
+    ),
+    "descending": (
+        (10, 4000, 400, 10, 2, 100),
+        100,
+        [(400,), (390, 370), (330, 250), (90, 10), (140, 190), (100, 120), (110,)],
+    ),
+    "zero-capacity": (
+        (10, 4000, 100, 10, 2, 0),
+        0,
+        [(100,), (90, 70), (30, 10)],
+    ),
+    "capacity-at-high": (
+        (100, 1000, 100, 100, 2, 10**9),
+        1000,
+        [(100,), (200, 400), (800, 1000)],
+    ),
+    "speculation-1": (
+        (10, 4000, 200, 10, 1, 517),
+        510,
+        [(200,), (210,), (230,), (270,), (350,), (510,), (830,), (670,), (590,),
+         (550,), (530,), (520,)],
+    ),
+    "speculation-3": (
+        (10, 4000, 200, 10, 3, 517),
+        510,
+        [(200,), (210, 230, 270), (350, 510, 830), (590, 670, 750), (530, 550, 570),
+         (520,)],
+    ),
+    "speculation-3-descending": (
+        (10, 4000, 2000, 10, 3, 333),
+        330,
+        [(2000,), (1990, 1970, 1930), (1850, 1690, 1370), (730, 10), (190, 370, 550),
+         (230, 280, 320), (330, 340, 350)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_plan_probes_pinned_batches(name):
+    (low, high, pivot, granularity, speculation, capacity), answer, batches = (
+        PINNED_PLANS[name]
+    )
+    plan = plan_probes(low, high, pivot, granularity, speculation)
+    asked = []
+    try:
+        batch = next(plan)
+        while True:
+            asked.append(batch)
+            batch = plan.send({t: t <= capacity for t in batch})
+    except StopIteration as stop:
+        best = stop.value
+    assert (best, asked) == (answer, batches)
+
+
+class RecordingRunner:
+    """A runner stub: every run glitches above *capacity* terminals, and
+    the run tagged *fail_tag* errors.  Records every request's tag."""
+
+    def __init__(self, capacity, fail_tag=None):
+        self.capacity = capacity
+        self.fail_tag = fail_tag
+        self.tags = []
+
+    def run_batch(self, requests):
+        self.tags.extend(request.tag for request in requests)
+        return [
+            runner_module.RunOutcome(
+                request.tag,
+                request.config,
+                None if request.tag == self.fail_tag
+                else FakeMetrics(glitches=int(request.config.terminals > self.capacity)),
+                0.0,
+                error="boom" if request.tag == self.fail_tag else None,
+            )
+            for request in requests
+        ]
+
+
+def test_probe_tags_and_request_order():
+    runner = RecordingRunner(capacity=225)
+    find_max_terminals(config(), hint=200, granularity=25, replications=2, runner=runner)
+    assert runner.tags[:6] == [
+        "search t=200 seed=1",
+        "search t=200 seed=2",
+        "search t=225 seed=1",
+        "search t=225 seed=2",
+        "search t=275 seed=1",
+        "search t=275 seed=2",
+    ]
+    runner = RecordingRunner(capacity=225)
+    find_max_terminals(config(), hint=200, granularity=25, runner=runner, tag="fig")
+    assert runner.tags[0] == "fig t=200 seed=1"
+
+
+def test_failed_probe_aborts_with_its_tag():
+    runner = RecordingRunner(capacity=225, fail_tag="search t=225 seed=1")
+    with pytest.raises(RuntimeError, match=r"^search probe search t=225 seed=1 failed: boom$"):
+        find_max_terminals(config(), hint=200, granularity=25, runner=runner)

@@ -47,6 +47,15 @@ class TestFcfs:
             scheduler.push(r)
         assert drain(scheduler) == requests
 
+    def test_pops_in_seq_order_whatever_the_push_order(self):
+        env = Environment()
+        scheduler = FcfsScheduler()
+        requests = [req(env, c) for c in (50, 10, 90, 30, 70)]
+        for index in (3, 0, 4, 2, 1):
+            scheduler.push(requests[index])
+        assert set(scheduler.pending) == set(requests)
+        assert drain(scheduler) == requests
+
 
 class TestElevator:
     def test_sweeps_upward_then_reverses(self):

@@ -25,6 +25,7 @@ from repro.faults import FaultSpec
 from repro.runnable import run
 from repro.sharing import SharingSpec
 from repro.sim.process import Process
+from repro.telemetry import runstats
 from repro.terminal.terminal import Terminal
 from tests.cluster.conftest import open_workload, small_cluster, small_node
 
@@ -155,6 +156,61 @@ def test_execute_timed_keeps_at_most_one_finished_system(monkeypatch):
         run(closed_config(seed=2))
         assert len(built) == 2
         assert built[0]() is None, "the first run's system outlived the second run"
+
+
+@pytest.mark.parametrize("caller_collects", [True, False])
+def test_execute_timed_builds_and_runs_with_the_collector_off(caller_collects):
+    """No automatic collection while a system is built or run: the
+    running system makes no cyclic garbage for one to find.  The
+    caller's setting comes back afterwards."""
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    @contextlib.contextmanager
+    def counting():
+        gc.callbacks.append(count)
+        try:
+            yield
+        finally:
+            gc.callbacks.remove(count)
+
+    class Counted(SpiffiSystem):
+        def __init__(self, config):
+            with counting():
+                super().__init__(config)
+
+        def run(self):
+            with counting():
+                return super().run()
+
+    (gc.enable if caller_collects else gc.disable)()
+    try:
+        metrics = runstats.execute_timed(Counted, closed_config(seed=1))
+        assert gc.isenabled() == caller_collects
+    finally:
+        gc.enable()
+    assert metrics.blocks_delivered > 0
+    assert collections == []
+
+
+@pytest.mark.parametrize("stage", ["build", "run"])
+def test_execute_timed_restores_the_collector_when_a_run_raises(stage):
+    class Broken(SpiffiSystem):
+        def __init__(self, config):
+            if stage == "build":
+                raise RuntimeError("broken build")
+            super().__init__(config)
+
+        def run(self):
+            raise RuntimeError("broken run")
+
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match=f"broken {stage}"):
+        runstats.execute_timed(Broken, closed_config(seed=1))
+    assert gc.isenabled()
 
 
 def run_counting_terminals(monkeypatch, build) -> dict:

@@ -123,6 +123,32 @@ class TestRateSearchPlan:
         )
         assert result.max_rate_per_min == 120
 
+    def test_replications_must_all_be_sustainable(self, patch_runner):
+        class SeedOracle(Oracle):
+            """Seed 2 sustains 120/min less than seed 1."""
+
+            def __call__(self, config):
+                metrics = super().__call__(config)
+                rate_per_min = config.workload.rate_per_s * 60.0
+                if config.seed == 2 and rate_per_min > self.capacity - 120:
+                    return FakeMetrics(glitches=3)
+                return metrics
+
+        oracle = patch_runner(SeedOracle(capacity_per_min=480))
+        result = find_max_rate(
+            base_config(), poisson_workload, hint=240, granularity=60, replications=2
+        )
+        assert base_config().seed == 1
+        assert result.max_rate_per_min == 360
+        by_rate = {}
+        for probe in result.probes:
+            by_rate.setdefault(probe.rate_per_min, []).append(probe)
+        assert all([p.seed for p in probes] == [1, 2] for probes in by_rate.values())
+        # 420/min passes on seed 1 only, so it is not sustainable.
+        assert [p.sustainable for p in by_rate[420]] == [True, False]
+        assert result.metrics_at_max() is by_rate[360][0].metrics
+        assert len(oracle.calls) == result.runs
+
     def test_validation(self, patch_runner):
         patch_runner(Oracle(capacity_per_min=100))
         with pytest.raises(ValueError):
@@ -137,6 +163,64 @@ class TestRateSearchPlan:
             SloPolicy(max_rejection_rate=1.5)
         with pytest.raises(ValueError):
             SloPolicy(max_glitches=-1)
+
+
+class RecordingRunner:
+    """A runner stub over :class:`Oracle`; the run tagged *fail_tag*
+    errors.  Records every request's tag."""
+
+    def __init__(self, capacity_per_min, fail_tag=None):
+        self.oracle = Oracle(capacity_per_min)
+        self.fail_tag = fail_tag
+        self.tags = []
+
+    def run_batch(self, requests):
+        self.tags.extend(request.tag for request in requests)
+        return [
+            runner_module.RunOutcome(
+                request.tag,
+                request.config,
+                None if request.tag == self.fail_tag else self.oracle(request.config),
+                0.0,
+                error="boom" if request.tag == self.fail_tag else None,
+            )
+            for request in requests
+        ]
+
+
+class TestRateSearchRequests:
+    def test_probe_tags_and_request_order(self):
+        runner = RecordingRunner(capacity_per_min=300)
+        find_max_rate(
+            base_config(), poisson_workload, hint=240, granularity=60, replications=2,
+            runner=runner,
+        )
+        assert runner.tags[:6] == [
+            "saturation rate=240/min seed=1",
+            "saturation rate=240/min seed=2",
+            "saturation rate=300/min seed=1",
+            "saturation rate=300/min seed=2",
+            "saturation rate=420/min seed=1",
+            "saturation rate=420/min seed=2",
+        ]
+        runner = RecordingRunner(capacity_per_min=300)
+        find_max_rate(
+            base_config(), poisson_workload, hint=240, granularity=60, runner=runner,
+            tag="cell",
+        )
+        assert runner.tags[0] == "cell rate=240/min seed=1"
+
+    def test_failed_probe_aborts_with_its_tag(self):
+        runner = RecordingRunner(
+            capacity_per_min=300, fail_tag="saturation rate=300/min seed=1"
+        )
+        with pytest.raises(
+            RuntimeError,
+            match=r"^saturation probe saturation rate=300/min seed=1 failed: boom$",
+        ):
+            find_max_rate(
+                base_config(), poisson_workload, hint=240, granularity=60, runner=runner
+            )
 
 
 def tiny_real_config():
