@@ -1,7 +1,7 @@
 """Server buffer pool: page table, pinning, global LRU and love prefetch."""
 
 from repro.bufferpool.page import Page, PageKey
-from repro.bufferpool.policies import GlobalLru, LovePrefetch, ReplacementPolicy, make_policy
+from repro.bufferpool.policies import GlobalLru, LovePrefetch, ReplacementPolicy
 from repro.bufferpool.pool import HIT, INFLIGHT, MISS, BufferPool, PoolStats
 from repro.bufferpool.registry import (
     ReplacementSpec,
@@ -21,7 +21,6 @@ __all__ = [
     "PoolStats",
     "ReplacementPolicy",
     "ReplacementSpec",
-    "make_policy",
     "register_replacement",
     "replacement_names",
 ]

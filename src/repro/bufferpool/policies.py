@@ -116,9 +116,3 @@ class LovePrefetch(ReplacementPolicy):
                 return page
         return None
 
-
-def make_policy(name: str) -> ReplacementPolicy:
-    """Build a registered policy by name (see ``bufferpool.registry``)."""
-    from repro.bufferpool.registry import ReplacementSpec
-
-    return ReplacementSpec(name).build()

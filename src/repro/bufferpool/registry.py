@@ -16,24 +16,15 @@ import dataclasses
 import typing
 
 from repro.bufferpool.policies import GlobalLru, LovePrefetch, ReplacementPolicy
+from repro.registry import Registry
 
-_REGISTRY: dict[str, typing.Callable[[], ReplacementPolicy]] = {}
-
-
-def register_replacement(
-    name: str, factory: typing.Callable[[], ReplacementPolicy]
-) -> None:
-    """Make *name* selectable via ``ReplacementSpec(name)``."""
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"replacement policy name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def replacement_names() -> tuple[str, ...]:
-    """Every currently registered policy name (registration order)."""
-    return tuple(_REGISTRY)
+#: ``register_replacement(name, factory)`` makes *name* selectable via
+#: ``ReplacementSpec(name)``; ``factory()`` builds a fresh policy.
+REPLACEMENT_POLICIES: Registry[typing.Callable[[], ReplacementPolicy]] = Registry(
+    "replacement policy"
+)
+register_replacement = REPLACEMENT_POLICIES.register
+replacement_names = REPLACEMENT_POLICIES.names
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,15 +34,11 @@ class ReplacementSpec:
     name: str = "global_lru"
 
     def __post_init__(self) -> None:
-        if self.name not in _REGISTRY:
-            raise ValueError(
-                f"unknown replacement policy {self.name!r}; "
-                f"choose from {replacement_names()}"
-            )
+        REPLACEMENT_POLICIES.lookup(self.name)
 
     def build(self) -> ReplacementPolicy:
         """A fresh policy instance (one per node pool)."""
-        return _REGISTRY[self.name]()
+        return REPLACEMENT_POLICIES.lookup(self.name)()
 
     def label(self) -> str:
         return self.name.replace("_", "-")

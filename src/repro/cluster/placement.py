@@ -30,6 +30,7 @@ import dataclasses
 import typing
 
 from repro import schema
+from repro.registry import Registry
 
 
 class CatalogPlacement:
@@ -110,21 +111,9 @@ class CatalogPlacement:
 #: ``factory(spec, nodes, videos_per_node) -> CatalogPlacement``
 PlacementFactory = typing.Callable[..., CatalogPlacement]
 
-_REGISTRY: dict[str, PlacementFactory] = {}
-
-
-def register_placement(name: str, factory: PlacementFactory) -> None:
-    """Make *name* selectable via ``PlacementSpec(name)``."""
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"placement name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def placement_names() -> tuple[str, ...]:
-    """Every currently registered placement name (registration order)."""
-    return tuple(_REGISTRY)
+PLACEMENTS: Registry[PlacementFactory] = Registry("placement")
+register_placement = PLACEMENTS.register
+placement_names = PLACEMENTS.names
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,11 +132,7 @@ class PlacementSpec:
     replicas: int = schema.field(0, digest=schema.OMIT_WHEN_DEFAULT)
 
     def __post_init__(self) -> None:
-        if self.name not in _REGISTRY:
-            raise ValueError(
-                f"unknown placement {self.name!r}; "
-                f"choose from {placement_names()}"
-            )
+        PLACEMENTS.lookup(self.name)
         if self.name == "chained-declustered" and self.replicas < 2:
             raise ValueError(
                 f"chained-declustered needs replicas >= 2, "
@@ -165,7 +150,7 @@ class PlacementSpec:
             raise ValueError(
                 f"need at least one video per node, got {videos_per_node}"
             )
-        return _REGISTRY[self.name](self, nodes, videos_per_node)
+        return PLACEMENTS.lookup(self.name)(self, nodes, videos_per_node)
 
     def label(self) -> str:
         if self.replicas:

@@ -24,25 +24,17 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.registry import Registry
+
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.system import SpiffiCluster
 
 #: ``factory(spec, cluster) -> RequestRouter``
 RouterFactory = typing.Callable[..., "RequestRouter"]
 
-_REGISTRY: dict[str, RouterFactory] = {}
-
-
-def register_router(name: str, factory: RouterFactory) -> None:
-    """Make *name* selectable via ``RouterSpec(name)``."""
-    if not name or not isinstance(name, str):
-        raise ValueError(f"router name must be a non-empty string, got {name!r}")
-    _REGISTRY[name] = factory
-
-
-def router_names() -> tuple[str, ...]:
-    """Every currently registered router name (registration order)."""
-    return tuple(_REGISTRY)
+ROUTERS: Registry[RouterFactory] = Registry("router")
+register_router = ROUTERS.register
+router_names = ROUTERS.names
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,13 +49,10 @@ class RouterSpec:
     name: str = "least-loaded"
 
     def __post_init__(self) -> None:
-        if self.name not in _REGISTRY:
-            raise ValueError(
-                f"unknown router {self.name!r}; choose from {router_names()}"
-            )
+        ROUTERS.lookup(self.name)
 
     def build(self, cluster: "SpiffiCluster") -> "RequestRouter":
-        return _REGISTRY[self.name](self, cluster)
+        return ROUTERS.lookup(self.name)(self, cluster)
 
     def label(self) -> str:
         return self.name

@@ -14,12 +14,8 @@ import math
 from repro.bufferpool.registry import ReplacementSpec
 from repro.cpu.costs import CpuParameters
 from repro.faults.spec import FaultSpec
-from repro.layout.registry import (
-    LayoutSpec,
-    layout_supports_replication,
-    replicated_layout_names,
-)
-from repro.media.access import access_model_names
+from repro.layout.registry import LayoutSpec, replicated_layout_names
+from repro.media.access import ACCESS_MODELS
 from repro.netsim.bus import NetworkParameters
 from repro.prefetch.spec import PrefetchSpec
 from repro.proxy.spec import ProxySpec
@@ -150,7 +146,7 @@ class SpiffiConfig:
                 f"{self.stripe_bytes}-byte stripe block"
             )
         if self.replication.factor > 1:
-            if not layout_supports_replication(self.layout.name):
+            if self.layout.name not in replicated_layout_names():
                 raise ValueError(
                     f"layout {self.layout.name!r} stores a single copy; a "
                     f"replication factor of {self.replication.factor} needs "
@@ -192,11 +188,7 @@ class SpiffiConfig:
                 "ClusterConfig.faults (see repro.cluster), not on a "
                 "single node's SpiffiConfig"
             )
-        if self.access_model not in access_model_names():
-            raise ValueError(
-                f"unknown access model {self.access_model!r}; "
-                f"choose from {access_model_names()}"
-            )
+        ACCESS_MODELS.lookup(self.access_model)
         if self.nodes < 1 or self.disks_per_node < 1:
             raise ValueError("need at least one node and one disk per node")
         if self.terminals < 1:

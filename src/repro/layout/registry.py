@@ -29,6 +29,7 @@ import typing
 from repro.layout.base import Layout
 from repro.layout.nonstriped import NonStripedLayout
 from repro.layout.striped import StripedLayout
+from repro.registry import Registry
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.rng import RandomSource
@@ -37,7 +38,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: replicated factories take a trailing ``replication_factor``.
 LayoutFactory = typing.Callable[..., Layout]
 
-_REGISTRY: dict[str, tuple[LayoutFactory, bool]] = {}
+#: name -> ``(factory, replicated)``.
+LAYOUTS: Registry[tuple[LayoutFactory, bool]] = Registry("layout")
 
 
 def register_layout(
@@ -49,27 +51,17 @@ def register_layout(
     ``replication_factor`` argument and may be combined with
     ``ReplicationSpec(factor > 1)``.
     """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"layout name must be a non-empty string, got {name!r}")
-    _REGISTRY[name] = (factory, replicated)
+    LAYOUTS.register(name, (factory, replicated))
 
 
-def layout_names() -> tuple[str, ...]:
-    """Every currently registered layout name (registration order)."""
-    return tuple(_REGISTRY)
+layout_names = LAYOUTS.names
 
 
 def replicated_layout_names() -> tuple[str, ...]:
     """Layout names that support a replication factor above 1."""
     return tuple(
-        name for name, (_, replicated) in _REGISTRY.items() if replicated
+        name for name, (_, replicated) in LAYOUTS.entries.items() if replicated
     )
-
-
-def layout_supports_replication(name: str) -> bool:
-    if name not in _REGISTRY:
-        raise ValueError(f"unknown layout {name!r}; choose from {layout_names()}")
-    return _REGISTRY[name][1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,10 +71,7 @@ class LayoutSpec:
     name: str = "striped"
 
     def __post_init__(self) -> None:
-        if self.name not in _REGISTRY:
-            raise ValueError(
-                f"unknown layout {self.name!r}; choose from {layout_names()}"
-            )
+        LAYOUTS.lookup(self.name)
 
     def build(
         self,
@@ -94,7 +83,7 @@ class LayoutSpec:
         replication_factor: int = 1,
     ) -> Layout:
         """A layout instance for one assembled system."""
-        factory, replicated = _REGISTRY[self.name]
+        factory, replicated = LAYOUTS.lookup(self.name)
         if replicated:
             return factory(
                 block_counts, nodes, disks_per_node, block_size, rng,

@@ -8,8 +8,7 @@ distribution as the unskewed baseline.
 
 from __future__ import annotations
 
-import typing
-
+from repro.registry import Registry
 from repro.sim.rng import DiscreteSampler, RandomSource, zipf_weights
 
 
@@ -66,34 +65,17 @@ class UniformAccess(AccessModel):
         return f"UniformAccess(n={self.video_count})"
 
 
-#: ``factory(video_count, skew) -> AccessModel``.
-_REGISTRY: dict[str, typing.Callable[[int, float], AccessModel]] = {}
-
-
-def register_access_model(
-    name: str, factory: typing.Callable[[int, float], AccessModel]
-) -> None:
-    """Make *name* selectable via ``SpiffiConfig(access_model=name)``."""
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"access model name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def access_model_names() -> tuple[str, ...]:
-    """Every currently registered access model name (registration order)."""
-    return tuple(_REGISTRY)
+#: ``register_access_model(name, factory)`` makes *name* selectable via
+#: ``SpiffiConfig(access_model=name)``; ``factory(video_count, skew)``
+#: builds the :class:`AccessModel`.
+ACCESS_MODELS = Registry("access model")
+register_access_model = ACCESS_MODELS.register
+access_model_names = ACCESS_MODELS.names
 
 
 def make_access_model(name: str, video_count: int, skew: float = 1.0) -> AccessModel:
     """Build a registered access model by name."""
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown access model {name!r}; choose from {access_model_names()}"
-        )
-    return factory(video_count, skew)
+    return ACCESS_MODELS.lookup(name)(video_count, skew)
 
 
 register_access_model("zipf", lambda count, skew: ZipfianAccess(count, skew))

@@ -17,7 +17,7 @@ from repro.prefetch.spec import PrefetchSpec
 from repro.sim.environment import Environment
 from repro.sim.resources import Gate, PriorityStore, Store
 from repro.storage.drive import DiskDrive
-from repro.storage.request import NO_DEADLINE, DiskRequest
+from repro.storage.request import NO_DEADLINE
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.cpu.processor import Processor
@@ -161,7 +161,6 @@ class DiskPrefetcher:
                 order = yield self._queue.get()
 
     def _fetch(self, order: PrefetchOrder):
-        env = self.env
         self._pending_keys.discard(order.key)
         page = self.pool.try_acquire_for_prefetch(order.key, order.size)
         if page is None:
@@ -171,18 +170,14 @@ class DiskPrefetcher:
             return
         self.stats.issued += 1
         yield from self.cpu.execute(self.cpu_params.costs.start_io)
-        request = DiskRequest(
-            env,
-            byte_offset=order.byte_offset,
-            size=order.size,
-            cylinder=self.drive.geometry.cylinder_of(order.byte_offset),
-            deadline=order.deadline if self._by_deadline else NO_DEADLINE,
-            is_prefetch=True,
-            terminal_id=PREFETCH_TERMINAL,
+        deadline = order.deadline if self._by_deadline else NO_DEADLINE
+        request = page.disk_request = self.drive.read(
+            order.byte_offset,
+            order.size,
+            min(deadline, page.deadline_hint),
+            True,
+            PREFETCH_TERMINAL,
         )
-        request.tighten_deadline(page.deadline_hint)
-        page.disk_request = request
-        self.drive.submit(request)
         yield request.done
         if request.failed:
             # The drive died: drop the page so the block is re-read (and

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import typing
 
+from repro.registry import Registry
+
 
 class PrefixPolicy(typing.Protocol):
     """Orders candidate prefix blocks, hottest first."""
@@ -56,33 +58,18 @@ class HottestFirst:
                 yield vid, block
 
 
-_REGISTRY: dict[str, typing.Callable[[], PrefixPolicy]] = {}
-
-
-def register_prefix_policy(
-    name: str, factory: typing.Callable[[], PrefixPolicy]
-) -> None:
-    """Make *name* selectable via ``ProxySpec(policy=name)``."""
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"prefix policy name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = factory
-
-
-def prefix_policy_names() -> tuple[str, ...]:
-    """Every currently registered policy name (registration order)."""
-    return tuple(_REGISTRY)
+#: ``register_prefix_policy(name, factory)`` makes *name* selectable via
+#: ``ProxySpec(policy=name)``; ``factory()`` builds a fresh policy.
+PREFIX_POLICIES: Registry[typing.Callable[[], PrefixPolicy]] = Registry(
+    "prefix policy"
+)
+register_prefix_policy = PREFIX_POLICIES.register
+prefix_policy_names = PREFIX_POLICIES.names
 
 
 def make_prefix_policy(name: str) -> PrefixPolicy:
     """A fresh policy instance for *name*."""
-    if name not in _REGISTRY:
-        raise ValueError(
-            f"unknown prefix policy {name!r}; "
-            f"choose from {prefix_policy_names()}"
-        )
-    return _REGISTRY[name]()
+    return PREFIX_POLICIES.lookup(name)()
 
 
 register_prefix_policy("hottest", HottestFirst)

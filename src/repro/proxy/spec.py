@@ -18,7 +18,7 @@ import math
 
 from repro import schema
 from repro.bufferpool.registry import ReplacementSpec
-from repro.proxy.policies import make_prefix_policy, prefix_policy_names
+from repro.proxy.policies import PREFIX_POLICIES, make_prefix_policy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,11 +47,7 @@ class ProxySpec:
             raise ValueError(
                 f"prefix_s must be >= 0 and finite, got {self.prefix_s!r}"
             )
-        if self.policy not in prefix_policy_names():
-            raise ValueError(
-                f"unknown prefix policy {self.policy!r}; "
-                f"choose from {prefix_policy_names()}"
-            )
+        PREFIX_POLICIES.lookup(self.policy)
         if self.enabled and self.memory_bytes <= 0:
             raise ValueError(
                 f"an enabled proxy (prefix_s={self.prefix_s:g}) needs a "

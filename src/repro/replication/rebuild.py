@@ -21,7 +21,7 @@ from __future__ import annotations
 import typing
 
 from repro.layout.base import Placement
-from repro.storage.request import NO_DEADLINE, DiskRequest
+from repro.storage.request import NO_DEADLINE
 from repro.telemetry.trace import REBUILD_BLOCK, REBUILD_END, REBUILD_START
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -70,16 +70,7 @@ class BandwidthPacer:
     def access(self, drive: "DiskDrive", offset: int, size: int) -> typing.Generator:
         """Generator (``yield from``): one background access of *size*
         bytes at *offset* on *drive*; returns whether it succeeded."""
-        request = DiskRequest(
-            self.env,
-            byte_offset=offset,
-            size=size,
-            cylinder=drive.geometry.cylinder_of(offset),
-            deadline=NO_DEADLINE,
-            is_prefetch=True,
-            terminal_id=REBUILD_TERMINAL,
-        )
-        drive.submit(request)
+        request = drive.read(offset, size, NO_DEADLINE, True, REBUILD_TERMINAL)
         yield request.done
         return not request.failed
 

@@ -8,7 +8,6 @@ from repro.sched.fcfs import FcfsScheduler
 from repro.sched.gss import GssScheduler
 from repro.sched.realtime import RealTimeScheduler
 from repro.sched.registry import (
-    SCHEDULER_NAMES,
     SchedulerSpec,
     register_scheduler,
     scheduler_names,
@@ -23,7 +22,6 @@ __all__ = [
     "GssScheduler",
     "RealTimeScheduler",
     "RoundRobinScheduler",
-    "SCHEDULER_NAMES",
     "SchedulerSpec",
     "elevator_select",
     "register_scheduler",

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro.registry import Registry
 from repro.sched.base import DiskScheduler
 from repro.sched.edf import EdfScheduler
 from repro.sched.elevator import ElevatorScheduler
@@ -35,7 +36,7 @@ class _Registration:
     label: typing.Callable[["SchedulerSpec"], str] | None = None
 
 
-_REGISTRY: dict[str, _Registration] = {}
+SCHEDULERS: Registry[_Registration] = Registry("scheduler")
 
 
 def register_scheduler(
@@ -51,19 +52,10 @@ def register_scheduler(
     deadlines.  *label* optionally renders a human-readable table label
     from the spec.
     """
-    if not name or not isinstance(name, str):
-        raise ValueError(f"scheduler name must be a non-empty string, got {name!r}")
-    _REGISTRY[name] = _Registration(factory, real_time, label)
+    SCHEDULERS.register(name, _Registration(factory, real_time, label))
 
 
-def scheduler_names() -> tuple[str, ...]:
-    """Every currently registered scheduler name (registration order)."""
-    return tuple(_REGISTRY)
-
-
-#: The built-in algorithms (legacy constant; prefer
-#: :func:`scheduler_names`, which also sees registered plugins).
-SCHEDULER_NAMES = ("fcfs", "elevator", "round_robin", "gss", "realtime", "edf")
+scheduler_names = SCHEDULERS.names
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,24 +73,20 @@ class SchedulerSpec:
     gss_groups: int = 1
 
     def __post_init__(self) -> None:
-        if self.name not in _REGISTRY:
-            raise ValueError(
-                f"unknown scheduler {self.name!r}; "
-                f"choose from {scheduler_names()}"
-            )
+        SCHEDULERS.lookup(self.name)
 
     @property
     def is_real_time(self) -> bool:
         """Whether the algorithm understands request deadlines."""
-        return _REGISTRY[self.name].real_time
+        return SCHEDULERS.lookup(self.name).real_time
 
     def build(self) -> DiskScheduler:
         """A fresh scheduler instance (one per disk)."""
-        return _REGISTRY[self.name].factory(self)
+        return SCHEDULERS.lookup(self.name).factory(self)
 
     def label(self) -> str:
         """Human-readable label used in benchmark tables."""
-        custom = _REGISTRY[self.name].label
+        custom = SCHEDULERS.lookup(self.name).label
         if custom is not None:
             return custom(self)
         return self.name.replace("_", "-")

@@ -33,6 +33,7 @@ import dataclasses
 import typing
 from collections import deque
 
+from repro.registry import Registry
 from repro.sim.environment import Environment
 from repro.sim.events import Event
 from repro.sim.stats import Tally, TimeWeighted
@@ -45,27 +46,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover
 #: — the concurrent-stream cap a policy imposes (None = unlimited).
 AdmissionPolicy = typing.Callable[..., typing.Optional[int]]
 
-_REGISTRY: dict[str, AdmissionPolicy] = {}
-
-
-def register_admission_policy(name: str, limit: AdmissionPolicy) -> None:
-    """Make *name* selectable via ``AdmissionSpec(name)``.
-
-    *limit* receives the spec itself plus the server context (disk
-    count, :class:`DriveParameters`, :class:`StreamParameters`, and the
-    per-disk capacity in bytes) and returns the concurrent-stream cap,
-    or None for no cap.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"admission policy name must be a non-empty string, got {name!r}"
-        )
-    _REGISTRY[name] = limit
-
-
-def admission_policy_names() -> tuple[str, ...]:
-    """Every currently registered policy name (registration order)."""
-    return tuple(_REGISTRY)
+#: ``register_admission_policy(name, limit)`` makes *name* selectable
+#: via ``AdmissionSpec(name)``; *limit* receives the spec itself plus
+#: the server context (disk count, :class:`DriveParameters`,
+#: :class:`StreamParameters`, and the per-disk capacity in bytes) and
+#: returns the concurrent-stream cap, or None for no cap.
+ADMISSION_POLICIES: Registry[AdmissionPolicy] = Registry("admission policy")
+register_admission_policy = ADMISSION_POLICIES.register
+admission_policy_names = ADMISSION_POLICIES.names
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,11 +67,7 @@ class AdmissionSpec:
     headroom: float = 0.9
 
     def __post_init__(self) -> None:
-        if self.policy not in _REGISTRY:
-            raise ValueError(
-                f"unknown admission policy {self.policy!r}; "
-                f"choose from {admission_policy_names()}"
-            )
+        ADMISSION_POLICIES.lookup(self.policy)
         if self.max_streams < 1:
             raise ValueError(f"max_streams must be >= 1, got {self.max_streams}")
         if not 0.0 < self.headroom <= 1.0:
@@ -97,7 +81,7 @@ class AdmissionSpec:
         disk_capacity_bytes: int,
     ) -> int | None:
         """Concurrent-stream cap implied by the policy (None = no cap)."""
-        return _REGISTRY[self.policy](
+        return ADMISSION_POLICIES.lookup(self.policy)(
             self, disks, drive, stream, disk_capacity_bytes
         )
 

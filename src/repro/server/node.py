@@ -21,7 +21,7 @@ from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.sim.stats import Tally
 from repro.storage.drive import DiskDrive
-from repro.storage.request import NO_DEADLINE, DiskRequest
+from repro.storage.request import NO_DEADLINE
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultRuntime
@@ -148,18 +148,13 @@ class VideoServerNode:
             else:
                 drive = self.drives[placement.disk_in_node]
                 if self.faults is None:
-                    request = DiskRequest(
-                        env,
-                        byte_offset=placement.byte_offset,
-                        size=size,
-                        cylinder=drive.geometry.cylinder_of(placement.byte_offset),
-                        deadline=disk_deadline,
-                        is_prefetch=False,
-                        terminal_id=terminal_id,
+                    request = page.disk_request = drive.read(
+                        placement.byte_offset,
+                        size,
+                        min(disk_deadline, page.deadline_hint),
+                        False,
+                        terminal_id,
                     )
-                    request.tighten_deadline(page.deadline_hint)
-                    page.disk_request = request
-                    drive.submit(request)
                     yield request.done
                 else:
                     yield from self._read_degraded(
@@ -206,18 +201,13 @@ class VideoServerNode:
         spec = self.faults.spec
         attempt = 0
         while True:
-            request = DiskRequest(
-                env,
-                byte_offset=placement.byte_offset,
-                size=size,
-                cylinder=drive.geometry.cylinder_of(placement.byte_offset),
-                deadline=disk_deadline,
-                is_prefetch=False,
-                terminal_id=terminal_id,
+            request = page.disk_request = drive.read(
+                placement.byte_offset,
+                size,
+                min(disk_deadline, page.deadline_hint),
+                False,
+                terminal_id,
             )
-            request.tighten_deadline(page.deadline_hint)
-            page.disk_request = request
-            drive.submit(request)
             yield env.any_of([request.done, env.timeout(spec.request_timeout_s)])
             if request.done.triggered:
                 if not request.failed:
@@ -287,18 +277,13 @@ class VideoServerNode:
         env = self.env
         attempt = 0
         while True:
-            request = DiskRequest(
-                env,
-                byte_offset=placement.byte_offset,
-                size=size,
-                cylinder=drive.geometry.cylinder_of(placement.byte_offset),
-                deadline=disk_deadline,
-                is_prefetch=False,
-                terminal_id=terminal_id,
+            request = page.disk_request = drive.read(
+                placement.byte_offset,
+                size,
+                min(disk_deadline, page.deadline_hint),
+                False,
+                terminal_id,
             )
-            request.tighten_deadline(page.deadline_hint)
-            page.disk_request = request
-            drive.submit(request)
             if spec is None:
                 yield request.done
                 return not request.failed

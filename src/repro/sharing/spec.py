@@ -31,12 +31,14 @@ import dataclasses
 import math
 import typing
 
+from repro.registry import Registry
+
 #: Component names a policy may compose.
 BATCH = "batch"
 CHAIN = "chain"
 _COMPONENTS = (BATCH, CHAIN)
 
-_REGISTRY: dict[str, frozenset[str]] = {}
+SHARING_POLICIES: Registry[frozenset[str]] = Registry("sharing policy")
 
 
 def register_sharing_policy(
@@ -49,10 +51,7 @@ def register_sharing_policy(
     inert policy (only ``"none"`` ships with it, but a plugin may alias
     it).
     """
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"sharing policy name must be a non-empty string, got {name!r}"
-        )
+    SHARING_POLICIES.check_name(name)
     parts = frozenset(components)
     unknown = parts - set(_COMPONENTS)
     if unknown:
@@ -60,12 +59,10 @@ def register_sharing_policy(
             f"unknown sharing components {sorted(unknown)}; "
             f"choose from {_COMPONENTS}"
         )
-    _REGISTRY[name] = parts
+    SHARING_POLICIES.register(name, parts)
 
 
-def sharing_policy_names() -> tuple[str, ...]:
-    """Every currently registered policy name (registration order)."""
-    return tuple(_REGISTRY)
+sharing_policy_names = SHARING_POLICIES.names
 
 
 register_sharing_policy("none", ())
@@ -99,11 +96,7 @@ class SharingSpec:
     window_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.policy not in _REGISTRY:
-            raise ValueError(
-                f"unknown sharing policy {self.policy!r}; "
-                f"choose from {sharing_policy_names()}"
-            )
+        SHARING_POLICIES.lookup(self.policy)
         # A non-finite window would only fail at run time: a nan one
         # raises in env.timeout, an inf one never launches.
         if not math.isfinite(self.window_s):
@@ -119,7 +112,7 @@ class SharingSpec:
     @property
     def components(self) -> frozenset[str]:
         """The sharing mechanisms the named policy enables."""
-        return _REGISTRY[self.policy]
+        return SHARING_POLICIES.lookup(self.policy)
 
     @property
     def enabled(self) -> bool:

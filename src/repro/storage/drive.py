@@ -102,6 +102,27 @@ class DiskDrive:
         self._work.open()
         return request
 
+    def read(
+        self,
+        offset: int,
+        size: int,
+        deadline: float,
+        is_prefetch: bool,
+        terminal_id: int,
+    ) -> DiskRequest:
+        """:meth:`submit` a read of *size* bytes at byte *offset*."""
+        return self.submit(
+            DiskRequest(
+                self.env,
+                byte_offset=offset,
+                size=size,
+                cylinder=self.geometry.cylinder_of(offset),
+                deadline=deadline,
+                is_prefetch=is_prefetch,
+                terminal_id=terminal_id,
+            )
+        )
+
     # ------------------------------------------------------------------
     # Fault injection (driven by repro.faults.FaultInjector)
     # ------------------------------------------------------------------

@@ -54,10 +54,6 @@ class RunStopwatch:
         )
 
 
-#: Set once a run has finished in this process since the last collection.
-_run_finished = False
-
-
 def execute_timed(system_class: type, config) -> RunMetrics:
     """Build ``system_class(config)``, run it, and return its metrics
     stamped with execution accounting (wall time and simulator events
@@ -65,16 +61,12 @@ def execute_timed(system_class: type, config) -> RunMetrics:
     per-run cost.  The registered executor behind ``run(SpiffiConfig)``
     and ``run(ClusterConfig)``.
 
-    A finished system is a reference cycle only the collector frees, so
-    the previous run's is collected, untimed, before the next is built:
-    one live system per process (DESIGN.md).  A running system makes no
-    cyclic garbage, so the automatic collector is off while it is built
-    and run; the caller's setting is restored afterwards.
+    A running system makes no cyclic garbage, so the automatic
+    collector is off while it is built and run.  A finished system is a
+    reference cycle only the collector frees, so it is collected once,
+    untimed, before the caller's setting is restored: one live system
+    per process (DESIGN.md), and no automatic collection later walks it.
     """
-    global _run_finished
-    if _run_finished:
-        gc.collect()
-        _run_finished = False
     collecting = gc.isenabled()
     gc.disable()
     started = time.perf_counter()
@@ -82,9 +74,10 @@ def execute_timed(system_class: type, config) -> RunMetrics:
         system = system_class(config)
         with RunStopwatch(system.env) as watch:
             metrics = system.run()
+        watch.wall_time_s = time.perf_counter() - started
+        system = watch.env = None
+        return watch.stamp(metrics)
     finally:
-        _run_finished = True
+        gc.collect()
         if collecting:
             gc.enable()
-    watch.wall_time_s = time.perf_counter() - started
-    return watch.stamp(metrics)

@@ -16,14 +16,17 @@ Third-party processes plug in without touching core code::
     register_arrival_process("ramp", lambda spec: RampArrivals(spec))
     config = SpiffiConfig(workload=ArrivalSpec("ramp", rate_per_s=1.0))
 
-``closed`` is not in the registry: it is the *absence* of an arrival
-process (the paper's fixed-terminal-population workload).
+``closed`` is the *absence* of an arrival process (the paper's
+fixed-terminal-population workload): it is registered first, with no
+factory, so specs accept it and no plugin can take its name.
 """
 
 from __future__ import annotations
 
 import math
 import typing
+
+from repro.registry import Registry
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.workload.spec import ArrivalSpec
@@ -96,38 +99,35 @@ class FlashArrivals(ArrivalProcess):
         return spec.rate_per_s
 
 
-#: ``factory(spec) -> ArrivalProcess``.
-_REGISTRY: dict[str, typing.Callable[["ArrivalSpec"], ArrivalProcess]] = {}
+#: name -> ``factory(spec) -> ArrivalProcess``; ``closed`` has none.
+ARRIVAL_PROCESSES = Registry("arrival process")
+ARRIVAL_PROCESSES.register(CLOSED, None)
 
 
 def register_arrival_process(
     name: str, factory: typing.Callable[["ArrivalSpec"], ArrivalProcess]
 ) -> None:
     """Make *name* selectable via ``ArrivalSpec(name)``."""
-    if not name or not isinstance(name, str):
-        raise ValueError(
-            f"arrival process name must be a non-empty string, got {name!r}"
-        )
     if name == CLOSED:
         raise ValueError(
             f"{CLOSED!r} is the built-in closed-system workload and "
             f"cannot be registered as an arrival process"
         )
-    _REGISTRY[name] = factory
+    ARRIVAL_PROCESSES.register(name, factory)
 
 
 def arrival_process_names() -> tuple[str, ...]:
     """Every registered open-system process name (registration order)."""
-    return tuple(_REGISTRY)
+    return ARRIVAL_PROCESSES.names()[1:]
 
 
 def make_arrival_process(spec: "ArrivalSpec") -> ArrivalProcess:
     """Build the registered arrival process the spec names."""
-    factory = _REGISTRY.get(spec.process)
+    factory = ARRIVAL_PROCESSES.lookup(spec.process)
     if factory is None:
         raise ValueError(
-            f"unknown arrival process {spec.process!r}; choose from "
-            f"{(CLOSED,) + arrival_process_names()}"
+            f"unknown arrival process {CLOSED!r}; choose from "
+            f"{ARRIVAL_PROCESSES.names()}"
         )
     return factory(spec)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.workload.arrivals import CLOSED, arrival_process_names
+from repro.workload.arrivals import ARRIVAL_PROCESSES, CLOSED
 
 
 @dataclasses.dataclass(frozen=True)
@@ -84,11 +84,7 @@ class ArrivalSpec:
     startup_slo_s: float = 10.0
 
     def __post_init__(self) -> None:
-        known = (CLOSED,) + arrival_process_names()
-        if self.process not in known:
-            raise ValueError(
-                f"unknown arrival process {self.process!r}; choose from {known}"
-            )
+        ARRIVAL_PROCESSES.lookup(self.process)
         if self.enabled and self.rate_per_s <= 0:
             raise ValueError(
                 f"arrival process {self.process!r} needs rate_per_s > 0, "

@@ -22,29 +22,35 @@ ROOT = pathlib.Path(__file__).resolve().parents[2]
 #: Trees whose source counts as a run path.
 RUN_PATHS = ("src/repro/experiments", "benchmarks", "examples", "perfbench")
 
-#: registry -> (module, function returning the registered names).
-REGISTRIES = {
-    "sharing": ("repro.sharing.spec", "sharing_policy_names"),
-    "placement": ("repro.cluster.placement", "placement_names"),
-    "router": ("repro.cluster.routing", "router_names"),
-    "admission": ("repro.server.admission", "admission_policy_names"),
-    "layout": ("repro.layout.registry", "layout_names"),
-    "scheduler": ("repro.sched.registry", "scheduler_names"),
-    "replacement": ("repro.bufferpool.registry", "replacement_names"),
-    "arrival process": ("repro.workload.arrivals", "arrival_process_names"),
-    "access model": ("repro.media.access", "access_model_names"),
-    "proxy": ("repro.proxy.policies", "prefix_policy_names"),
+#: Every registry kind ``repro.registry.REGISTRIES`` holds.
+KINDS = {
+    "access model",
+    "admission policy",
+    "arrival process",
+    "layout",
+    "placement",
+    "prefix policy",
+    "replacement policy",
+    "router",
+    "scheduler",
+    "sharing policy",
 }
 
-#: (registry, name) -> why the name stays although no run path names it.
+#: (kind, name) -> why the name stays although no run path names it.
 ALLOWED = {
-    ("sharing", "none"): "the inert SharingSpec default",
-    ("admission", "none"): "the inert AdmissionSpec default (the paper's setup)",
-    ("admission", "fixed"): (
+    ("sharing policy", "none"): "the inert SharingSpec default",
+    ("admission policy", "none"): (
+        "the inert AdmissionSpec default (the paper's setup)"
+    ),
+    ("admission policy", "fixed"): (
         "kept for ROADMAP item 15: the M/M/c/K+M admission oracle needs "
         "a hard stream cap"
     ),
-    ("proxy", "hottest"): (
+    ("arrival process", "closed"): (
+        "the ArrivalSpec default: the paper's closed workload, which every "
+        "run that sets no arrival process selects unnamed"
+    ),
+    ("prefix policy", "hottest"): (
         "the ProxySpec.policy default: every proxy the prefixsweep "
         "experiment enables runs it unnamed"
     ),
@@ -52,11 +58,11 @@ ALLOWED = {
 
 
 def builtin_names() -> dict[str, list[str]]:
-    """Registry -> names, as registered by a fresh ``import repro``."""
-    script = "import importlib, json\n" + "\n".join(
-        f"print(json.dumps([{registry!r}, "
-        f"list(importlib.import_module({module!r}).{function}())]))"
-        for registry, (module, function) in REGISTRIES.items()
+    """Kind -> names, as registered by a fresh ``import repro.api``."""
+    script = (
+        "import json, repro.api\n"
+        "from repro.registry import REGISTRIES\n"
+        "print(json.dumps({k: list(r.names()) for k, r in REGISTRIES.items()}))"
     )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     output = subprocess.run(
@@ -67,7 +73,7 @@ def builtin_names() -> dict[str, list[str]]:
         cwd=ROOT,
         env=env,
     ).stdout
-    return dict(json.loads(line) for line in output.splitlines())
+    return json.loads(output)
 
 
 def run_path_source() -> str:
@@ -84,7 +90,7 @@ def names():
 
 
 def test_every_registry_is_read(names):
-    assert set(names) == set(REGISTRIES)
+    assert set(names) == KINDS
     assert all(names.values())
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bufferpool import GlobalLru, LovePrefetch, Page, make_policy
+from repro.bufferpool import GlobalLru, LovePrefetch, Page, ReplacementSpec
 
 
 def page(key, pins=0):
@@ -116,10 +116,10 @@ class TestLovePrefetch:
 
 class TestFactory:
     def test_names(self):
-        assert isinstance(make_policy("global_lru"), GlobalLru)
-        assert isinstance(make_policy("love_prefetch"), LovePrefetch)
+        assert isinstance(ReplacementSpec("global_lru").build(), GlobalLru)
+        assert isinstance(ReplacementSpec("love_prefetch").build(), LovePrefetch)
         with pytest.raises(ValueError):
-            make_policy("clock")
+            ReplacementSpec("clock").build()
 
 
 class OrderedDictChains:
@@ -182,7 +182,7 @@ OPS = st.lists(
 @given(ops=OPS)
 @settings(max_examples=150, deadline=None)
 def test_chains_match_an_ordered_dict_reference(name, ops):
-    policy = make_policy(name)
+    policy = ReplacementSpec(name).build()
     reference = OrderedDictChains(love=name == "love_prefetch")
     resident: dict = {}
     for op, key in ops:

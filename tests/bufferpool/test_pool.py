@@ -2,12 +2,14 @@
 
 import pytest
 
-from repro.bufferpool import HIT, INFLIGHT, MISS, BufferPool, make_policy
+from repro.bufferpool import HIT, INFLIGHT, MISS, BufferPool, ReplacementSpec
 from repro.sim import Environment
 
 
 def make_pool(env, capacity=4, policy="love_prefetch", share=1.0):
-    return BufferPool(env, capacity, make_policy(policy), prefetch_pool_share=share)
+    return BufferPool(
+        env, capacity, ReplacementSpec(policy).build(), prefetch_pool_share=share
+    )
 
 
 def acquire_now(env, pool, key, size=1024, terminal_id=None, for_prefetch=False):

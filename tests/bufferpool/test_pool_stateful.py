@@ -9,7 +9,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.bufferpool import BufferPool, make_policy
+from repro.bufferpool import BufferPool, ReplacementSpec
 from repro.sim import Environment
 
 KEYS = [("v", block) for block in range(12)]
@@ -22,7 +22,10 @@ class BufferPoolMachine(RuleBasedStateMachine):
     def setup(self, policy, share):
         self.env = Environment()
         self.pool = BufferPool(
-            self.env, CAPACITY, make_policy(policy), prefetch_pool_share=share
+            self.env,
+            CAPACITY,
+            ReplacementSpec(policy).build(),
+            prefetch_pool_share=share,
         )
         self.loaded_reads = 0
 
@@ -118,7 +121,10 @@ class PinnedPoolMachine(RuleBasedStateMachine):
     def setup(self, policy, share):
         self.env = Environment()
         self.pool = BufferPool(
-            self.env, CAPACITY, make_policy(policy), prefetch_pool_share=share
+            self.env,
+            CAPACITY,
+            ReplacementSpec(policy).build(),
+            prefetch_pool_share=share,
         )
         #: Pages whose read is in flight, each with its loader's pin.
         self.loading = []

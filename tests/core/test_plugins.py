@@ -24,11 +24,8 @@ from repro.api import (
     scheduler_names,
 )
 from repro.bufferpool.policies import GlobalLru
-from repro.bufferpool.registry import _REGISTRY as _replacement_registry
-from repro.layout.registry import _REGISTRY as _layout_registry
 from repro.layout.striped import StripedLayout
 from repro.sched.elevator import ElevatorScheduler
-from repro.sched.registry import _REGISTRY as _scheduler_registry
 
 
 def tiny_config(**overrides):
@@ -46,22 +43,6 @@ def tiny_config(**overrides):
     )
     defaults.update(overrides)
     return SpiffiConfig(**defaults)
-
-
-@pytest.fixture
-def scratch_registries():
-    """Roll back any names the test registers."""
-    before = (
-        set(_scheduler_registry),
-        set(_layout_registry),
-        set(_replacement_registry),
-    )
-    yield
-    for registry, names in zip(
-        (_scheduler_registry, _layout_registry, _replacement_registry), before
-    ):
-        for name in set(registry) - names:
-            del registry[name]
 
 
 class CountingLru(GlobalLru):

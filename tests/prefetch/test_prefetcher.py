@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bufferpool import BufferPool, make_policy
+from repro.bufferpool import BufferPool, ReplacementSpec
 from repro.cpu import CpuParameters, Processor
 from repro.prefetch import DiskPrefetcher, PrefetchOrder, PrefetchSpec
 from repro.sched import FcfsScheduler
@@ -18,7 +18,9 @@ def make_rig(env, spec, pool_capacity=16):
     params = DriveParameters()
     geometry = DiskGeometry(params.cylinder_bytes, 100 * params.cylinder_bytes)
     drive = DiskDrive(env, 0, params, geometry, FcfsScheduler(), RandomSource(1))
-    pool = BufferPool(env, pool_capacity, make_policy("love_prefetch"))
+    pool = BufferPool(
+        env, pool_capacity, ReplacementSpec("love_prefetch").build()
+    )
     cpu_params = CpuParameters()
     cpu = Processor(env, cpu_params, 0)
     prefetcher = DiskPrefetcher(env, spec, drive, pool, cpu, cpu_params)

@@ -85,29 +85,25 @@ class TestCacheDict:
         )
         assert config_digest(base) != config_digest(proxied)
 
-    def test_every_proxy_knob_is_digest_visible(self):
+    def test_every_proxy_knob_is_digest_visible(self, scratch_registries):
         from repro.experiments.results import config_digest
-        from repro.proxy import policies
 
         register_prefix_policy("test-hottest", HottestFirst)
-        try:
-            variants = [
-                ProxySpec(prefix_s=30.0, memory_bytes=16 * MB),
-                ProxySpec(prefix_s=60.0, memory_bytes=16 * MB),
-                ProxySpec(prefix_s=30.0, memory_bytes=32 * MB),
-                ProxySpec(prefix_s=30.0, memory_bytes=16 * MB, policy="test-hottest"),
-                ProxySpec(
-                    prefix_s=30.0,
-                    memory_bytes=16 * MB,
-                    replacement=ReplacementSpec("love_prefetch"),
-                ),
-            ]
-            digests = {
-                config_digest(SpiffiConfig(terminals=4, proxy=spec))
-                for spec in variants
-            }
-        finally:
-            del policies._REGISTRY["test-hottest"]
+        variants = [
+            ProxySpec(prefix_s=30.0, memory_bytes=16 * MB),
+            ProxySpec(prefix_s=60.0, memory_bytes=16 * MB),
+            ProxySpec(prefix_s=30.0, memory_bytes=32 * MB),
+            ProxySpec(prefix_s=30.0, memory_bytes=16 * MB, policy="test-hottest"),
+            ProxySpec(
+                prefix_s=30.0,
+                memory_bytes=16 * MB,
+                replacement=ReplacementSpec("love_prefetch"),
+            ),
+        ]
+        digests = {
+            config_digest(SpiffiConfig(terminals=4, proxy=spec))
+            for spec in variants
+        }
         assert len(digests) == len(variants)
 
 
@@ -150,7 +146,7 @@ class TestPolicies:
         with pytest.raises(ValueError, match="unknown prefix policy"):
             make_prefix_policy("absent")
 
-    def test_third_party_registration(self):
+    def test_third_party_registration(self, scratch_registries):
         class Reversed:
             def plan(self, weights, prefix_blocks):
                 for vid in reversed(range(len(weights))):
@@ -158,15 +154,8 @@ class TestPolicies:
                         yield vid, block
 
         register_prefix_policy("test-reversed", Reversed)
-        try:
-            spec = ProxySpec(
-                prefix_s=30.0, memory_bytes=16 * MB, policy="test-reversed"
-            )
-            assert isinstance(spec.build_policy(), Reversed)
-        finally:
-            from repro.proxy import policies
-
-            del policies._REGISTRY["test-reversed"]
+        spec = ProxySpec(prefix_s=30.0, memory_bytes=16 * MB, policy="test-reversed")
+        assert isinstance(spec.build_policy(), Reversed)
 
     def test_bad_registration_name(self):
         with pytest.raises(ValueError, match="non-empty"):

@@ -12,7 +12,6 @@ import pytest
 from repro.layout.base import Layout
 from repro.layout.registry import (
     LayoutSpec,
-    layout_supports_replication,
     register_layout,
     replicated_layout_names,
 )
@@ -182,14 +181,14 @@ class TestValidation:
             )
 
     def test_registry_reports_replication_support(self):
-        assert layout_supports_replication("mirrored")
-        assert layout_supports_replication("chained")
-        assert not layout_supports_replication("striped")
+        assert "mirrored" in replicated_layout_names()
+        assert "chained" in replicated_layout_names()
+        assert "striped" not in replicated_layout_names()
         assert set(replicated_layout_names()) >= {"mirrored", "chained"}
 
 
 class TestPluginBackCompat:
-    def test_five_arg_factory_still_registers_and_builds(self):
+    def test_five_arg_factory_still_registers_and_builds(self, scratch_registries):
         """Pre-replication plugin factories keep working unchanged."""
 
         class Dummy(Layout):
@@ -201,17 +200,12 @@ class TestPluginBackCompat:
                 nodes, disks, block_size
             ),
         )
-        try:
-            layout = LayoutSpec("compat_probe").build(
-                COUNTS, NODES, DISKS_PER_NODE, BLOCK, None
+        layout = LayoutSpec("compat_probe").build(
+            COUNTS, NODES, DISKS_PER_NODE, BLOCK, None
+        )
+        assert isinstance(layout, Dummy)
+        with pytest.raises(ValueError, match="single copy"):
+            LayoutSpec("compat_probe").build(
+                COUNTS, NODES, DISKS_PER_NODE, BLOCK, None,
+                replication_factor=2,
             )
-            assert isinstance(layout, Dummy)
-            with pytest.raises(ValueError, match="single copy"):
-                LayoutSpec("compat_probe").build(
-                    COUNTS, NODES, DISKS_PER_NODE, BLOCK, None,
-                    replication_factor=2,
-                )
-        finally:
-            from repro.layout import registry
-
-            registry._REGISTRY.pop("compat_probe", None)

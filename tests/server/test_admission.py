@@ -59,12 +59,7 @@ class TestAdmissionRegistry:
         for name in admission_policy_names():
             assert name in message
 
-    def test_plugin_policy(self, monkeypatch):
-        import repro.server.admission as admission_module
-
-        monkeypatch.setattr(
-            admission_module, "_REGISTRY", dict(admission_module._REGISTRY)
-        )
+    def test_plugin_policy(self, scratch_registries):
         register_admission_policy("ten", lambda spec, *context: 10)
         spec = AdmissionSpec(policy="ten")
         assert "ten" in admission_policy_names()

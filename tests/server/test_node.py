@@ -2,7 +2,7 @@
 
 
 
-from repro.bufferpool import BufferPool, make_policy
+from repro.bufferpool import BufferPool, ReplacementSpec
 from repro.cpu import CpuParameters, Processor
 from repro.layout import StripedLayout
 from repro.media import VideoLibrary
@@ -29,7 +29,7 @@ def make_node(env, prefetch_mode="standard", depth=1, pool_pages=64):
             DiskDrive(env, disk, drive_params, geometry,
                       SchedulerSpec("elevator").build(), RandomSource(disk))
         )
-    pool = BufferPool(env, pool_pages, make_policy("love_prefetch"))
+    pool = BufferPool(env, pool_pages, ReplacementSpec("love_prefetch").build())
     cpu_params = CpuParameters()
     cpu = Processor(env, cpu_params, 0)
     spec = PrefetchSpec(prefetch_mode, depth=depth) if prefetch_mode != "none" else PrefetchSpec("none")

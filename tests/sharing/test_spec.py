@@ -60,15 +60,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="unknown sharing components"):
             register_sharing_policy("test-bogus", ("teleport",))
 
-    def test_register_custom_policy(self):
+    def test_register_custom_policy(self, scratch_registries):
         register_sharing_policy("test-batch-only", (BATCH,))
-        try:
-            spec = SharingSpec(policy="test-batch-only")
-            assert spec.batching and not spec.chaining
-        finally:
-            from repro.sharing import spec as spec_module
-
-            del spec_module._REGISTRY["test-batch-only"]
+        spec = SharingSpec(policy="test-batch-only")
+        assert spec.batching and not spec.chaining
 
     def test_labels(self):
         assert SharingSpec().label() == "no-sharing"

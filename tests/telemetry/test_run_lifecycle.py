@@ -2,8 +2,8 @@
 
 A running system must create no cyclic garbage, so nothing it drops
 while it runs waits for a collection; and ``execute_timed`` collects a
-finished system before it builds the next, so consecutive runs (the
-probes of one search) never hold two systems at once.  Within a run, a
+finished system before it returns, so consecutive runs (the probes of
+one search) never hold two systems at once.  Within a run, a
 finished session's terminal is freed: an open workload's memory
 follows the sessions in flight, not the sessions served.
 """
@@ -156,6 +156,36 @@ def test_execute_timed_keeps_at_most_one_finished_system(monkeypatch):
         run(closed_config(seed=2))
         assert len(built) == 2
         assert built[0]() is None, "the first run's system outlived the second run"
+
+
+def test_execute_timed_collects_the_finished_system_before_returning(monkeypatch):
+    """One full collection, untimed, frees the finished system before
+    ``execute_timed`` returns.  The young generation comes back empty,
+    so no automatic collection walks the finished system afterwards."""
+    built = []
+    init = SpiffiSystem.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    monkeypatch.setattr(SpiffiSystem, "__init__", recording_init)
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        runstats.execute_timed(SpiffiSystem, closed_config(seed=1))
+        young = gc.get_count()[0]
+    finally:
+        gc.callbacks.remove(count)
+    assert young < gc.get_threshold()[0]
+    assert generations == [2]
+    assert built[0]() is None, "the finished system outlived execute_timed"
 
 
 @pytest.mark.parametrize("caller_collects", [True, False])

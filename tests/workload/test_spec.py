@@ -78,13 +78,7 @@ class TestArrivalRegistry:
         spec = ArrivalSpec(process="poisson", rate_per_s=1.0)
         assert isinstance(make_arrival_process(spec), PoissonArrivals)
 
-    def test_plugin_process(self, monkeypatch):
-        import repro.workload.arrivals as arrivals_module
-
-        monkeypatch.setattr(
-            arrivals_module, "_REGISTRY", dict(arrivals_module._REGISTRY)
-        )
-
+    def test_plugin_process(self, scratch_registries):
         class DoubleArrivals(PoissonArrivals):
             @property
             def peak_rate(self):
