@@ -1,4 +1,20 @@
-"""MPEG video model, video library, and access-frequency distributions."""
+"""MPEG video model, video library, and access-frequency distributions.
+
+numpy enters ``repro`` here, with OpenBLAS held to one thread: frame
+sizes call no BLAS routine, and its idle worker pool cost ~60 ms of
+every cold start (DESIGN.md, *Cold start*).  ``OPENBLAS_NUM_THREADS``
+is set only around the import; a user's value, or a numpy already
+loaded (the import is then a no-op), is left alone.
+"""
+
+import os
+
+if "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
 
 from repro.media.access import (
     AccessModel,

@@ -54,7 +54,6 @@ class HealthMonitor:
         self.trace: "TraceRecorder | None" = None
         self._on_failed: list[typing.Callable[[int], None]] = []
         self._on_outage: list[typing.Callable[[int], None]] = []
-        self._on_restored: list[typing.Callable[[int], None]] = []
 
     def reset_stats(self) -> None:
         """Health is live state, not a statistic: nothing to zero."""
@@ -86,11 +85,6 @@ class HealthMonitor:
         """Call *callback(index)* when an index transitions into DOWN
         (outage count 0 → 1).  Overlapping outages fire only once."""
         self._on_outage.append(callback)
-
-    def subscribe_restored(self, callback: typing.Callable[[int], None]) -> None:
-        """Call *callback(index)* when the last active outage on an
-        index is reverted (outage count 1 → 0)."""
-        self._on_restored.append(callback)
 
     def note_timeout(self, disk: int) -> None:
         """A request to *disk* timed out: suspect it for the cooldown."""
@@ -129,11 +123,6 @@ class HealthMonitor:
             self._slow[disk] -= 1
         elif event.kind == DISK_OUTAGE:
             self._down[disk] -= 1
-            if self._down[disk] == 0:
-                self._note_change(disk, before)
-                for callback in self._on_restored:
-                    callback(disk)
-                return
         else:
             return
         self._note_change(disk, before)

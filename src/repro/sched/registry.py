@@ -6,7 +6,7 @@ plug in through :func:`register_scheduler` without touching
 
     from repro.sched import SchedulerSpec, register_scheduler
 
-    register_scheduler("my_sched", lambda spec: MyScheduler(), real_time=True)
+    register_scheduler("my_sched", lambda spec: MyScheduler())
     config = SpiffiConfig(scheduler=SchedulerSpec("my_sched"))
 
 A factory receives the full :class:`SchedulerSpec`, so parameterised
@@ -32,7 +32,6 @@ from repro.sched.round_robin import RoundRobinScheduler
 @dataclasses.dataclass(frozen=True)
 class _Registration:
     factory: typing.Callable[["SchedulerSpec"], DiskScheduler]
-    real_time: bool = False
     label: typing.Callable[["SchedulerSpec"], str] | None = None
 
 
@@ -42,17 +41,15 @@ SCHEDULERS: Registry[_Registration] = Registry("scheduler")
 def register_scheduler(
     name: str,
     factory: typing.Callable[["SchedulerSpec"], DiskScheduler],
-    real_time: bool = False,
     label: typing.Callable[["SchedulerSpec"], str] | None = None,
 ) -> None:
     """Make *name* selectable via ``SchedulerSpec(name)``.
 
     *factory* builds a fresh scheduler instance from the spec (one per
-    disk).  *real_time* marks algorithms that understand request
-    deadlines.  *label* optionally renders a human-readable table label
+    disk).  *label* optionally renders a human-readable table label
     from the spec.
     """
-    SCHEDULERS.register(name, _Registration(factory, real_time, label))
+    SCHEDULERS.register(name, _Registration(factory, label))
 
 
 scheduler_names = SCHEDULERS.names
@@ -74,11 +71,6 @@ class SchedulerSpec:
 
     def __post_init__(self) -> None:
         SCHEDULERS.lookup(self.name)
-
-    @property
-    def is_real_time(self) -> bool:
-        """Whether the algorithm understands request deadlines."""
-        return SCHEDULERS.lookup(self.name).real_time
 
     def build(self) -> DiskScheduler:
         """A fresh scheduler instance (one per disk)."""
@@ -105,10 +97,9 @@ register_scheduler(
 register_scheduler(
     "realtime",
     lambda spec: RealTimeScheduler(spec.priority_classes, spec.priority_spacing_s),
-    real_time=True,
     label=lambda spec: (
         f"real-time ({spec.priority_classes} prio, "
         f"{spec.priority_spacing_s:g}s spacing)"
     ),
 )
-register_scheduler("edf", lambda spec: EdfScheduler(), real_time=True)
+register_scheduler("edf", lambda spec: EdfScheduler())

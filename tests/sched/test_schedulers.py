@@ -228,11 +228,6 @@ class TestSchedulerSpec:
         assert "3 prio" in SchedulerSpec("realtime").label()
         assert "1 group" in SchedulerSpec("gss").label()
 
-    def test_is_real_time(self):
-        assert SchedulerSpec("realtime").is_real_time
-        assert SchedulerSpec("edf").is_real_time
-        assert not SchedulerSpec("elevator").is_real_time
-
 
 @given(
     cylinders=st.lists(st.integers(min_value=0, max_value=200), min_size=1, max_size=30),
