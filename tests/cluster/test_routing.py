@@ -11,12 +11,7 @@ import pytest
 
 from repro.cluster import PlacementSpec, RouterSpec, SpiffiCluster, router_names
 from repro.cluster.routing import register_router
-from repro.experiments.runner import (
-    ProcessExecutor,
-    Runner,
-    RunRequest,
-    SerialExecutor,
-)
+from tests import pins
 from tests.cluster.conftest import small_cluster
 
 POLICIES = ("least-loaded", "locality")
@@ -96,17 +91,6 @@ class TestDeterminism:
         assert {node for _, _, node in first} == {0, 1}
 
     def test_run_identical_under_serial_and_process_executors(self):
-        config = small_cluster()
-
-        def run_with(executor):
-            runner = Runner(executor=executor, cache=None)
-            try:
-                outcome = runner.run_batch([RunRequest(config)])[0]
-            finally:
-                executor.close()
-            assert not outcome.failed, outcome.error
-            return outcome.metrics
-
-        serial = run_with(SerialExecutor())
-        pooled = run_with(ProcessExecutor(jobs=2))
+        serial = pins.run(small_cluster(), "jobs_1")
+        pooled = pins.run(small_cluster(), "jobs_2")
         assert serial.deterministic_dict() == pooled.deterministic_dict()

@@ -1,29 +1,27 @@
 """Config digests of every non-default shape, and the canonical form
 rule by rule.
 
-The default shapes are pinned elsewhere (``tests/sim/test_golden_digest.py``,
-``tests/faults/test_injection.py``); the cases below pin one shape per
+The default shapes are pinned by the ``midsize`` and ``prefault`` rows
+of ``tests/pins.json``; the ``shape/<name>`` rows pin one shape per
 canonical-form rule: a subsystem spec switched on, a nested field
 omitted at its default or present off it, a cluster with and without
 its optional tiers.  Each digest is also a run-cache key, so a drift
-here silently invalidates every cached run of that shape.
-
-Re-record (only for a deliberate cache re-key) with::
-
-    PYTHONPATH=src python -c "import tests.core.test_config_digests as d; d.print_current()"
+here silently invalidates every cached run of that shape.  Re-pin one
+only for a deliberate cache re-key (``--pins=write``, tests/conftest.py).
 """
 
 import pytest
 
 from repro.cluster import ClusterConfig, PlacementSpec, SelfHealSpec
 from repro.core.config import MB, SpiffiConfig
-from repro.experiments.results import config_digest, config_to_dict
+from repro.experiments.results import config_to_dict
 from repro.faults.spec import FaultSpec
 from repro.layout import LayoutSpec
 from repro.proxy import ProxySpec
 from repro.replication import ReplicationSpec
 from repro.sharing import SharingSpec
 from repro.workload import ArrivalSpec
+from tests import pins
 
 PROXY = ProxySpec(prefix_s=10.0, memory_bytes=24 * MB)
 OPEN = ArrivalSpec(process="poisson", rate_per_s=2.0, mean_view_duration_s=30.0)
@@ -75,25 +73,12 @@ SHAPES = {
     "cluster_proxy": lambda: cluster(proxy=PROXY),
 }
 
-#: name -> config digest, recorded before the canonical form was
-#: derived from field declarations (it must not have moved since).
-GOLDEN = {
-    "proxy": "812a6eab06a1bcdcad1ea7aceba1688c10d3b43080a8665d7d077a85fbee9efa",
-    "sharing": "b47c6e442c33b5cd2e2b92e6ae89c9ff5d59a9c0bc63097ea5248eac16aca247",
-    "replication": "d1643be52bc8acf323551bf4fa8c57295172a873ec9075c339b47d0400bf723d",
-    "open_workload": "f32b978563066af20b4988493ebece86498ea11105c009fc167ab262b3ae75a5",
-    "faults": "64e66255e9e5ad88499a272e22121c1480ac6dfc1d8f9f7d9424ca9a80bd2e6f",
-    "cluster_replicas_0": "6a12db9e2644971bee9de7d1ab94321ea5cd5f8536bc97ee7a8940ea58ece702",
-    "cluster_replicas_2": "5d078eca412be93777b7fe52f897b80bd4bc3d3e784a0eb87473f765b77dc460",
-    "cluster_staggered": "da9265a79cec08f7031db69133c0207bea10537da86e854e8d5408a9a22941b6",
-    "cluster_self_heal": "9818cceb1be315fcf51005637d2b73c35f071de994e9c0bb0a8ae38106f001d4",
-    "cluster_proxy": "8a9670dea8c807c776cc6ae598ec8240ef246df7b4f9aa67f7fb3aeaa11e36a2",
-}
-
-
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_config_digest_pinned(name):
-    assert config_digest(SHAPES[name]()) == GOLDEN[name]
+    # Rows ``shape/<name>`` of tests/pins.json were recorded before the
+    # canonical form was derived from field declarations (they must not
+    # have moved since).
+    pins.check_config(f"shape/{name}", SHAPES[name]())
 
 
 class TestSystemForm:
@@ -158,8 +143,3 @@ class TestClusterForm:
         assert heal["self_heal"]["rebuild"] is True
         proxy = config_to_dict(SHAPES["cluster_proxy"]())["cluster"]
         assert proxy["proxy"]["replacement"] == "global_lru"
-
-
-def print_current() -> None:  # pragma: no cover - re-recording helper
-    for name in sorted(SHAPES):
-        print(f'    "{name}": "{config_digest(SHAPES[name]())}",')

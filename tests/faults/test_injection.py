@@ -1,9 +1,10 @@
 """End-to-end fault injection: determinism, degraded mode, attribution.
 
-The golden baseline in ``TestEmptySpecIsInert`` pins the *exact*
-metrics (and config digest) of a reference run recorded before the
-fault subsystem existed.  If a change to the fault code shifts any of
-these numbers, fault-free runs are no longer bit-identical to the
+Row ``prefault`` of ``tests/pins.json`` pins the config digest, the
+behaviour digest (every metric) and the event count of a reference run
+recorded before the fault subsystem existed; ``TestEmptySpecIsInert``
+checks ``golden_config()`` against it.  If a change to the fault code
+shifts any of them, fault-free runs are no longer bit-identical to the
 pre-fault simulator — which is the subsystem's core contract.
 """
 
@@ -14,6 +15,7 @@ from repro.core.system import SpiffiSystem
 from repro.experiments.results import config_digest
 from repro.faults import FaultSpec
 from repro.telemetry import trace as trace_events
+from tests import pins
 
 
 def golden_config(**overrides):
@@ -33,46 +35,6 @@ def golden_config(**overrides):
     return SpiffiConfig(**defaults)
 
 
-#: sha256 config digest of ``golden_config()`` recorded on the commit
-#: before the fault subsystem was added.
-GOLDEN_DIGEST = "86dd5a5d7585f33c7957fe9821a8aaf3fb3cc2b7984467be2059fd240fff431a"
-
-#: ``RunMetrics.deterministic_dict()`` of ``golden_config()`` recorded
-#: on the same commit.
-GOLDEN_METRICS = {
-    "admission_mean_wait_s": 0.0,
-    "admissions_queued": 0,
-    "allocation_waits": 0,
-    "blocks_delivered": 679,
-    "buffer_hit_rate": 1.0,
-    "buffer_inflight_hit_rate": 0.0,
-    "buffer_references": 680,
-    "cpu_utilization_mean": 0.00582500000000441,
-    "deadline_misses": 0,
-    "disk_utilization_max": 0.41736927058463136,
-    "disk_utilization_mean": 0.4120745456778181,
-    "disk_utilization_min": 0.4039624878539341,
-    "dropped_prefetches": 0,
-    "events_processed": 19990,
-    "glitches": 0,
-    "glitching_terminals": 0,
-    "max_response_time_s": 0.02167283331324299,
-    "mean_glitch_duration_s": 0.0,
-    "mean_response_time_s": 0.021213839967598045,
-    "mean_startup_latency_s": 0.0,
-    "measure_s": 30.0,
-    "network_mean_bytes_per_s": 11886762.666666666,
-    "network_peak_bytes_per_s": 14159232.0,
-    "pauses_taken": 0,
-    "prefetches_completed": 625,
-    "prefetches_issued": 626,
-    "rereference_rate": 0.07941176470588235,
-    "terminals": 24,
-    "videos_completed": 0,
-    "wasted_prefetches": 0,
-}
-
-
 def faulty_spec(**overrides):
     defaults = dict(
         disk_fault_rate_per_hour=720.0,
@@ -87,15 +49,10 @@ def faulty_spec(**overrides):
 
 class TestEmptySpecIsInert:
     def test_digest_unchanged_from_pre_fault_build(self):
-        assert config_digest(golden_config()) == GOLDEN_DIGEST
+        pins.check_config("prefault", golden_config())
 
     def test_metrics_bit_identical_to_pre_fault_build(self):
-        values = run_simulation(golden_config()).deterministic_dict()
-        # Every metric that existed before the fault subsystem is
-        # bit-identical; every metric added since reads zero.
-        assert {key: values[key] for key in GOLDEN_METRICS} == GOLDEN_METRICS
-        new_keys = set(values) - set(GOLDEN_METRICS)
-        assert all(values[key] == 0 for key in new_keys), new_keys
+        pins.check("prefault", pins.run(golden_config()))
 
     def test_fault_fields_all_zero(self):
         metrics = run_simulation(golden_config())
@@ -124,7 +81,8 @@ class TestFaultyRuns:
         faulty = run_simulation(golden_config(faults=faulty_spec()))
         assert faulty.fault_events_injected > 0
         assert faulty.deterministic_dict() != clean.deterministic_dict()
-        assert config_digest(golden_config(faults=faulty_spec())) != GOLDEN_DIGEST
+        prefault = pins.STORE.rows["prefault"]["config"]
+        assert config_digest(golden_config(faults=faulty_spec())) != prefault
 
     def test_glitches_are_fault_attributed(self):
         # An outage-heavy schedule glitches viewers, and every glitch

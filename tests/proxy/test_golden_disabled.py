@@ -1,30 +1,18 @@
 """A disabled ProxySpec is invisible: bit-identical to the pre-proxy
 build.
 
-The golden digests were recorded before the proxy tier existed.  A
-config that spells out ``proxy=ProxySpec()`` explicitly must reproduce
-them exactly — same config digest (the inert spec is omitted from the
-cache form), same metrics digest, same event count — standalone and as
-a 1-node cluster, under direct execution and both executors.
+Row ``midsize`` of ``tests/pins.json`` was recorded before the proxy
+tier existed.  A config that spells out ``proxy=ProxySpec()``
+explicitly must reproduce it exactly — same config digest (the inert
+spec is omitted from the cache form), same behaviour digest, same event
+count — standalone and as a 1-node cluster, under direct execution and
+both executors.
 """
 
-from repro.cluster import ClusterConfig, run_cluster
-from repro.core.system import run_simulation
-from repro.experiments.results import config_digest
-from repro.experiments.runner import (
-    ProcessExecutor,
-    Runner,
-    RunRequest,
-    SerialExecutor,
-)
+from repro.cluster import ClusterConfig
 from repro.proxy import ProxySpec
-from tests.sim.test_golden_digest import (
-    GOLDEN_CONFIG_DIGEST,
-    GOLDEN_EVENTS_PROCESSED,
-    GOLDEN_METRICS_DIGEST,
-    metrics_digest,
-    midsize_config,
-)
+from tests import pins
+from tests.sim.test_golden_digest import midsize_config
 
 
 def explicit_disabled():
@@ -35,44 +23,29 @@ def one_node_cluster():
     return ClusterConfig(node=midsize_config(), proxy=ProxySpec())
 
 
-def run_with(executor, config):
-    runner = Runner(executor=executor, cache=None)
-    try:
-        outcome = runner.run_batch([RunRequest(config)])[0]
-    finally:
-        executor.close()
-    assert not outcome.failed, outcome.error
-    return outcome.metrics
-
-
-def assert_golden(metrics):
-    assert metrics.events_processed == GOLDEN_EVENTS_PROCESSED
-    assert metrics_digest(metrics) == GOLDEN_METRICS_DIGEST
-
-
 def test_config_digest_matches_the_pre_proxy_golden():
-    assert config_digest(explicit_disabled()) == GOLDEN_CONFIG_DIGEST
+    pins.check_config("midsize", explicit_disabled())
 
 
 def test_standalone_identity_direct():
-    assert_golden(run_simulation(explicit_disabled()))
+    pins.check("midsize", pins.run(explicit_disabled()))
 
 
 def test_standalone_identity_jobs_1():
-    assert_golden(run_with(SerialExecutor(), explicit_disabled()))
+    pins.check("midsize", pins.run(explicit_disabled(), "jobs_1"))
 
 
 def test_standalone_identity_jobs_4():
-    assert_golden(run_with(ProcessExecutor(jobs=4), explicit_disabled()))
+    pins.check("midsize", pins.run(explicit_disabled(), "jobs_4"))
 
 
 def test_cluster_identity_direct():
-    assert_golden(run_cluster(one_node_cluster()))
+    pins.check("midsize", pins.run(one_node_cluster()))
 
 
 def test_cluster_identity_jobs_1():
-    assert_golden(run_with(SerialExecutor(), one_node_cluster()))
+    pins.check("midsize", pins.run(one_node_cluster(), "jobs_1"))
 
 
 def test_cluster_identity_jobs_4():
-    assert_golden(run_with(ProcessExecutor(jobs=4), one_node_cluster()))
+    pins.check("midsize", pins.run(one_node_cluster(), "jobs_4"))

@@ -1,31 +1,18 @@
 """An inert SharingSpec is invisible: bit-identical to the
 pre-sharing build.
 
-The golden digests were recorded before the stream-sharing subsystem
-existed.  A config that spells out ``sharing=SharingSpec()``
-explicitly must reproduce them exactly — same config digest (the
-inert spec is omitted from the cache form), same metrics digest, same
-event count — standalone and as a 1-node cluster, under direct
-execution and both executors.
+Row ``midsize`` of ``tests/pins.json`` was recorded before the
+stream-sharing subsystem existed.  A config that spells out
+``sharing=SharingSpec()`` explicitly must reproduce it exactly — same
+config digest (the inert spec is omitted from the cache form), same
+behaviour digest, same event count — standalone and as a 1-node
+cluster, under direct execution and both executors.
 """
 
-from repro.cluster import ClusterConfig, run_cluster
-from repro.core.system import run_simulation
-from repro.experiments.results import config_digest
-from repro.experiments.runner import (
-    ProcessExecutor,
-    Runner,
-    RunRequest,
-    SerialExecutor,
-)
+from repro.cluster import ClusterConfig
 from repro.sharing import SharingSpec
-from tests.sim.test_golden_digest import (
-    GOLDEN_CONFIG_DIGEST,
-    GOLDEN_EVENTS_PROCESSED,
-    GOLDEN_METRICS_DIGEST,
-    metrics_digest,
-    midsize_config,
-)
+from tests import pins
+from tests.sim.test_golden_digest import midsize_config
 
 
 def explicit_inert():
@@ -36,40 +23,25 @@ def one_node_cluster():
     return ClusterConfig(node=explicit_inert())
 
 
-def run_with(executor, config):
-    runner = Runner(executor=executor, cache=None)
-    try:
-        outcome = runner.run_batch([RunRequest(config)])[0]
-    finally:
-        executor.close()
-    assert not outcome.failed, outcome.error
-    return outcome.metrics
-
-
-def assert_golden(metrics):
-    assert metrics.events_processed == GOLDEN_EVENTS_PROCESSED
-    assert metrics_digest(metrics) == GOLDEN_METRICS_DIGEST
-
-
 def test_config_digest_matches_the_pre_sharing_golden():
-    assert config_digest(explicit_inert()) == GOLDEN_CONFIG_DIGEST
+    pins.check_config("midsize", explicit_inert())
 
 
 def test_standalone_identity_direct():
-    assert_golden(run_simulation(explicit_inert()))
+    pins.check("midsize", pins.run(explicit_inert()))
 
 
 def test_standalone_identity_jobs_1():
-    assert_golden(run_with(SerialExecutor(), explicit_inert()))
+    pins.check("midsize", pins.run(explicit_inert(), "jobs_1"))
 
 
 def test_standalone_identity_jobs_4():
-    assert_golden(run_with(ProcessExecutor(jobs=4), explicit_inert()))
+    pins.check("midsize", pins.run(explicit_inert(), "jobs_4"))
 
 
 def test_cluster_identity_direct():
-    assert_golden(run_cluster(one_node_cluster()))
+    pins.check("midsize", pins.run(one_node_cluster()))
 
 
 def test_cluster_identity_jobs_4():
-    assert_golden(run_with(ProcessExecutor(jobs=4), one_node_cluster()))
+    pins.check("midsize", pins.run(one_node_cluster(), "jobs_4"))

@@ -4,9 +4,10 @@ The standalone server and the cluster used to run two hand-written
 copies of the customer lifecycle (arrive, balk or queue or renege,
 batch or slot, launch, view or churn, release).  They now share one
 ``SessionGenerator`` that drives a front door: the standalone server is
-the one-member door that never fails.  The goldens below were recorded
-with the two separate copies.  Every config must reproduce the event
-count and the sha256 of ``deterministic_dict()`` exactly.
+the one-member door that never fails.  The pins were recorded with
+the two separate copies, one row ``lifecycle/<name>`` of
+``tests/pins.json`` per config.  Every config must reproduce its row's
+config digest, behaviour digest and event count exactly.
 
 Each config also asserts the counters of the path it exists to cover,
 so that a config cannot silently stop exercising it.  ``queued-failover``
@@ -15,25 +16,16 @@ dies fail over before their first admission and first play on a later
 attempt, so their viewing budget must be drawn at first playback.
 """
 
-import hashlib
-import json
-
 import pytest
 
-from repro import MB, SpiffiConfig, SpiffiSystem
-from repro.cluster import (
-    ClusterConfig,
-    PlacementSpec,
-    RouterSpec,
-    SelfHealSpec,
-    SpiffiCluster,
-)
+from repro import MB, SpiffiConfig
+from repro.cluster import ClusterConfig, PlacementSpec, RouterSpec, SelfHealSpec
 from repro.faults.spec import FaultSpec
 from repro.proxy import ProxySpec
 from repro.server.admission import AdmissionSpec
 from repro.sharing import SharingSpec
-from repro.telemetry.runstats import RunStopwatch
 from repro.workload import ArrivalSpec
+from tests import pins
 
 CHAINED = PlacementSpec("chained-declustered", replicas=2)
 BANDWIDTH = AdmissionSpec("bandwidth", headroom=0.5)
@@ -239,77 +231,11 @@ CONFIGS = {
     ),
 }
 
-#: name -> (events_processed, sha256 of deterministic_dict()), recorded
-#: with the two separate lifecycle copies.
-GOLDEN = {
-    "balk-renege": (
-        20122,
-        "2d864d88d81b8697ac69500884c944ef0ff6e982b202578350d13f1354a89086",
-    ),
-    "batch": (
-        16415,
-        "91590fdb91a62890d32953eb653d587f96f1e84f9d7e7d0ada5838399439888d",
-    ),
-    "capped-batch": (
-        3255,
-        "f686edd71ff8b69d5c45eaf14747c111477d088094c109131bfd02ddcb338d16",
-    ),
-    "full-views": (
-        3416,
-        "9fd7e64c4e6220c0b37488df4bc1fb97a0514abb72e50a1e66771ad4974e4b01",
-    ),
-    "heal-rejoin": (
-        13923,
-        "d8c2d5abfa04dbc904d145dae12d99ac3ae5de8846a958895acbab3cad296bdc",
-    ),
-    "heal-spill": (
-        28347,
-        "a5286df56be921cd15ee0bedef66ea3c359eeae358c4c3a457c314ffb5d90445",
-    ),
-    "partitioned-loss": (
-        18627,
-        "bc32649089574b2f936b0a368355fdbfe09ac1d1fe91cb8c810157ef4d0ec479",
-    ),
-    "proxy": (
-        15728,
-        "61bd374b6d632638b7ad604ebada2884f3bae94acbb781547a11b26e75f28c39",
-    ),
-    "proxy-failover": (
-        20998,
-        "e03f18d776a415ed8b30217b444c4b83ffda2387d5bd0116b7df24b7a82c7512",
-    ),
-    "queued-failover": (
-        23660,
-        "e3d9654d360b3cd24512fff6bd5e4c94b9c4cba28a51190257114e54602d4f55",
-    ),
-    "replicated-failover": (
-        28921,
-        "72425f645c7101066ec8ae3b3a611ee0036c4d1eb45f3b55f057623e8143ca7d",
-    ),
-}
-
-
-def pinned_run(config):
-    """Build and run one config; metrics stamped with the event count."""
-    if isinstance(config, ClusterConfig):
-        system = SpiffiCluster(config)
-    else:
-        system = SpiffiSystem(config)
-    with RunStopwatch(system.env) as watch:
-        metrics = system.run()
-    return system, watch.stamp(metrics)
-
-
-def digest(metrics) -> str:
-    payload = json.dumps(metrics.deterministic_dict(), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_lifecycle_matches_the_two_copy_goldens(name):
     build, exercised = CONFIGS[name]
-    system, metrics = pinned_run(build())
+    pins.check_config(f"lifecycle/{name}", build())
+    system, metrics = pins.run_system(build())
     assert exercised(system), f"{name} no longer exercises its path"
-    events, expected = GOLDEN[name]
-    assert metrics.events_processed == events
-    assert digest(metrics) == expected
+    pins.check(f"lifecycle/{name}", metrics)
